@@ -1,6 +1,7 @@
-//! `monitor-repeat`: 20 000 admission requests drawn uniformly, with the
-//! benchmark seed, from a pool of 1 024 generated configurations (twice
-//! the engine's default 512-table memo bank), through `request_line` ->
+//! `monitor-repeat`: 20 000 admission requests over a pool of 1 024
+//! generated configurations (twice the engine's default 512-table memo
+//! bank), each configuration equally often in an order shuffled by the
+//! benchmark seed, through `request_line` ->
 //! `parse_request` -> `MonitorEngine::submit`/`flush` -> `response_line`,
 //! as the `monitor` binary runs them, minus the pipe. One client, closed
 //! loop, one worker thread.
@@ -47,6 +48,9 @@ fn config() -> MonitorConfig {
 /// Everything one pass over the request lines produced.
 struct Pass {
     wall_s: f64,
+    /// The pass cut at each line's arrival: engine start-up, then one
+    /// piece per line (with the final flush in the last).
+    pieces_ns: Vec<u64>,
     /// Response and event lines in emission order.
     out: Vec<String>,
     latencies_ns: Vec<u64>,
@@ -72,6 +76,7 @@ fn pass(inputs: &Inputs, tracer: Option<&Tracer>) -> Pass {
     let mut received_ns = vec![0u64; inputs.lines.len()];
     let mut p = Pass {
         wall_s: 0.0,
+        pieces_ns: Vec::with_capacity(inputs.lines.len() + 1),
         out: Vec::with_capacity(inputs.lines.len() + 1024),
         latencies_ns: Vec::with_capacity(inputs.lines.len()),
         engine: MonitorEngine::new(config()),
@@ -92,8 +97,11 @@ fn pass(inputs: &Inputs, tracer: Option<&Tracer>) -> Pass {
         });
         p.encode_ns += ns;
     };
+    let mut cut_ns = 0;
     for line in &inputs.lines {
         let t_in = origin.elapsed().as_nanos() as u64;
+        p.pieces_ns.push(t_in - cut_ns);
+        cut_ns = t_in;
         let (request, ns) = in_span(tracer, "monitor.parse", || parse_request(line));
         p.parse_ns += ns;
         let request = request.expect("generated request lines parse");
@@ -105,7 +113,9 @@ fn pass(inputs: &Inputs, tracer: Option<&Tracer>) -> Pass {
     let (responses, ns) = in_span(tracer, "monitor.submit", || p.engine.flush());
     p.submit_ns += ns;
     emit(responses, &mut p, &received_ns);
-    p.wall_s = origin.elapsed().as_secs_f64();
+    let end_ns = origin.elapsed().as_nanos() as u64;
+    p.pieces_ns.push(end_ns - cut_ns);
+    p.wall_s = end_ns as f64 * 1e-9;
     p
 }
 
@@ -177,8 +187,15 @@ fn make_inputs(seed: u64) -> Inputs {
         task_counts: vec![4, 8, 12, 16],
         profile: PeriodModel::Continuous,
     });
+    // Every configuration equally often (19 or 20 times), in an order
+    // shuffled by the seed: each request is still a uniform draw from the
+    // pool, but the seed changes only the order, not how often an
+    // expensive configuration comes up.
     let mut rng = StdRng::seed_from_u64(seed);
-    let draws: Vec<usize> = (0..REQUESTS).map(|_| rng.gen_range(0..POOL)).collect();
+    let mut draws: Vec<usize> = (0..REQUESTS).map(|k| k % POOL).collect();
+    for i in (1..draws.len()).rev() {
+        draws.swap(i, rng.gen_range(0..=i));
+    }
     let lines = draws
         .iter()
         .enumerate()
@@ -205,6 +222,7 @@ impl Workload for Monitor {
         let (ok, digest, _) = check(inputs, seed, &p);
         Rep {
             wall_s: p.wall_s,
+            pieces_ns: p.pieces_ns,
             digest,
             ok,
             attempted: inputs.lines.len() as u64,
