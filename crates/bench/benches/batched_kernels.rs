@@ -1,14 +1,9 @@
-//! Batched, warm-started control-kernel pipeline vs the scalar cold
-//! path (DESIGN.md §10): the same dc-servo log-period grid walked three
-//! ways — one-shot exact kernels per cell, the batched exact evaluator,
-//! and the batched fast evaluator (warm-started DAREs + Hessenberg
-//! margin sweep) — plus the LQG designer sweep in cold and warm modes.
+//! Batched control-kernel pipeline vs the scalar one-shot path
+//! (DESIGN.md §10): the same dc-servo log-period grid walked with
+//! one-shot kernels per cell and with the batched evaluator.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use csa_control::{
-    design_lqg, plants, stability_curve_exact, KernelMode, LqgDesigner, StabilityCurveBatch,
-    StabilityFit,
-};
+use csa_control::{design_lqg, plants, stability_curve, StabilityCurveBatch, StabilityFit};
 use csa_experiments::log_period_grid;
 use std::hint::black_box;
 
@@ -24,34 +19,14 @@ fn bench_batched_kernels(c: &mut Criterion) {
         b.iter(|| {
             for &h in &grid {
                 let lqg = design_lqg(&bp.plant, &bp.weights, h, 0.0).unwrap();
-                let curve = stability_curve_exact(&bp.plant, &lqg.controller, h, 7).unwrap();
+                let curve = stability_curve(&bp.plant, &lqg.controller, h, 7).unwrap();
                 black_box(StabilityFit::from_curve(&curve));
             }
         })
     });
     group.bench_function("curve_grid_8_batched_exact", |b| {
-        let mut batch = StabilityCurveBatch::new(KernelMode::Exact);
+        let mut batch = StabilityCurveBatch::new();
         b.iter(|| black_box(batch.curve_grid(&bp.plant, &bp.weights, &grid, 0.0, 7)))
-    });
-    group.bench_function("curve_grid_8_batched_fast", |b| {
-        let mut batch = StabilityCurveBatch::new(KernelMode::Fast);
-        b.iter(|| black_box(batch.curve_grid(&bp.plant, &bp.weights, &grid, 0.0, 7)))
-    });
-    group.bench_function("lqg_sweep_8_cold", |b| {
-        b.iter(|| {
-            let mut designer = LqgDesigner::cold();
-            for &h in &grid {
-                black_box(designer.design(&bp.plant, &bp.weights, h, 0.0).unwrap());
-            }
-        })
-    });
-    group.bench_function("lqg_sweep_8_warm", |b| {
-        b.iter(|| {
-            let mut designer = LqgDesigner::warm_started();
-            for &h in &grid {
-                black_box(designer.design(&bp.plant, &bp.weights, h, 0.0).unwrap());
-            }
-        })
     });
     group.finish();
 }

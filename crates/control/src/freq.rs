@@ -1,18 +1,13 @@
 //! Frequency responses of continuous and discrete systems.
 //!
 //! Besides the one-shot [`continuous_response`]/[`discrete_response`]
-//! entry points, this module provides the two kernel classes of the
-//! batched jitter-margin pipeline (DESIGN.md §10):
-//!
-//! * [`ResponseScratch`] — a re-entrant buffer reuse of the dense
-//!   `O(n^3)` solve, bit-identical to [`response_at`];
-//! * [`HessSiso`] — a reduced-once Hessenberg evaluator answering SISO
-//!   sweeps in `O(n^2)` per point, accurate to orthogonal-similarity
-//!   round-off but *not* bit-identical.
+//! entry points, this module provides [`ResponseScratch`], the
+//! jitter-margin sweep's re-entrant buffer reuse of the dense `O(n^3)`
+//! solve, bit-identical to [`response_at`] (DESIGN.md §10).
 
 use crate::error::{Error, Result};
 use crate::ss::{DiscreteSs, StateSpace};
-use csa_linalg::{hessenberg_with_q, CMat, Cplx, Mat};
+use csa_linalg::{CMat, Cplx, Mat};
 
 /// Evaluates `G(s) = C (sI - A)^{-1} B + D` of a continuous system at
 /// `s = j*omega`.
@@ -223,144 +218,6 @@ impl ResponseScratch {
     }
 }
 
-/// Reduced-once fast SISO frequency evaluator (the *fast* kernel class of
-/// DESIGN.md §10).
-///
-/// [`HessSiso::build`] factors the state matrix once per system into
-/// Hessenberg form `A = Q H Q^T` ([`hessenberg_with_q`]) and rotates
-/// `B`/`C` into the Hessenberg basis; [`HessSiso::eval`] then computes
-/// `G(z) = C (zI - A)^{-1} B + D` in `O(n^2)` per point via a banded
-/// elimination with adjacent-row pivoting, instead of the `O(n^3)` dense
-/// solve of [`response_at`].
-///
-/// Tolerance contract: the orthogonal change of basis commutes with the
-/// resolvent exactly in real arithmetic, so results agree with the exact
-/// path to round-off (relative error ~1e-13 on well-conditioned sweeps),
-/// but are *not* bit-identical.
-#[derive(Debug, Clone)]
-pub(crate) struct HessSiso {
-    n: usize,
-    h: Mat,
-    bt: Mat,
-    ct: Mat,
-    d0: f64,
-    mh: Vec<Cplx>,
-    y: Vec<Cplx>,
-}
-
-impl HessSiso {
-    /// Creates an empty evaluator; [`HessSiso::build`] must run before
-    /// [`HessSiso::eval`].
-    pub(crate) fn new() -> Self {
-        HessSiso {
-            n: 0,
-            h: Mat::zeros(1, 1),
-            bt: Mat::zeros(1, 1),
-            ct: Mat::zeros(1, 1),
-            d0: 0.0,
-            mh: Vec::new(),
-            y: Vec::new(),
-        }
-    }
-
-    /// Reduces a SISO system to Hessenberg form for fast sweeps.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::UnsupportedModel`] if the system is not SISO.
-    pub(crate) fn build(&mut self, sys: &DiscreteSs) -> Result<()> {
-        if sys.inputs() != 1 || sys.outputs() != 1 {
-            return Err(Error::UnsupportedModel(
-                "fast margin kernel requires a SISO loop",
-            ));
-        }
-        let (h, q) = hessenberg_with_q(sys.a());
-        self.n = h.rows();
-        self.bt = &q.transpose() * sys.b();
-        self.ct = sys.c() * &q;
-        self.h = h;
-        self.d0 = sys.d()[(0, 0)];
-        Ok(())
-    }
-
-    /// Evaluates `G(z)` of the system last passed to [`HessSiso::build`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Numerical`] ([`csa_linalg::Error::Singular`]) when `z` is
-    /// an eigenvalue of the state matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`HessSiso::build`] has not been called.
-    pub(crate) fn eval(&mut self, z: Cplx) -> Result<Cplx> {
-        let n = self.n;
-        assert!(n > 0, "HessSiso::build must run before eval");
-        self.mh.clear();
-        self.mh.resize(n * n, Cplx::ZERO);
-        self.y.clear();
-        self.y
-            .extend((0..n).map(|i| Cplx::from_re(self.bt[(i, 0)])));
-        // Fill zI - H on the Hessenberg band; entries below the first
-        // subdiagonal are exactly zero and never touched.
-        let mut scale = 0.0f64;
-        for i in 0..n {
-            for j in i.saturating_sub(1)..n {
-                let idc = if i == j { z } else { Cplx::ZERO };
-                let v = idc - Cplx::from_re(self.h[(i, j)]);
-                self.mh[i * n + j] = v;
-                scale = scale.max(v.abs());
-            }
-        }
-        let tol = scale.max(1.0) * f64::EPSILON * (n as f64);
-        // Gaussian elimination with adjacent-row pivoting: column k has a
-        // single sub-diagonal entry (row k+1), so one comparison and one
-        // row update suffice — O(n) per column, O(n^2) total.
-        for k in 0..n.saturating_sub(1) {
-            if self.mh[(k + 1) * n + k].abs() > self.mh[k * n + k].abs() {
-                for j in k..n {
-                    self.mh.swap(k * n + j, (k + 1) * n + j);
-                }
-                self.y.swap(k, k + 1);
-            }
-            let pivot = self.mh[k * n + k];
-            if pivot.abs() <= tol {
-                return Err(Error::Numerical(csa_linalg::Error::Singular));
-            }
-            let f = self.mh[(k + 1) * n + k] / pivot;
-            if f != Cplx::ZERO {
-                for j in (k + 1)..n {
-                    let v = f * self.mh[k * n + j];
-                    self.mh[(k + 1) * n + j] -= v;
-                }
-                let v = f * self.y[k];
-                self.y[k + 1] -= v;
-            }
-        }
-        if self.mh[(n - 1) * n + (n - 1)].abs() <= tol {
-            return Err(Error::Numerical(csa_linalg::Error::Singular));
-        }
-        for k in (0..n).rev() {
-            let mut acc = self.y[k];
-            for j in (k + 1)..n {
-                let u = self.mh[k * n + j];
-                if u != Cplx::ZERO {
-                    acc -= u * self.y[j];
-                }
-            }
-            self.y[k] = acc / self.mh[k * n + k];
-        }
-        let mut g = Cplx::from_re(self.d0);
-        for j in 0..n {
-            let cj = Cplx::from_re(self.ct[(0, j)]);
-            if cj != Cplx::ZERO {
-                g += cj * self.y[j];
-            }
-        }
-        Ok(g)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,41 +290,6 @@ mod tests {
             assert_eq!(got[(0, 0)].re.to_bits(), reference[(0, 0)].re.to_bits());
             assert_eq!(got[(0, 0)].im.to_bits(), reference[(0, 0)].im.to_bits());
         }
-    }
-
-    #[test]
-    fn hess_siso_matches_dense_to_roundoff() {
-        let a = csa_linalg::Mat::from_rows(&[
-            &[0.6, 0.3, -0.1, 0.0],
-            &[-0.2, 0.4, 0.2, 0.1],
-            &[0.1, -0.3, 0.5, 0.2],
-            &[0.0, 0.1, -0.2, 0.3],
-        ]);
-        let b = csa_linalg::Mat::col_vec(&[1.0, 0.0, -0.5, 0.2]);
-        let c = csa_linalg::Mat::from_rows(&[&[0.5, 1.0, 0.0, -1.0]]);
-        let d = csa_linalg::Mat::scalar(0.1);
-        let sys = DiscreteSs::new(a.clone(), b.clone(), c.clone(), d.clone(), 0.01).unwrap();
-        let mut hess = HessSiso::new();
-        hess.build(&sys).unwrap();
-        for i in 0..40 {
-            let z = Cplx::from_angle(0.07 * (i as f64 + 1.0));
-            let dense = response_at(&a, &b, &c, &d, z).unwrap()[(0, 0)];
-            let fast = hess.eval(z).unwrap();
-            assert!(
-                (fast - dense).abs() <= 1e-12 * dense.abs().max(1.0),
-                "fast/dense drift at z={z:?}: {fast:?} vs {dense:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn hess_siso_rejects_mimo() {
-        let a = csa_linalg::Mat::scalar(0.5);
-        let b = csa_linalg::Mat::from_rows(&[&[1.0, 2.0]]);
-        let c = csa_linalg::Mat::scalar(1.0);
-        let d = csa_linalg::Mat::from_rows(&[&[0.0, 0.0]]);
-        let sys = DiscreteSs::new(a, b, c, d, 1.0).unwrap();
-        assert!(HessSiso::new().build(&sys).is_err());
     }
 
     #[test]

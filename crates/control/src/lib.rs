@@ -16,11 +16,9 @@
 //! * the jitter-margin analysis of Fig. 4: [`jitter_margin`],
 //!   [`stability_curve`], [`delay_margin`], and the paper's Eq. 5 linear
 //!   bound [`StabilityFit`];
-//! * the batched, warm-started kernel pipeline (DESIGN.md §10):
-//!   [`MarginScratch`], [`KernelMode`], [`StabilityCurveBatch`],
-//!   [`LqgDesigner`], the bit-frozen [`jitter_margin_exact`] /
-//!   [`stability_curve_exact`] entry points, and the retained
-//!   [`mod@reference`] implementations they are pinned against;
+//! * the batched kernel pipeline (DESIGN.md §10): [`MarginScratch`],
+//!   [`StabilityCurveBatch`] and [`LqgDesigner`], bit-identical to the
+//!   retained [`mod@reference`] implementations they are pinned against;
 //! * the benchmark plant pool of §V: [`plants`].
 //!
 //! # Example: the paper's Fig. 4 in five lines
@@ -62,8 +60,8 @@ pub use lqg::{
     SampledCost,
 };
 pub use margin::{
-    delay_margin, jitter_margin, jitter_margin_exact, stability_curve, stability_curve_exact,
-    CurvePoint, KernelMode, MarginScratch, StabilityCurve, StabilityCurveBatch, StabilityFit,
+    delay_margin, jitter_margin, stability_curve, CurvePoint, MarginScratch, StabilityCurve,
+    StabilityCurveBatch, StabilityFit,
 };
 pub use response::{disturbance_impulse_response, simulate, step_response, tail_peak};
 pub use ss::{DiscreteSs, StateSpace, TransferFunction};

@@ -18,7 +18,7 @@
 use crate::c2d::c2d_zoh_delayed;
 use crate::error::{Error, Result};
 use crate::ss::{DiscreteSs, StateSpace};
-use csa_linalg::{noise_covariance, van_loan_gramian, DareScratch, DareSolution, Mat, StageCost};
+use csa_linalg::{noise_covariance, van_loan_gramian, DareScratch, Mat, StageCost};
 
 /// Continuous-time design weights for sampled LQG synthesis.
 #[derive(Debug, Clone, PartialEq)]
@@ -157,56 +157,27 @@ pub fn design_lqg(
     h: f64,
     tau: f64,
 ) -> Result<LqgController> {
-    LqgDesigner::cold().design(plant, weights, h, tau)
+    LqgDesigner::new().design(plant, weights, h, tau)
 }
 
-/// Re-entrant LQG synthesis engine with optional DARE warm starting (the
-/// batched pipeline of DESIGN.md §10).
+/// Re-entrant LQG synthesis engine (the batched pipeline of DESIGN.md
+/// §10).
 ///
-/// A cold designer ([`LqgDesigner::cold`]) routes both Riccati equations
-/// through [`DareScratch::solve`], which is bit-identical to the one-shot
-/// [`csa_linalg::solve_dare`] — [`design_lqg`] is a thin wrapper over it. A
-/// warm-started designer ([`LqgDesigner::warm_started`]) seeds each DARE
-/// with the previous successful design's solution via
-/// [`DareScratch::solve_warm`]; when sweeping a period grid the
-/// neighbouring solutions are excellent seeds and the Kleinman iteration
-/// converges in a couple of Newton steps. The warm path inherits
-/// `solve_warm`'s contract: the gain is always verified stabilizing, any
-/// unusable seed falls back to the bit-exact cold solve, and successful
-/// warm solutions agree with cold ones to ~1e-9 relative.
-#[derive(Debug)]
+/// Routes both Riccati equations through [`DareScratch::solve`], which is
+/// bit-identical to the one-shot [`csa_linalg::solve_dare`], so every
+/// output is bit-identical to [`design_lqg`] (a thin wrapper over a fresh
+/// designer). Reusing one designer across a period grid reuses the DARE
+/// workspaces.
+#[derive(Debug, Default)]
 pub struct LqgDesigner {
     ctrl_dare: DareScratch,
     filt_dare: DareScratch,
-    warm: bool,
-    prev_ctrl: Option<DareSolution>,
-    prev_filt: Option<DareSolution>,
 }
 
 impl LqgDesigner {
     /// A designer whose every output is bit-identical to [`design_lqg`].
-    pub fn cold() -> Self {
-        LqgDesigner {
-            ctrl_dare: DareScratch::new(),
-            filt_dare: DareScratch::new(),
-            warm: false,
-            prev_ctrl: None,
-            prev_filt: None,
-        }
-    }
-
-    /// A designer that warm-starts each DARE from the previous design.
-    pub fn warm_started() -> Self {
-        LqgDesigner {
-            warm: true,
-            ..LqgDesigner::cold()
-        }
-    }
-
-    /// Drops the warm-start seeds (e.g. when switching plants).
-    pub fn reset(&mut self) {
-        self.prev_ctrl = None;
-        self.prev_filt = None;
+    pub fn new() -> Self {
+        LqgDesigner::default()
     }
 
     /// Designs a sampled LQG controller; semantics of [`design_lqg`].
@@ -248,13 +219,10 @@ impl LqgDesigner {
             q_aug[(i, i)] += 1e-12;
         }
         let stage = StageCost::with_cross(q_aug, n_aug, cost_d.q2.clone());
-        let lqr = match (self.warm, &self.prev_ctrl) {
-            (true, Some(seed)) => self
-                .ctrl_dare
-                .solve_warm(plant_d.a(), plant_d.b(), &stage, seed),
-            _ => self.ctrl_dare.solve(plant_d.a(), plant_d.b(), &stage),
-        }
-        .map_err(map_dare_err)?;
+        let lqr = self
+            .ctrl_dare
+            .solve(plant_d.a(), plant_d.b(), &stage)
+            .map_err(map_dare_err)?;
 
         // Stationary Kalman predictor on the plant block (delay registers are
         // known exactly).
@@ -265,19 +233,11 @@ impl LqgDesigner {
         // rank deficient along undisturbed directions.
         let r1d_reg = &r1d + &Mat::identity(n).scale(1e-12 * r1d.max_abs().max(1e-12));
         let dual_cost = StageCost::new(r1d_reg, weights.r2.clone());
-        let phi_t = phi.transpose();
-        let c_t = c.transpose();
-        let dual = match (self.warm, &self.prev_filt) {
-            (true, Some(seed)) => self.filt_dare.solve_warm(&phi_t, &c_t, &dual_cost, seed),
-            _ => self.filt_dare.solve(&phi_t, &c_t, &dual_cost),
-        }
-        .map_err(map_dare_err)?;
+        let dual = self
+            .filt_dare
+            .solve(&phi.transpose(), &c.transpose(), &dual_cost)
+            .map_err(map_dare_err)?;
         let kf = dual.k.transpose(); // Kf = Phi P C' (C P C' + R2)^{-1}
-
-        if self.warm {
-            self.prev_ctrl = Some(lqr.clone());
-            self.prev_filt = Some(dual.clone());
-        }
 
         // Controller realization on the augmented state:
         // xi+ = (A - B K - Kf_aug C_aug) xi + Kf_aug y,  u = -K xi.

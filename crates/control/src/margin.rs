@@ -36,44 +36,25 @@
 //! [`StabilityFit`] produces the linear lower bound `L + a J <= b` of
 //! Eq. 5.
 
-//! # Kernel classes (DESIGN.md §10)
+//! # The margin kernel (DESIGN.md §10)
 //!
-//! Since PR 6 the margin computations run on a re-entrant
-//! [`MarginScratch`] workspace in one of two [`KernelMode`]s:
-//!
-//! * [`KernelMode::Exact`] replays the original dense pipeline
-//!   bit-for-bit (pinned against [`crate::reference`] by differential
-//!   tests) — this is what the persisted margin tables are built with;
-//! * [`KernelMode::Fast`] reuses the pre-check eigenvalues as the poles
-//!   of a partial-fraction model fitted from a handful of
-//!   Hessenberg-solved samples, then sweeps frequencies in `O(n)` per
-//!   point (verified per loop, with an `O(n^2)`-per-point Hessenberg
-//!   fallback) — this backs the public
-//!   [`jitter_margin`]/[`stability_curve`] entry points and the Fig. 4
-//!   plots, and agrees with `Exact` to round-off.
-//!
-//! [`StabilityCurveBatch`] bundles a scratch with a warm-started LQG
-//! designer to walk whole period grids per plant.
+//! The margin computations run on a re-entrant [`MarginScratch`]
+//! workspace that replays the retained one-shot pipeline of
+//! [`crate::reference`] bit for bit (pinned by differential tests). The
+//! persisted margin tables, the Fig. 4 curves and the public
+//! [`jitter_margin`]/[`stability_curve`] entry points all run on it.
+//! [`StabilityCurveBatch`] bundles a scratch with an [`LqgDesigner`] to
+//! walk whole period grids per plant.
 
 use crate::c2d::{c2d_zoh_delayed, delay_split};
 use crate::error::{Error, Result};
-use crate::freq::{HessSiso, ResponseScratch};
+use crate::freq::ResponseScratch;
 use crate::lqg::{input_sensitivity_loop, LqgDesigner, LqgWeights};
 use crate::ss::{DiscreteSs, StateSpace};
 use csa_linalg::{expm, Cplx, EigScratch, Mat};
 
 /// Number of frequency grid points for the small-gain sweep.
 const FREQ_POINTS: usize = 600;
-/// Held-out sweep-grid indices where the fast kernel's partial-fraction
-/// fit must reproduce the Hessenberg solve to round-off before it is
-/// trusted for the full sweep (they never coincide with the fit's sample
-/// indices, which sit at strip midpoints).
-const PF_CHECK_POINTS: [usize; 5] = [0, 97, 331, 523, FREQ_POINTS - 1];
-/// Round-off budget of the partial-fraction verification, relative to
-/// the largest observed response magnitude. A healthy fit lands around
-/// 1e-12 relative; repeated or defective poles blow well past this and
-/// fall back to the full Hessenberg sweep.
-const PF_TOL: f64 = 1e-10;
 /// Jitter margins are reported at most this many sampling periods — the
 /// criterion is meaningless for jitter far beyond a period (the scheduler
 /// cannot produce it under implicit deadlines anyway).
@@ -125,48 +106,24 @@ impl StabilityCurve {
     }
 }
 
-/// Selects which kernel class a [`MarginScratch`] evaluation runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelMode {
-    /// Bit-identical replay of the retained reference pipeline
-    /// ([`crate::reference`]): dense `O(n^3)` frequency solves and cold
-    /// DARE synthesis. Used wherever downstream artifacts are bit-frozen
-    /// (the persisted margin tables and the witness corpus).
-    Exact,
-    /// Pole/residue (partial-fraction) frequency sweeps in `O(n)` per
-    /// point — verified per loop against the Hessenberg solve and falling
-    /// back to the `O(n^2)`-per-point Hessenberg sweep whenever the fit
-    /// cannot be certified — plus warm-started DARE synthesis. Agrees
-    /// with [`KernelMode::Exact`] to round-off (relative error ~1e-10 on
-    /// the margins themselves); the nominal-stability pre-check is shared
-    /// with the exact path, so a latency beyond the delay margin yields
-    /// exactly `0.0` in both modes.
-    Fast,
-}
-
-/// Re-entrant workspace for jitter-margin evaluations (PR 6 scratch-space
-/// family).
+/// Re-entrant workspace for jitter-margin evaluations.
 ///
-/// Holds the eigensolver, dense-response, and Hessenberg-sweep buffers so
-/// that sweeping a whole stability curve — or a whole period grid via
-/// [`StabilityCurveBatch`] — performs no per-frequency allocations.
+/// Holds the eigensolver and dense-response buffers plus the cached
+/// frequency-sweep tables, so that sweeping a whole stability curve — or
+/// a whole period grid via [`StabilityCurveBatch`] — performs no
+/// per-frequency allocations. Every result is bit-identical to the
+/// one-shot [`crate::reference`] pipeline.
 #[derive(Debug)]
 pub struct MarginScratch {
     eig: EigScratch,
     resp: ResponseScratch,
-    hess: HessSiso,
     // Cached frequency-sweep tables (grid frequencies, unit-circle points
     // and discrete-derivative weights), keyed on the (h, loop period) bit
     // patterns. Pure functions of the key computed with the pinned
-    // per-point formulas, so reuse is bit-transparent to both kernels.
+    // per-point formulas, so reuse is bit-transparent.
     sweep_key: Option<(u64, u64)>,
     sweep_z: Vec<Cplx>,
     sweep_deriv: Vec<f64>,
-    // Pole/residue model of the fast kernel's partial-fraction sweep.
-    poles: Vec<Cplx>,
-    residues: Vec<Cplx>,
-    pf_mat: Vec<Cplx>,
-    pf_rhs: Vec<Cplx>,
 }
 
 impl MarginScratch {
@@ -175,22 +132,16 @@ impl MarginScratch {
         MarginScratch {
             eig: EigScratch::new(),
             resp: ResponseScratch::new(),
-            hess: HessSiso::new(),
             sweep_key: None,
             sweep_z: Vec::new(),
             sweep_deriv: Vec::new(),
-            poles: Vec::new(),
-            residues: Vec::new(),
-            pf_mat: Vec::new(),
-            pf_rhs: Vec::new(),
         }
     }
 
     /// (Re)builds the cached sweep tables for sampling period `h` and loop
     /// period `period`. Each entry is computed with exactly the per-point
-    /// formulas of the original sweep loop, so a cached value is
-    /// bit-identical to the value the loop would have recomputed — the
-    /// cache is transparent to [`KernelMode::Exact`].
+    /// formulas of the reference sweep loop, so a cached value is
+    /// bit-identical to the value the loop would have recomputed.
     fn sweep_tables(&mut self, h: f64, period: f64) {
         let key = (h.to_bits(), period.to_bits());
         if self.sweep_key == Some(key) {
@@ -211,93 +162,14 @@ impl MarginScratch {
         self.sweep_key = Some(key);
     }
 
-    /// Fits the strictly proper part of the loop response as a
-    /// pole/residue sum `G(z) - d0 = sum_i r_i / (z - p_i)` over the
-    /// already-computed loop eigenvalues (`self.poles`), by sampling `G`
-    /// through the Hessenberg solver at `n` spread-out grid points and
-    /// solving the resulting Cauchy system for the residues.
-    ///
-    /// A strictly proper rational function of McMillan degree at most `n`
-    /// with known poles is determined by its values at `n` distinct
-    /// points, so in exact arithmetic the fit *is* `G`; what can go wrong
-    /// is round-off (eigenvalue error amplified near lightly damped
-    /// poles, ill-conditioned Cauchy solves, repeated/defective poles).
-    /// The fit is therefore verified against the Hessenberg solve at
-    /// held-out grid indices — including the grid point nearest each pole
-    /// angle, where eigenvalue perturbations bite hardest — and `false`
-    /// (caller falls back to the full Hessenberg sweep) is returned
-    /// unless every check lands within [`PF_TOL`] of round-off.
-    fn fit_partial_fractions(&mut self, d0: f64, h: f64, period: f64) -> Result<bool> {
-        let n = self.poles.len();
-        if n == 0 || 2 * n >= FREQ_POINTS {
-            return Ok(false);
-        }
-        self.pf_mat.clear();
-        self.pf_rhs.clear();
-        let mut g_scale = 1.0f64;
-        // Sample at the midpoints of n equal strips of the sweep grid —
-        // never an endpoint, so the held-out checks stay distinct.
-        for k in 0..n {
-            let idx = (2 * k + 1) * FREQ_POINTS / (2 * n);
-            let z = self.sweep_z[idx];
-            let gz = self.hess.eval(z)?;
-            g_scale = g_scale.max(gz.abs());
-            self.pf_rhs.push(gz - Cplx::from_re(d0));
-            for i in 0..n {
-                let diff = z - self.poles[i];
-                if diff == Cplx::ZERO {
-                    return Ok(false);
-                }
-                self.pf_mat.push(Cplx::ONE / diff);
-            }
-        }
-        if !solve_small(&mut self.pf_mat, &mut self.pf_rhs, n) {
-            return Ok(false);
-        }
-        std::mem::swap(&mut self.residues, &mut self.pf_rhs);
-        // Verify at the fixed held-out indices plus the grid point nearest
-        // each pole's angle (where the response peaks and pole error is
-        // amplified the most).
-        let w_max = std::f64::consts::PI / h;
-        let w_min = w_max / 1e4;
-        let log_step = (w_max / w_min).ln() / (FREQ_POINTS - 1) as f64;
-        let mut check_indices: Vec<usize> = PF_CHECK_POINTS.to_vec();
-        for p in &self.poles {
-            let theta = p.arg();
-            if theta <= 0.0 || !theta.is_finite() {
-                continue;
-            }
-            let w = theta / period;
-            if w < w_min || w > w_max {
-                continue;
-            }
-            let idx = ((w / w_min).ln() / log_step).round() as usize;
-            check_indices.push(idx.min(FREQ_POINTS - 1));
-        }
-        let mut err_max = 0.0f64;
-        for idx in check_indices {
-            let z = self.sweep_z[idx];
-            let reference = self.hess.eval(z)?;
-            let fitted = pf_eval(&self.poles, &self.residues, d0, z);
-            let err = (fitted - reference).abs();
-            if !err.is_finite() {
-                return Ok(false);
-            }
-            err_max = err_max.max(err);
-            g_scale = g_scale.max(reference.abs());
-        }
-        Ok(err_max <= PF_TOL * g_scale)
-    }
-
     /// Computes the jitter margin `J_max` at one latency; semantics of
-    /// [`jitter_margin`], kernel class chosen by `mode`.
+    /// [`jitter_margin`].
     ///
     /// # Errors
     ///
     /// Same as [`jitter_margin`].
     pub fn jitter_margin(
         &mut self,
-        mode: KernelMode,
         plant: &StateSpace,
         controller: &DiscreteSs,
         h: f64,
@@ -312,72 +184,28 @@ impl MarginScratch {
         let (_, tau_frac) = delay_split(h, latency);
         let g = &expm(&plant.a().scale(h - tau_frac))? * plant.b();
         let loop_sys = injection_loop(&plant_l, controller, &g)?;
-        // Nominal-stability pre-check, shared bit-identically by both
-        // modes: the fold mirrors `EigScratch::spectral_radius_in`
-        // exactly; keeping the eigenvalues around lets the fast path
-        // reuse them as the poles of its partial-fraction sweep.
-        let rho = {
-            let eigs = self.eig.eigenvalues_in(loop_sys.a())?;
-            if mode == KernelMode::Fast {
-                self.poles.clear();
-                self.poles.extend_from_slice(eigs);
-            }
-            eigs.iter().fold(0.0f64, |m, l| m.max(l.abs()))
-        };
-        if rho >= 1.0 {
+        if self.eig.spectral_radius_in(loop_sys.a())? >= 1.0 {
             return Ok(0.0);
         }
         self.sweep_tables(h, loop_sys.period());
-        let cap = JITTER_CAP_PERIODS * h;
-        let mut j_max = cap;
-        match mode {
-            KernelMode::Exact => {
-                for i in 0..FREQ_POINTS {
-                    let z = self.sweep_z[i];
-                    let m00 = self.resp.response_at_in(
-                        loop_sys.a(),
-                        loop_sys.b(),
-                        loop_sys.c(),
-                        loop_sys.d(),
-                        z,
-                    )?[(0, 0)];
-                    let gain = self.sweep_deriv[i] * m00.abs();
-                    if gain > 0.0 {
-                        j_max = j_max.min(1.0 / gain);
-                    }
-                }
-            }
-            KernelMode::Fast => {
-                self.hess.build(&loop_sys)?;
-                let d0 = loop_sys.d()[(0, 0)];
-                if self.fit_partial_fractions(d0, h, loop_sys.period())? {
-                    // O(n) per point over the verified pole/residue model.
-                    for i in 0..FREQ_POINTS {
-                        let g = pf_eval(&self.poles, &self.residues, d0, self.sweep_z[i]);
-                        let gain = self.sweep_deriv[i] * g.abs_sq().sqrt();
-                        if gain > 0.0 {
-                            j_max = j_max.min(1.0 / gain);
-                        }
-                    }
-                } else {
-                    // Unverifiable fit — full O(n^2)-per-point Hessenberg
-                    // sweep, the fast kernel's former default.
-                    for i in 0..FREQ_POINTS {
-                        let m00 = self.hess.eval(self.sweep_z[i])?;
-                        let gain = self.sweep_deriv[i] * m00.abs();
-                        if gain > 0.0 {
-                            j_max = j_max.min(1.0 / gain);
-                        }
-                    }
-                }
+        let mut j_max = JITTER_CAP_PERIODS * h;
+        for (&z, &deriv) in self.sweep_z.iter().zip(&self.sweep_deriv) {
+            let m00 = self.resp.response_at_in(
+                loop_sys.a(),
+                loop_sys.b(),
+                loop_sys.c(),
+                loop_sys.d(),
+                z,
+            )?[(0, 0)];
+            let gain = deriv * m00.abs();
+            if gain > 0.0 {
+                j_max = j_max.min(1.0 / gain);
             }
         }
         Ok(j_max)
     }
 
-    /// Computes the delay margin; semantics of [`delay_margin`]. The
-    /// bisection only needs spectral radii, so both kernel modes share
-    /// this (bit-identical) path.
+    /// Computes the delay margin; semantics of [`delay_margin`].
     ///
     /// # Errors
     ///
@@ -430,15 +258,13 @@ impl MarginScratch {
         Ok(lo)
     }
 
-    /// Sweeps the full stability curve; semantics of [`stability_curve`],
-    /// kernel class chosen by `mode`.
+    /// Sweeps the full stability curve; semantics of [`stability_curve`].
     ///
     /// # Errors
     ///
     /// Same as [`stability_curve`].
     pub fn stability_curve(
         &mut self,
-        mode: KernelMode,
         plant: &StateSpace,
         controller: &DiscreteSs,
         h: f64,
@@ -451,7 +277,7 @@ impl MarginScratch {
         let mut curve = Vec::with_capacity(points);
         for i in 0..points {
             let l = dm * i as f64 / (points - 1) as f64;
-            let j = self.jitter_margin(mode, plant, controller, h, l)?;
+            let j = self.jitter_margin(plant, controller, h, l)?;
             curve.push(CurvePoint {
                 latency: l,
                 jitter_margin: j,
@@ -471,77 +297,11 @@ impl Default for MarginScratch {
     }
 }
 
-/// Evaluates the pole/residue model `d0 + sum_i r_i / (z - p_i)`,
-/// expanding each division as `r * conj(z - p) / |z - p|^2` — one real
-/// division per pole, no branches.
-#[inline]
-fn pf_eval(poles: &[Cplx], residues: &[Cplx], d0: f64, z: Cplx) -> Cplx {
-    let mut g = Cplx::from_re(d0);
-    for (p, r) in poles.iter().zip(residues) {
-        let dre = z.re - p.re;
-        let dim = z.im - p.im;
-        let inv = 1.0 / (dre * dre + dim * dim);
-        g.re += (r.re * dre + r.im * dim) * inv;
-        g.im += (r.im * dre - r.re * dim) * inv;
-    }
-    g
-}
-
-/// In-place Gaussian elimination with partial pivoting on a small dense
-/// complex system (`m` is `n x n` row-major, `rhs` holds the right-hand
-/// side and receives the solution). Returns `false` on breakdown —
-/// non-finite or zero pivots — instead of erroring, because the only
-/// caller treats an unsolvable system as "fall back to the safe path".
-fn solve_small(m: &mut [Cplx], rhs: &mut [Cplx], n: usize) -> bool {
-    for k in 0..n {
-        let mut piv = k;
-        let mut best = m[k * n + k].abs();
-        for i in (k + 1)..n {
-            let v = m[i * n + k].abs();
-            if v > best {
-                best = v;
-                piv = i;
-            }
-        }
-        if best <= 0.0 || !best.is_finite() {
-            return false;
-        }
-        if piv != k {
-            for j in 0..n {
-                m.swap(k * n + j, piv * n + j);
-            }
-            rhs.swap(k, piv);
-        }
-        let pivot = m[k * n + k];
-        for i in (k + 1)..n {
-            let f = m[i * n + k] / pivot;
-            if f != Cplx::ZERO {
-                for j in (k + 1)..n {
-                    let v = f * m[k * n + j];
-                    m[i * n + j] -= v;
-                }
-                let v = f * rhs[k];
-                rhs[i] -= v;
-            }
-        }
-    }
-    for k in (0..n).rev() {
-        let mut acc = rhs[k];
-        for j in (k + 1)..n {
-            acc -= m[k * n + j] * rhs[j];
-        }
-        rhs[k] = acc / m[k * n + k];
-        if !rhs[k].is_finite() {
-            return false;
-        }
-    }
-    true
-}
-
 /// Computes the jitter margin `J_max` for a fixed latency.
 ///
 /// Returns `0.0` when the latency-`L` loop is nominally unstable, and a
 /// value capped at `20 h` when the small-gain constraint set is empty.
+/// Bit-identical to [`crate::reference::jitter_margin`].
 ///
 /// # Errors
 ///
@@ -568,25 +328,7 @@ pub fn jitter_margin(
     h: f64,
     latency: f64,
 ) -> Result<f64> {
-    MarginScratch::new().jitter_margin(KernelMode::Fast, plant, controller, h, latency)
-}
-
-/// [`jitter_margin`] on the bit-frozen exact kernel ([`KernelMode::Exact`]).
-///
-/// Identical, bit-for-bit, to the retained reference implementation
-/// ([`crate::reference::jitter_margin`]); use this wherever downstream
-/// artifacts pin the produced floats exactly.
-///
-/// # Errors
-///
-/// Same as [`jitter_margin`].
-pub fn jitter_margin_exact(
-    plant: &StateSpace,
-    controller: &DiscreteSs,
-    h: f64,
-    latency: f64,
-) -> Result<f64> {
-    MarginScratch::new().jitter_margin(KernelMode::Exact, plant, controller, h, latency)
+    MarginScratch::new().jitter_margin(plant, controller, h, latency)
 }
 
 /// Assembles the closed loop with an exogenous input entering the plant
@@ -627,7 +369,8 @@ pub fn delay_margin(plant: &StateSpace, controller: &DiscreteSs, h: f64) -> Resu
 /// Sweeps the jitter margin over a latency grid, producing a full
 /// stability curve (the paper's Fig. 4).
 ///
-/// The grid spans `[0, delay_margin]` with `points` samples.
+/// The grid spans `[0, delay_margin]` with `points` samples. Bit-identical
+/// to [`crate::reference::stability_curve`].
 ///
 /// # Errors
 ///
@@ -638,69 +381,26 @@ pub fn stability_curve(
     h: f64,
     points: usize,
 ) -> Result<StabilityCurve> {
-    MarginScratch::new().stability_curve(KernelMode::Fast, plant, controller, h, points)
-}
-
-/// [`stability_curve`] on the bit-frozen exact kernel
-/// ([`KernelMode::Exact`]); bit-identical to
-/// [`crate::reference::stability_curve`].
-///
-/// # Errors
-///
-/// Same as [`stability_curve`].
-pub fn stability_curve_exact(
-    plant: &StateSpace,
-    controller: &DiscreteSs,
-    h: f64,
-    points: usize,
-) -> Result<StabilityCurve> {
-    MarginScratch::new().stability_curve(KernelMode::Exact, plant, controller, h, points)
+    MarginScratch::new().stability_curve(plant, controller, h, points)
 }
 
 /// Batched stability-curve evaluator: one LQG designer plus one
 /// [`MarginScratch`], reused across a whole period grid per plant.
 ///
-/// In [`KernelMode::Fast`] the designer warm-starts each period's DAREs
-/// from the previous period's solutions (Kleinman policy iteration,
-/// falling back to the cold solver whenever the seed does not apply), so
-/// walking a log-period grid `h, h+δh, ...` amortizes both the Riccati
-/// solves and all workspace allocations. In [`KernelMode::Exact`] the
-/// designer stays cold and every produced float is bit-identical to the
-/// one-shot [`design_lqg`](crate::design_lqg) + [`stability_curve_exact`]
-/// pipeline — this is the kernel the persisted margin tables are built
-/// with.
-#[derive(Debug)]
+/// Walking a grid amortizes every workspace allocation, and every
+/// produced float is bit-identical to the one-shot
+/// [`design_lqg`](crate::design_lqg) + [`stability_curve`] pipeline. The
+/// persisted margin tables are built with it.
+#[derive(Debug, Default)]
 pub struct StabilityCurveBatch {
     designer: LqgDesigner,
     scratch: MarginScratch,
-    mode: KernelMode,
 }
 
 impl StabilityCurveBatch {
-    /// Creates a batch evaluator in the given kernel mode.
-    pub fn new(mode: KernelMode) -> Self {
-        let designer = match mode {
-            KernelMode::Exact => LqgDesigner::cold(),
-            KernelMode::Fast => LqgDesigner::warm_started(),
-        };
-        StabilityCurveBatch {
-            designer,
-            scratch: MarginScratch::new(),
-            mode,
-        }
-    }
-
-    /// The kernel mode this evaluator runs on.
-    pub fn mode(&self) -> KernelMode {
-        self.mode
-    }
-
-    /// Drops any warm-start state. Call when switching to an unrelated
-    /// plant so a stale same-shaped seed is never consulted (a wrong seed
-    /// is still *correct* — the warm solver verifies and falls back — but
-    /// it wastes iterations).
-    pub fn reset(&mut self) {
-        self.designer.reset();
+    /// Creates a batch evaluator.
+    pub fn new() -> Self {
+        StabilityCurveBatch::default()
     }
 
     /// Designs the LQG controller for `(plant, weights, h, tau)` and
@@ -721,7 +421,7 @@ impl StabilityCurveBatch {
         let lqg = self.designer.design(plant, weights, h, tau)?;
         let curve = self
             .scratch
-            .stability_curve(self.mode, plant, &lqg.controller, h, points)?;
+            .stability_curve(plant, &lqg.controller, h, points)?;
         let fit = StabilityFit::from_curve(&curve);
         Ok((curve, fit))
     }
@@ -745,9 +445,7 @@ impl StabilityCurveBatch {
     }
 
     /// Walks an increasing period grid, producing one optional cell per
-    /// period (see [`StabilityCurveBatch::margin_cell`]). Warm-start state
-    /// is reset at the start of the walk, then flows from each period to
-    /// the next.
+    /// period (see [`StabilityCurveBatch::margin_cell`]).
     pub fn curve_grid(
         &mut self,
         plant: &StateSpace,
@@ -756,7 +454,6 @@ impl StabilityCurveBatch {
         tau: f64,
         points: usize,
     ) -> Vec<Option<(StabilityCurve, StabilityFit)>> {
-        self.reset();
         periods
             .iter()
             .map(|&h| self.margin_cell(plant, weights, h, tau, points))

@@ -3,13 +3,11 @@
 //! kernels (DESIGN.md §10).
 //!
 //! These are the ground truth the production kernels are differentially
-//! pinned against: [`crate::design_lqg`], [`crate::jitter_margin_exact`],
-//! [`crate::delay_margin`], and [`crate::stability_curve_exact`] must
-//! reproduce every float these functions produce *bit-for-bit* (enforced
-//! by `tests/kernel_differential.rs`), while the fast kernels must agree
-//! within the documented tolerance contract. They allocate freely and run
-//! the dense `O(n^3)` paths; do not use them outside tests and
-//! cross-checks.
+//! pinned against: [`crate::design_lqg`], [`crate::jitter_margin`],
+//! [`crate::delay_margin`], and [`crate::stability_curve`] must reproduce
+//! every float these functions produce *bit-for-bit* (enforced by
+//! `tests/kernel_differential.rs`). They allocate freely and rebuild every
+//! workspace per call; do not use them outside tests and cross-checks.
 
 use crate::c2d::{c2d_zoh_delayed, delay_split};
 use crate::error::{Error, Result};

@@ -1,17 +1,12 @@
-//! Differential pinning of the batched/warm-started control kernels
-//! against the retained one-shot references (DESIGN.md §10).
+//! Differential pinning of the batched control kernels against the
+//! retained one-shot references (DESIGN.md §10).
 //!
-//! Contract: everything reachable through [`csa_control::KernelMode::Exact`]
-//! — `design_lqg`, `jitter_margin_exact`, `delay_margin`,
-//! `stability_curve_exact`, and `StabilityCurveBatch` in exact mode — is
-//! *bit-identical* to `csa_control::reference`. The fast kernels
-//! (`jitter_margin`, `stability_curve`, warm-started `LqgDesigner`) are
-//! pinned by tolerance contracts instead: the Hessenberg sweep agrees to
-//! round-off and the warm Kleinman DAREs to ~1e-9 relative.
+//! Contract: `design_lqg`, `jitter_margin`, `delay_margin`,
+//! `stability_curve` and `StabilityCurveBatch` are *bit-identical* to
+//! `csa_control::reference`.
 
 use csa_control::{
-    delay_margin, design_lqg, jitter_margin, jitter_margin_exact, plants, reference,
-    stability_curve, stability_curve_exact, KernelMode, LqgDesigner, StabilityCurve,
+    delay_margin, design_lqg, jitter_margin, plants, reference, stability_curve, StabilityCurve,
     StabilityCurveBatch, StabilityFit,
 };
 use csa_linalg::Mat;
@@ -98,7 +93,7 @@ fn exact_pipeline_bit_identical_to_reference_across_pool() {
             &format!("{}: Kf", bp.name),
         );
 
-        let curve = stability_curve_exact(&bp.plant, &lqg.controller, h, 7).unwrap();
+        let curve = stability_curve(&bp.plant, &lqg.controller, h, 7).unwrap();
         let curve_ref = reference::stability_curve(&bp.plant, &lqg_ref.controller, h, 7).unwrap();
         assert_curve_bits_eq(&curve, &curve_ref, bp.name);
     }
@@ -114,69 +109,22 @@ fn exact_scalar_kernels_bit_identical_to_reference() {
     let dm_ref = reference::delay_margin(&bp.plant, &lqg.controller, h).unwrap();
     assert_eq!(dm.to_bits(), dm_ref.to_bits(), "delay margin");
     for &l in &[0.0, 0.3 * dm, 0.8 * dm, 1.2 * dm] {
-        let j = jitter_margin_exact(&bp.plant, &lqg.controller, h, l).unwrap();
+        let j = jitter_margin(&bp.plant, &lqg.controller, h, l).unwrap();
         let j_ref = reference::jitter_margin(&bp.plant, &lqg.controller, h, l).unwrap();
         assert_eq!(j.to_bits(), j_ref.to_bits(), "jitter margin at L={l}");
     }
 }
 
 #[test]
-fn fast_kernel_within_tolerance_of_exact() {
-    let pool = plants::benchmark_pool().unwrap();
-    for bp in &pool {
-        let h = mid_period(bp.period_range);
-        let lqg = design_lqg(&bp.plant, &bp.weights, h, 0.0).unwrap();
-        let dm = delay_margin(&bp.plant, &lqg.controller, h).unwrap();
-        for &l in &[0.0, 0.4 * dm, 0.9 * dm] {
-            let exact = jitter_margin_exact(&bp.plant, &lqg.controller, h, l).unwrap();
-            let fast = jitter_margin(&bp.plant, &lqg.controller, h, l).unwrap();
-            assert!(
-                (fast - exact).abs() <= 1e-9 * exact.abs().max(1e-12),
-                "{}: fast/exact drift at L={l}: {fast} vs {exact}",
-                bp.name
-            );
-        }
-        // Beyond the delay margin both modes return exactly 0.0 (the
-        // nominal-stability pre-check is shared).
-        let beyond = jitter_margin(&bp.plant, &lqg.controller, h, dm * 1.05).unwrap();
-        assert_eq!(beyond, 0.0, "{}: fast mode beyond delay margin", bp.name);
-    }
-}
-
-#[test]
-fn fast_curve_within_tolerance_of_exact() {
-    let pool = plants::benchmark_pool().unwrap();
-    let bp = pool.iter().find(|p| p.name == "pendulum").unwrap();
-    let h = mid_period(bp.period_range);
-    let lqg = design_lqg(&bp.plant, &bp.weights, h, 0.0).unwrap();
-    let exact = stability_curve_exact(&bp.plant, &lqg.controller, h, 9).unwrap();
-    let fast = stability_curve(&bp.plant, &lqg.controller, h, 9).unwrap();
-    assert_eq!(
-        exact.delay_margin().to_bits(),
-        fast.delay_margin().to_bits()
-    );
-    for (pe, pf) in exact.points().iter().zip(fast.points()) {
-        assert_eq!(pe.latency.to_bits(), pf.latency.to_bits());
-        assert!(
-            (pe.jitter_margin - pf.jitter_margin).abs() <= 1e-9 * pe.jitter_margin.max(1e-12),
-            "curve drift at L={}: {} vs {}",
-            pe.latency,
-            pf.jitter_margin,
-            pe.jitter_margin
-        );
-    }
-}
-
-#[test]
 fn batch_exact_cells_bit_identical_to_one_shot_pipeline() {
     let pool = plants::benchmark_pool().unwrap();
-    let mut batch = StabilityCurveBatch::new(KernelMode::Exact);
+    let mut batch = StabilityCurveBatch::new();
     for bp in &pool {
         let grid = period_grid(bp.period_range, 3);
         let cells = batch.curve_grid(&bp.plant, &bp.weights, &grid, 0.0, 5);
         for (&h, cell) in grid.iter().zip(&cells) {
             let one_shot = match design_lqg(&bp.plant, &bp.weights, h, 0.0) {
-                Ok(lqg) => match stability_curve_exact(&bp.plant, &lqg.controller, h, 5) {
+                Ok(lqg) => match stability_curve(&bp.plant, &lqg.controller, h, 5) {
                     Ok(curve) if curve.delay_margin() > 0.0 => {
                         let fit = StabilityFit::from_curve(&curve);
                         Some((curve, fit))
@@ -199,71 +147,6 @@ fn batch_exact_cells_bit_identical_to_one_shot_pipeline() {
                     want.is_some()
                 ),
             }
-        }
-    }
-}
-
-#[test]
-fn warm_designer_matches_cold_across_period_grid() {
-    let pool = plants::benchmark_pool().unwrap();
-    let bp = pool.iter().find(|p| p.name == "dc_servo").unwrap();
-    let grid = period_grid(bp.period_range, 8);
-    let mut warm = LqgDesigner::warm_started();
-    for (k, &h) in grid.iter().enumerate() {
-        let cold = design_lqg(&bp.plant, &bp.weights, h, 0.0).unwrap();
-        let got = warm.design(&bp.plant, &bp.weights, h, 0.0).unwrap();
-        if k == 0 {
-            // No seed yet: the warm designer takes the cold path and must
-            // reproduce it bit-for-bit.
-            assert_mat_bits_eq(&got.feedback_gain, &cold.feedback_gain, "first-call K");
-            assert_mat_bits_eq(&got.kalman_gain, &cold.kalman_gain, "first-call Kf");
-        }
-        let kscale = cold.feedback_gain.max_abs().max(1.0);
-        assert!(
-            got.feedback_gain.max_abs_diff(&cold.feedback_gain) <= 1e-7 * kscale,
-            "warm K drifted at h={h}: {}",
-            got.feedback_gain.max_abs_diff(&cold.feedback_gain) / kscale
-        );
-        let fscale = cold.kalman_gain.max_abs().max(1.0);
-        assert!(
-            got.kalman_gain.max_abs_diff(&cold.kalman_gain) <= 1e-7 * fscale,
-            "warm Kf drifted at h={h}"
-        );
-        let ascale = cold.controller.a().max_abs().max(1.0);
-        assert!(
-            got.controller.a().max_abs_diff(cold.controller.a()) <= 1e-6 * ascale,
-            "warm controller A drifted at h={h}"
-        );
-    }
-}
-
-#[test]
-fn batch_fast_grid_matches_exact_within_tolerance() {
-    let pool = plants::benchmark_pool().unwrap();
-    let bp = pool.iter().find(|p| p.name == "second_order_lag").unwrap();
-    let grid = period_grid(bp.period_range, 4);
-    let mut exact = StabilityCurveBatch::new(KernelMode::Exact);
-    let mut fast = StabilityCurveBatch::new(KernelMode::Fast);
-    let cells_e = exact.curve_grid(&bp.plant, &bp.weights, &grid, 0.0, 5);
-    let cells_f = fast.curve_grid(&bp.plant, &bp.weights, &grid, 0.0, 5);
-    for ((&h, ce), cf) in grid.iter().zip(&cells_e).zip(&cells_f) {
-        match (ce, cf) {
-            (Some((_, fe)), Some((_, ff))) => {
-                assert!(
-                    (fe.a - ff.a).abs() <= 1e-6 * fe.a.max(1.0),
-                    "fit a drift at h={h}: {} vs {}",
-                    ff.a,
-                    fe.a
-                );
-                assert!(
-                    (fe.b - ff.b).abs() <= 1e-6 * fe.b.max(1e-12),
-                    "fit b drift at h={h}: {} vs {}",
-                    ff.b,
-                    fe.b
-                );
-            }
-            (None, None) => {}
-            _ => panic!("fast/exact cell presence differs at h={h}"),
         }
     }
 }

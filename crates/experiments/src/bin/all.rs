@@ -30,11 +30,17 @@ fn main() {
     );
     warm_cached_tables(threads);
 
-    let fig4 = run_fig4(&if quick {
+    let fig4 = match run_fig4(&if quick {
         Fig4Config::quick()
     } else {
         Fig4Config::paper()
-    });
+    }) {
+        Ok(curves) => curves,
+        Err(e) => {
+            eprintln!("all: fig4: {e}");
+            std::process::exit(1);
+        }
+    };
     println!("== Fig. 4: stability curves ==");
     for c in &fig4 {
         println!(

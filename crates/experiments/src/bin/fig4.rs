@@ -9,7 +9,13 @@ fn main() -> std::io::Result<()> {
     } else {
         Fig4Config::paper()
     };
-    let curves = run_fig4(&config);
+    let curves = match run_fig4(&config) {
+        Ok(curves) => curves,
+        Err(e) => {
+            eprintln!("fig4: {e}");
+            std::process::exit(1);
+        }
+    };
     for c in &curves {
         println!(
             "h = {:.0} ms: delay margin b = {:.3} ms, slope a = {:.3}",

@@ -1,9 +1,7 @@
 //! Fig. 4: jitter-margin stability curves and linear lower bounds for the
 //! DC servo `1000/(s^2 + s)` under sampled LQG control.
 
-use csa_control::{
-    plants, KernelMode, LqgWeights, StabilityCurve, StabilityCurveBatch, StabilityFit,
-};
+use csa_control::{plants, LqgWeights, StabilityCurve, StabilityCurveBatch, StabilityFit};
 
 /// Configuration for the Fig. 4 experiment.
 #[derive(Debug, Clone)]
@@ -46,30 +44,24 @@ pub struct Fig4Curve {
 
 /// Runs the Fig. 4 experiment on the DC servo.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on structural failures only (the DC servo is stabilizable at
-/// all configured periods).
-pub fn run_fig4(config: &Fig4Config) -> Vec<Fig4Curve> {
-    let plant = plants::dc_servo().expect("valid plant");
+/// Propagates LQG design and stability-curve failures: a period at which
+/// the servo cannot be stabilized, or fewer than two latency samples.
+pub fn run_fig4(config: &Fig4Config) -> Result<Vec<Fig4Curve>, csa_control::Error> {
+    let plant = plants::dc_servo()?;
     let weights = LqgWeights::output_regulation(&plant, 1e-1, 1e-6);
-    // The figure is illustrative, not part of the bit-frozen table
-    // surface, so it runs on the fast kernel class: warm-started LQG
-    // designs across the period family plus the Hessenberg-sweep margin
-    // kernel (tolerance contract in DESIGN.md §10).
-    let mut batch = StabilityCurveBatch::new(KernelMode::Fast);
+    let mut batch = StabilityCurveBatch::new();
     config
         .periods
         .iter()
         .map(|&h| {
-            let (curve, fit) = batch
-                .curve_at(&plant, &weights, h, 0.0, config.points)
-                .expect("servo stability curve must compute");
-            Fig4Curve {
+            let (curve, fit) = batch.curve_at(&plant, &weights, h, 0.0, config.points)?;
+            Ok(Fig4Curve {
                 period: h,
                 curve,
                 fit,
-            }
+            })
         })
         .collect()
 }
@@ -77,10 +69,11 @@ pub fn run_fig4(config: &Fig4Config) -> Vec<Fig4Curve> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csa_control::reference;
 
     #[test]
     fn curves_have_paper_shape() {
-        let curves = run_fig4(&Fig4Config::quick());
+        let curves = run_fig4(&Fig4Config::quick()).unwrap();
         assert_eq!(curves.len(), 1);
         let c = &curves[0];
         let pts = c.curve.points();
@@ -102,7 +95,8 @@ mod tests {
         let curves = run_fig4(&Fig4Config {
             periods: vec![0.006, 0.012],
             points: 10,
-        });
+        })
+        .unwrap();
         assert_eq!(curves.len(), 2);
         for c in &curves {
             assert!(c.fit.b > 0.0);
@@ -112,5 +106,39 @@ mod tests {
             assert!(c.fit.b > 0.1 * c.period && c.fit.b < 20.0 * c.period);
         }
         assert!(curves[0].period < curves[1].period);
+    }
+
+    #[test]
+    fn paper_curves_bit_identical_to_reference() {
+        let config = Fig4Config::paper();
+        let curves = run_fig4(&config).unwrap();
+        assert_eq!(curves.len(), config.periods.len());
+        let plant = plants::dc_servo().unwrap();
+        let weights = LqgWeights::output_regulation(&plant, 1e-1, 1e-6);
+        for (c, &h) in curves.iter().zip(&config.periods) {
+            let lqg = reference::design_lqg(&plant, &weights, h, 0.0).unwrap();
+            let want =
+                reference::stability_curve(&plant, &lqg.controller, h, config.points).unwrap();
+            let want_fit = StabilityFit::from_curve(&want);
+            assert_eq!(c.period.to_bits(), h.to_bits());
+            assert_eq!(c.curve.period().to_bits(), want.period().to_bits());
+            assert_eq!(
+                c.curve.delay_margin().to_bits(),
+                want.delay_margin().to_bits(),
+                "h = {h}: delay margin"
+            );
+            assert_eq!(c.curve.points().len(), want.points().len());
+            for (p, q) in c.curve.points().iter().zip(want.points()) {
+                assert_eq!(p.latency.to_bits(), q.latency.to_bits(), "h = {h}");
+                assert_eq!(
+                    p.jitter_margin.to_bits(),
+                    q.jitter_margin.to_bits(),
+                    "h = {h}: jitter margin at L = {}",
+                    p.latency
+                );
+            }
+            assert_eq!(c.fit.a.to_bits(), want_fit.a.to_bits(), "h = {h}: fit a");
+            assert_eq!(c.fit.b.to_bits(), want_fit.b.to_bits(), "h = {h}: fit b");
+        }
     }
 }

@@ -19,7 +19,7 @@
 
 use crate::grid::{log_period_grid, log_period_point};
 use crate::parallel::parallel_map;
-use csa_control::{plants, KernelMode, StabilityCurveBatch};
+use csa_control::{plants, StabilityCurveBatch};
 use rand::Rng;
 use std::sync::OnceLock;
 
@@ -149,10 +149,9 @@ pub(crate) fn seed_interp_tables(tables: Vec<MarginInterp>) -> &'static [MarginI
 
 /// One margin-table cell evaluated through a batched evaluator: the
 /// fitted `(a, b)` pair of `plant` at the period `h`, or `None` when no
-/// stabilizing design exists. All table construction goes through the
-/// exact kernel class, whose cells are bit-identical to the retained
-/// one-shot pipeline (pinned by `csa-control`'s differential suite), so
-/// the tables are unchanged by the batching.
+/// stabilizing design exists. The batched cells are bit-identical to the
+/// retained one-shot pipeline (pinned by `csa-control`'s differential
+/// suite), so the tables are unchanged by the batching.
 fn compute_cell_with(
     batch: &mut StabilityCurveBatch,
     bp: &plants::BenchmarkPlant,
@@ -197,7 +196,7 @@ pub(crate) fn compute_tables(threads: usize) -> Vec<PlantMargins> {
     // independent bit-identical computations, so the tables are the
     // same at any thread count.
     let entries = parallel_map(pool.len(), threads, |p| {
-        let mut batch = StabilityCurveBatch::new(KernelMode::Exact);
+        let mut batch = StabilityCurveBatch::new();
         grids[p]
             .iter()
             .filter_map(|&h| compute_cell_with(&mut batch, &pool[p], h))
@@ -454,7 +453,7 @@ pub(crate) fn compute_interp_tables(threads: usize) -> Vec<MarginInterp> {
     // evaluator walk per plant.
     let knots = parallel_map(pool.len(), threads, |p| {
         let (lo, hi) = pool[p].period_range;
-        let mut batch = StabilityCurveBatch::new(KernelMode::Exact);
+        let mut batch = StabilityCurveBatch::new();
         log_period_grid(lo, hi, DENSE_GRID_POINTS)
             .into_iter()
             .map(|h| compute_cell_with(&mut batch, &pool[p], h))
@@ -495,7 +494,7 @@ pub(crate) fn compute_interp_tables(threads: usize) -> Vec<MarginInterp> {
         })
         .collect();
     let mid_fits = parallel_map(pool.len(), threads, |p| {
-        let mut batch = StabilityCurveBatch::new(KernelMode::Exact);
+        let mut batch = StabilityCurveBatch::new();
         mids_by_plant[p]
             .iter()
             .map(|&h| compute_cell_with(&mut batch, &pool[p], h))
@@ -582,7 +581,7 @@ fn build_run(span: &[MarginEntry], seg_fits: &[MarginEntry]) -> InterpSegmentRun
 /// path the interpolant exists to avoid).
 pub fn fresh_margin_fit(plant: &str, h: f64) -> Option<MarginEntry> {
     let pool = plants::benchmark_pool().expect("benchmark pool must construct");
-    let mut batch = StabilityCurveBatch::new(KernelMode::Exact);
+    let mut batch = StabilityCurveBatch::new();
     pool.iter()
         .find(|bp| bp.name == plant)
         .and_then(|bp| compute_cell_with(&mut batch, bp, h))

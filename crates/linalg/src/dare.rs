@@ -13,12 +13,12 @@
 //! Two methods: the structure-preserving doubling algorithm (SDA, default,
 //! quadratically convergent) and a plain fixed-point value iteration used
 //! as an independent cross-check. Cross-weights `N` are handled by the
-//! standard completion-of-squares reduction.
+//! standard completion-of-squares reduction. [`DareScratch`] runs the SDA
+//! solve on reused buffers, bit-identical to [`solve_dare`].
 
 use crate::eig::EigScratch;
 use crate::error::{Error, Result};
 use crate::lu::LuScratch;
-use crate::lyap::LyapScratch;
 use crate::mat::Mat;
 
 /// Solution of a DARE: the stabilizing cost matrix and optimal gain.
@@ -141,20 +141,12 @@ pub fn solve_dare(a: &Mat, b: &Mat, cost: &StageCost) -> Result<DareSolution> {
     Ok(DareSolution { s, k })
 }
 
-/// Maximum Kleinman (Newton) iterations for the warm-started solver;
-/// convergence is quadratic from a stabilizing seed, so ~8 suffice and 25
-/// flags a bad seed.
-const MAX_KLEINMAN: usize = 25;
-
 /// Re-entrant DARE workspace (PR 6 scratch-space family).
 ///
 /// [`DareScratch::solve`] mirrors [`solve_dare`] operation-for-operation —
 /// identical pivot choices, temporaries, and convergence tests — so its
 /// results are bit-identical to the allocating path while reusing every
-/// buffer across calls. [`DareScratch::solve_warm`] additionally accepts a
-/// previous solution as a seed and runs a quadratically convergent
-/// Kleinman (Newton) iteration, falling back to the cold SDA solve whenever
-/// the seed is unusable.
+/// buffer across calls.
 ///
 /// # Examples
 ///
@@ -177,7 +169,6 @@ const MAX_KLEINMAN: usize = 25;
 pub struct DareScratch {
     lu: LuScratch,
     eig: EigScratch,
-    lyap: LyapScratch,
     // Cross-term reduction.
     nt: Mat,
     rinv_nt: Mat,
@@ -197,17 +188,13 @@ pub struct DareScratch {
     a_next: Mat,
     g_next: Mat,
     h_next: Mat,
-    // Gain extraction / stability verification / Kleinman iteration.
+    // Gain extraction / stability verification.
     bt: Mat,
     bts: Mat,
     denom: Mat,
     rhs: Mat,
     kmat: Mat,
     acl: Mat,
-    kred: Mat,
-    knew: Mat,
-    kt: Mat,
-    s_work: Mat,
     // General temporaries.
     t1: Mat,
     t2: Mat,
@@ -221,7 +208,6 @@ impl DareScratch {
         DareScratch {
             lu: LuScratch::new(),
             eig: EigScratch::new(),
-            lyap: LyapScratch::new(),
             nt: z(),
             rinv_nt: z(),
             a_red: z(),
@@ -245,10 +231,6 @@ impl DareScratch {
             rhs: z(),
             kmat: z(),
             acl: z(),
-            kred: z(),
-            knew: z(),
-            kt: z(),
-            s_work: z(),
             t1: z(),
             t2: z(),
             t3: z(),
@@ -370,107 +352,6 @@ impl DareScratch {
             s,
             k: self.kmat.clone(),
         })
-    }
-
-    /// Solves the DARE seeded with a previous solution via the Kleinman
-    /// (Newton) iteration; falls back to the cold [`DareScratch::solve`]
-    /// whenever the seed is unusable (wrong shape, non-stabilizing, or the
-    /// iteration fails to converge).
-    ///
-    /// # Tolerance contract
-    ///
-    /// The warm path is *not* bit-identical to the cold path: it converges
-    /// to the same stabilizing solution along a different iteration, so `S`
-    /// and `K` agree with the cold solution only to iteration tolerance
-    /// (relative error ≲ 1e-9; see the differential property tests). The
-    /// returned gain is always verified stabilizing, and the DARE residual
-    /// of `S` is driven below the same threshold as the cold path.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`solve_dare`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if matrix dimensions are inconsistent.
-    pub fn solve_warm(
-        &mut self,
-        a: &Mat,
-        b: &Mat,
-        cost: &StageCost,
-        warm: &DareSolution,
-    ) -> Result<DareSolution> {
-        let n = a.rows();
-        let m = b.cols();
-        if warm.k.shape() != (m, n) || warm.s.shape() != (n, n) {
-            return self.solve(a, b, cost);
-        }
-        self.reduce_cross_terms_in(a, b, cost)?;
-        // Seed the reduced-system gain: K = K~ + R^{-1} N', so
-        // K~_0 = K_prev - R^{-1} N'.
-        self.kred.sub_into(&warm.k, &self.rinv_nt);
-
-        let mut converged = false;
-        for iter in 0..MAX_KLEINMAN {
-            self.t1.mul_into(b, &self.kred);
-            self.acl.sub_into(&self.a_red, &self.t1);
-            if iter == 0 {
-                // A non-stabilizing seed makes the Lyapunov solve diverge;
-                // detect it up front and fall back to the cold solver.
-                match self.eig.spectral_radius_in(&self.acl) {
-                    Ok(rho) if rho < 1.0 - 1e-9 => {}
-                    _ => return self.solve(a, b, cost),
-                }
-            }
-            // Cost-to-go of the current gain:
-            // S = acl' S acl + Q~ + K~' R K~.
-            self.kt.transpose_into(&self.kred);
-            self.t1.mul_into(&self.kt, &cost.r);
-            self.t2.mul_into(&self.t1, &self.kred);
-            self.w.add_into(&self.q_red, &self.t2);
-            self.w.symmetrize();
-            self.akt.transpose_into(&self.acl);
-            if self
-                .lyap
-                .solve_into(&self.akt, &self.w, &mut self.s_work)
-                .is_err()
-            {
-                return self.solve(a, b, cost);
-            }
-            // Policy improvement: K~ <- (R + B'SB)^{-1} B'S A~.
-            self.bt.transpose_into(b);
-            self.bts.mul_into(&self.bt, &self.s_work);
-            self.t1.mul_into(&self.bts, b);
-            self.denom.add_into(&cost.r, &self.t1);
-            self.rhs.mul_into(&self.bts, &self.a_red);
-            if self.lu.factor(&self.denom).is_err() || self.lu.is_singular() {
-                return self.solve(a, b, cost);
-            }
-            if self.lu.solve_into(&self.rhs, &mut self.knew).is_err() {
-                return self.solve(a, b, cost);
-            }
-            let delta = self.knew.max_abs_diff(&self.kred);
-            self.kred.copy_from(&self.knew);
-            if delta <= 1e-12 * self.kred.max_abs().max(1.0) {
-                converged = true;
-                break;
-            }
-        }
-        if !converged {
-            return self.solve(a, b, cost);
-        }
-        self.s_work.symmetrize();
-        // Map the reduced gain back: K = K~ + R^{-1} N'.
-        self.kmat.add_into(&self.kred, &self.rinv_nt);
-        self.t1.mul_into(b, &self.kmat);
-        self.acl.sub_into(a, &self.t1);
-        match self.eig.spectral_radius_in(&self.acl) {
-            Ok(rho) if rho < 1.0 - 1e-9 => Ok(DareSolution {
-                s: self.s_work.clone(),
-                k: self.kmat.clone(),
-            }),
-            _ => self.solve(a, b, cost),
-        }
     }
 }
 

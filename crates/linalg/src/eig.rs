@@ -22,36 +22,13 @@ pub fn hessenberg(a: &Mat) -> Mat {
     assert!(a.is_square(), "hessenberg requires a square matrix");
     let mut h = a.clone();
     let mut v = Vec::new();
-    hessenberg_in(&mut h, &mut v, None);
+    hessenberg_in(&mut h, &mut v);
     h
 }
 
-/// Reduces `a` to upper Hessenberg form `H` and returns `(H, Q)` with
-/// `A = Q H Q^T` and `Q` orthogonal (the accumulated Householder
-/// similarity).
-///
-/// `H` is bit-identical to [`hessenberg`]`(a)`: the reduction performs the
-/// same operation sequence and only additionally accumulates `Q`. Used by
-/// the fast frequency-response sweep, which reduces the loop matrix once
-/// and then solves Hessenberg systems at every frequency point.
-///
-/// # Panics
-///
-/// Panics if `a` is not square.
-pub fn hessenberg_with_q(a: &Mat) -> (Mat, Mat) {
-    assert!(a.is_square(), "hessenberg requires a square matrix");
-    let mut h = a.clone();
-    let mut q = Mat::identity(a.rows());
-    let mut v = Vec::new();
-    hessenberg_in(&mut h, &mut v, Some(&mut q));
-    (h, q)
-}
-
 /// In-place Hessenberg reduction of `h`, reusing the Householder-vector
-/// buffer `v`; optionally accumulates the orthogonal similarity into `q`
-/// (which must be the identity on entry). The operations applied to `h` are
-/// identical with and without accumulation.
-fn hessenberg_in(h: &mut Mat, v: &mut Vec<f64>, mut q: Option<&mut Mat>) {
+/// buffer `v`.
+fn hessenberg_in(h: &mut Mat, v: &mut Vec<f64>) {
     let n = h.rows();
     if n < 3 {
         return;
@@ -91,15 +68,6 @@ fn hessenberg_in(h: &mut Mat, v: &mut Vec<f64>, mut q: Option<&mut Mat>) {
         // Clean below the subdiagonal in this column.
         for i in (k + 2)..n {
             h[(i, k)] = 0.0;
-        }
-        // Accumulate Q <- Q (I - 2vv^T) on columns k+1..n.
-        if let Some(q) = q.as_deref_mut() {
-            for i in 0..n {
-                let dot: f64 = (0..m).map(|j| q[(i, k + 1 + j)] * v[j]).sum();
-                for j in 0..m {
-                    q[(i, k + 1 + j)] -= 2.0 * dot * v[j];
-                }
-            }
         }
     }
 }
@@ -301,7 +269,7 @@ impl EigScratch {
             return Ok(&self.eigs);
         }
         self.h.copy_from(a);
-        hessenberg_in(&mut self.h, &mut self.v, None);
+        hessenberg_in(&mut self.h, &mut self.v);
         self.hc.copy_from_real(&self.h);
         self.eigs.resize(n, Cplx::ZERO);
         qr_iterate(&mut self.hc, &mut self.eigs, &mut self.rots)?;

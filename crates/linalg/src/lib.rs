@@ -20,11 +20,9 @@
 //! * [`dlyap`], [`dlyap_kron`] — discrete Lyapunov (Stein) equations.
 //! * [`solve_dare`], [`solve_dare_fixed_point`] — discrete algebraic
 //!   Riccati equations with cross weights.
-//! * [`LuScratch`], [`EigScratch`], [`LyapScratch`], [`DareScratch`] —
-//!   re-entrant zero-allocation workspaces mirroring the corresponding
-//!   one-shot solvers bit-for-bit, plus the warm-started
-//!   [`DareScratch::solve_warm`] Kleinman iteration and
-//!   [`hessenberg_with_q`] for reduced-once frequency sweeps.
+//! * [`LuScratch`], [`EigScratch`], [`DareScratch`] — re-entrant
+//!   zero-allocation workspaces mirroring the corresponding one-shot
+//!   solvers bit-for-bit.
 //!
 //! # Example: discretize and stabilize a double integrator
 //!
@@ -63,8 +61,7 @@ pub use dare::{
     dare_residual, solve_dare, solve_dare_fixed_point, DareScratch, DareSolution, StageCost,
 };
 pub use eig::{
-    eigenvalues, hessenberg, hessenberg_with_q, is_hurwitz_stable, is_schur_stable,
-    spectral_radius, EigScratch,
+    eigenvalues, hessenberg, is_hurwitz_stable, is_schur_stable, spectral_radius, EigScratch,
 };
 pub use error::{Error, Result};
 pub use expm::{expm, nested_gramian, noise_covariance, van_loan_gramian, zoh, ZohPair};
@@ -73,6 +70,6 @@ pub use gram::{
     reachability_rank,
 };
 pub use lu::{Lu, LuScratch};
-pub use lyap::{dlyap, dlyap_kron, dlyap_residual, LyapScratch};
+pub use lyap::{dlyap, dlyap_kron, dlyap_residual};
 pub use mat::Mat;
 pub use qr::{lstsq, qr};

@@ -73,101 +73,6 @@ pub fn dlyap(a: &Mat, q: &Mat) -> Result<Mat> {
     })
 }
 
-/// Re-entrant workspace for the discrete Lyapunov doubling iteration
-/// (PR 6 scratch-space family).
-///
-/// [`LyapScratch::solve_into`] performs the identical floating-point
-/// operation sequence as [`dlyap`], so results are bit-identical; only the
-/// intermediate allocations are replaced by reused buffers.
-///
-/// # Examples
-///
-/// ```
-/// use csa_linalg::{dlyap, LyapScratch, Mat};
-///
-/// # fn main() -> Result<(), csa_linalg::Error> {
-/// let a = Mat::scalar(0.5);
-/// let q = Mat::scalar(3.0);
-/// let mut scratch = LyapScratch::new();
-/// let mut x = Mat::zeros(1, 1);
-/// scratch.solve_into(&a, &q, &mut x)?;
-/// assert_eq!(x, dlyap(&a, &q)?);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct LyapScratch {
-    ak: Mat,
-    akt: Mat,
-    t1: Mat,
-    t2: Mat,
-    term: Mat,
-}
-
-impl LyapScratch {
-    /// Creates an empty scratch; buffers grow on first use and are reused.
-    pub fn new() -> Self {
-        LyapScratch {
-            ak: Mat::zeros(1, 1),
-            akt: Mat::zeros(1, 1),
-            t1: Mat::zeros(1, 1),
-            t2: Mat::zeros(1, 1),
-            term: Mat::zeros(1, 1),
-        }
-    }
-
-    /// Solves `X = A X A^T + Q` into `x`; mirror of [`dlyap`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`dlyap`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` and `q` are not square with equal dimensions.
-    pub fn solve_into(&mut self, a: &Mat, q: &Mat, x: &mut Mat) -> Result<()> {
-        assert!(a.is_square() && q.is_square(), "A and Q must be square");
-        assert_eq!(a.rows(), q.rows(), "A and Q must have equal dimension");
-        x.copy_from(q);
-        self.ak.copy_from(a);
-        let qscale = q.max_abs().max(1.0);
-        for _ in 0..MAX_DOUBLING {
-            self.t1.mul_into(&self.ak, x);
-            self.akt.transpose_into(&self.ak);
-            self.term.mul_into(&self.t1, &self.akt);
-            let delta = self.term.max_abs();
-            self.t2.add_into(x, &self.term);
-            if !self.t2.is_finite() || self.t2.max_abs() > 1e150 * qscale {
-                return Err(Error::NotStable);
-            }
-            x.copy_from(&self.t2);
-            if delta <= 1e-14 * x.max_abs().max(qscale) {
-                x.symmetrize();
-                return Ok(());
-            }
-            self.t1.mul_into(&self.ak, &self.ak);
-            self.ak.copy_from(&self.t1);
-            if !self.ak.is_finite() || self.ak.max_abs() > 1e150 {
-                return Err(Error::NotStable);
-            }
-            // If A_k has underflowed to ~0 the series has converged.
-            if self.ak.max_abs() < 1e-150 {
-                x.symmetrize();
-                return Ok(());
-            }
-        }
-        Err(Error::NoConvergence {
-            iterations: MAX_DOUBLING,
-        })
-    }
-}
-
-impl Default for LyapScratch {
-    fn default() -> Self {
-        LyapScratch::new()
-    }
-}
-
 /// Solves `X = A X A^T + Q` exactly via the Kronecker linear system
 /// `(I - A (x) A) vec(X) = vec(Q)`.
 ///

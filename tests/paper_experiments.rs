@@ -45,7 +45,7 @@ fn fig2_shows_trend_nonmonotonicity_and_spikes() {
 
 #[test]
 fn fig4_curves_and_fits_have_paper_shape() {
-    let curves = run_fig4(&Fig4Config::quick());
+    let curves = run_fig4(&Fig4Config::quick()).expect("fig4 runs");
     for c in &curves {
         let pts = c.curve.points();
         // Decreasing overall, ending near zero at the delay margin.
