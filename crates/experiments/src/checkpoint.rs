@@ -16,13 +16,13 @@
 //! reservoir capacity, instance timeout, the margin-kernel revision and
 //! plant-pool fingerprint (reusing the staleness-guard discipline of
 //! [`crate::margin_cache`]), and the sweep-specific configuration
-//! (profile, search mode, budget). A resume validates the header field
-//! by field; any mismatch is reported as a named [`CheckpointStale`]
-//! reason and the sweep recomputes from scratch with a warning — a
-//! stale or corrupt journal is **never** silently merged.
+//! (profile, search mode, budget). A resume checks the header with the
+//! one [`Header`] policy; any mismatch is a [`Stale`] naming the field
+//! and the sweep recomputes from scratch with a warning — a stale or
+//! corrupt journal is **never** silently merged.
 //!
 //! Record grammar (after the header; blank lines and `#` comments are
-//! skipped):
+//! skipped, as in every format of [`crate::artifact`]):
 //!
 //! ```text
 //! s|<n>|<start>|<len>|<c0,c1,...>|<witness count>|<quarantine count>
@@ -31,7 +31,8 @@
 //! q|<index>|<rng seed as 16-hex-digit>|timeout|<elapsed ms>
 //! ```
 
-use crate::report::{write_atomic, RESULTS_DIR};
+use crate::artifact::{self, hex, write_atomic, Header, Lines, Stale};
+use crate::report::RESULTS_DIR;
 use crate::witness::Witness;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -41,32 +42,6 @@ pub const CHECKPOINT_TAG: &str = "csacp1";
 
 /// File-name extension of journals inside the checkpoint directory.
 const JOURNAL_EXT: &str = "csacp";
-
-/// Why a checkpoint journal cannot back the current sweep.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CheckpointStale {
-    /// No journal exists at the path (first run; not an error).
-    Missing,
-    /// A named fingerprint-header field does not match the sweep about
-    /// to run (carries the field's `key=` name, or the raw field text
-    /// for the version tag).
-    Mismatch(String),
-    /// The file exists but cannot be parsed (corruption or an I/O error
-    /// other than absence); carries a diagnostic.
-    Malformed(String),
-}
-
-impl fmt::Display for CheckpointStale {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CheckpointStale::Missing => write!(f, "no checkpoint journal"),
-            CheckpointStale::Mismatch(field) => {
-                write!(f, "fingerprint mismatch in header field {field:?}")
-            }
-            CheckpointStale::Malformed(m) => write!(f, "malformed journal: {m}"),
-        }
-    }
-}
 
 /// Why an instance was quarantined instead of aggregated.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,6 +55,17 @@ pub enum QuarantineReason {
         /// Measured evaluation time in milliseconds.
         elapsed_ms: u64,
     },
+}
+
+impl QuarantineReason {
+    /// The `kind|detail` fields shared by journal `q` records and
+    /// `csaq1` lines.
+    fn fields(&self) -> String {
+        match self {
+            QuarantineReason::Panic(msg) => format!("panic|{}", sanitize_message(msg)),
+            QuarantineReason::Timeout { elapsed_ms } => format!("timeout|{elapsed_ms}"),
+        }
+    }
 }
 
 impl fmt::Display for QuarantineReason {
@@ -161,24 +147,8 @@ impl ShardRecord {
             let _ = writeln!(out, "w|{}", w.to_line());
         }
         for q in &self.quarantined {
-            match &q.reason {
-                QuarantineReason::Panic(msg) => {
-                    let _ = writeln!(
-                        out,
-                        "q|{}|{:016x}|panic|{}",
-                        q.index,
-                        q.rng_seed,
-                        sanitize_message(msg)
-                    );
-                }
-                QuarantineReason::Timeout { elapsed_ms } => {
-                    let _ = writeln!(
-                        out,
-                        "q|{}|{:016x}|timeout|{elapsed_ms}",
-                        q.index, q.rng_seed
-                    );
-                }
-            }
+            let seed = hex(q.rng_seed);
+            let _ = writeln!(out, "q|{}|{seed}|{}", q.index, q.reason.fields());
         }
     }
 }
@@ -197,14 +167,14 @@ pub fn journal_path(dir: &Path, sweep: &str) -> PathBuf {
 /// Propagates filesystem errors.
 pub(crate) fn save_journal(
     path: &Path,
-    header: &str,
+    header: &Header,
     records: &[ShardRecord],
 ) -> std::io::Result<()> {
     let mut out = String::with_capacity(256 + records.len() * 64);
     out.push_str("# Sweep checkpoint journal: one `s` record per completed shard with its\n");
     out.push_str("# witness sample (`w`) and quarantined instances (`q`). Rewritten\n");
     out.push_str("# atomically after every shard; stale headers are recomputed, never merged.\n");
-    out.push_str(header);
+    out.push_str(&header.line());
     out.push('\n');
     for r in records {
         r.push_lines(&mut out);
@@ -212,150 +182,70 @@ pub(crate) fn save_journal(
     write_atomic(path, &out)
 }
 
-/// Compares a journal header with the expected one, naming the first
-/// differing `key=value` field.
-fn check_journal_header(line: &str, expected: &str) -> Result<(), CheckpointStale> {
-    if line == expected {
-        return Ok(());
-    }
-    let got: Vec<&str> = line.split('|').collect();
-    let want: Vec<&str> = expected.split('|').collect();
-    if got.first() != want.first() {
-        return Err(CheckpointStale::Mismatch(
-            got.first().unwrap_or(&"").to_string(),
-        ));
-    }
-    for (g, w) in got.iter().zip(&want) {
-        if g != w {
-            let field = w.split('=').next().unwrap_or(w);
-            return Err(CheckpointStale::Mismatch(format!("{field}=")));
-        }
-    }
-    // Same prefix but different lengths: a field was added or dropped.
-    Err(CheckpointStale::Malformed(format!(
-        "header has {} fields, expected {}",
-        got.len(),
-        want.len()
-    )))
-}
-
-fn parse_usize(s: &str, line: usize) -> Result<usize, CheckpointStale> {
-    s.parse()
-        .map_err(|e| CheckpointStale::Malformed(format!("line {line}: bad integer {s:?}: {e}")))
-}
-
 /// Loads a checkpoint journal and validates it against the expected
 /// fingerprint header and column count.
 ///
 /// # Errors
 ///
-/// [`CheckpointStale`] when the file is absent, fingerprints differ, or
-/// the body is corrupt. Callers must recompute every shard in every
-/// error case (warn-and-recompute; never merge a stale journal).
+/// [`Stale`] when the file is absent, fingerprints differ, or the body
+/// is corrupt. Callers must recompute every shard in every error case
+/// (warn-and-recompute; never merge a stale journal).
 pub(crate) fn load_journal(
     path: &Path,
-    expected_header: &str,
+    expected: &Header,
     columns: usize,
-) -> Result<Vec<ShardRecord>, CheckpointStale> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(CheckpointStale::Missing),
-        Err(e) => {
-            return Err(CheckpointStale::Malformed(format!(
-                "read {}: {e}",
-                path.display()
-            )))
-        }
-    };
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, l.trim_end()))
-        .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'));
-    let (_, header) = lines
-        .next()
-        .ok_or_else(|| CheckpointStale::Malformed("empty journal".to_string()))?;
-    check_journal_header(header, expected_header)?;
+) -> Result<Vec<ShardRecord>, Stale> {
+    let text = artifact::read(path)?;
+    let mut lines = Lines::new(&text);
+    expected.check(lines.require("header")?.text)?;
 
     let mut records = Vec::new();
-    let mut lines = lines.peekable();
-    while let Some((ln, line)) = lines.next() {
-        let fields: Vec<&str> = line.split('|').collect();
-        let ["s", n, start, len, counts, nwit, nquar] = fields.as_slice() else {
-            return Err(CheckpointStale::Malformed(format!(
-                "line {ln}: expected `s` shard record, got {line:?}"
-            )));
-        };
-        let counts: Vec<u64> = counts
+    while let Some(s) = lines.next() {
+        let s = s.shape("s", 6)?;
+        let counts: Vec<u64> = s
+            .str(3)?
             .split(',')
             .map(|c| {
-                c.parse::<u64>().map_err(|e| {
-                    CheckpointStale::Malformed(format!("line {ln}: bad counter {c:?}: {e}"))
-                })
+                c.parse()
+                    .map_err(|e| s.malformed(format!("bad counter {c:?}: {e}")))
             })
             .collect::<Result<_, _>>()?;
         if counts.len() != columns {
-            return Err(CheckpointStale::Malformed(format!(
-                "line {ln}: {} counters, sweep has {columns} columns",
+            return Err(s.malformed(format!(
+                "{} counters, sweep has {columns} columns",
                 counts.len()
             )));
         }
         let mut record = ShardRecord {
-            n: parse_usize(n, ln)?,
-            start: parse_usize(start, ln)?,
-            len: parse_usize(len, ln)?,
+            n: s.num(0, "n")?,
+            start: s.num(1, "start")?,
+            len: s.num(2, "len")?,
             counts,
             witnesses: Vec::new(),
             quarantined: Vec::new(),
         };
-        for _ in 0..parse_usize(nwit, ln)? {
-            let (ln, line) = lines.next().ok_or_else(|| {
-                CheckpointStale::Malformed("unexpected end of file, expected witness".to_string())
-            })?;
-            let Some(rest) = line.strip_prefix("w|") else {
-                return Err(CheckpointStale::Malformed(format!(
-                    "line {ln}: expected `w` witness record, got {line:?}"
-                )));
-            };
-            record.witnesses.push(
-                Witness::parse(rest)
-                    .map_err(|e| CheckpointStale::Malformed(format!("line {ln}: {e}")))?,
-            );
+        for _ in 0..s.num::<usize>(4, "witness count")? {
+            let w = lines.require("witness")?;
+            if w.tag != "w" {
+                return Err(w.malformed(format!("expected `w` witness record, got {:?}", w.text)));
+            }
+            record
+                .witnesses
+                .push(Witness::parse(w.payload()).map_err(|e| w.malformed(e))?);
         }
-        for _ in 0..parse_usize(nquar, ln)? {
-            let (ln, line) = lines.next().ok_or_else(|| {
-                CheckpointStale::Malformed(
-                    "unexpected end of file, expected quarantine record".to_string(),
-                )
-            })?;
-            let fields: Vec<&str> = line.splitn(5, '|').collect();
-            let ["q", index, seed, kind, detail] = fields.as_slice() else {
-                return Err(CheckpointStale::Malformed(format!(
-                    "line {ln}: expected `q` quarantine record, got {line:?}"
-                )));
-            };
-            let rng_seed = u64::from_str_radix(seed, 16).map_err(|e| {
-                CheckpointStale::Malformed(format!("line {ln}: bad rng seed {seed:?}: {e}"))
-            })?;
-            let reason = match *kind {
-                "panic" => QuarantineReason::Panic(detail.to_string()),
+        for _ in 0..s.num::<usize>(5, "quarantine count")? {
+            let q = lines.record("q", 4)?;
+            let reason = match q.str(2)? {
+                "panic" => QuarantineReason::Panic(q.str(3)?.to_string()),
                 "timeout" => QuarantineReason::Timeout {
-                    elapsed_ms: detail.parse().map_err(|e| {
-                        CheckpointStale::Malformed(format!(
-                            "line {ln}: bad timeout ms {detail:?}: {e}"
-                        ))
-                    })?,
+                    elapsed_ms: q.num(3, "timeout ms")?,
                 },
-                other => {
-                    return Err(CheckpointStale::Malformed(format!(
-                        "line {ln}: unknown quarantine kind {other:?}"
-                    )))
-                }
+                other => return Err(q.malformed(format!("unknown quarantine kind {other:?}"))),
             };
             record.quarantined.push(QuarantinedInstance {
                 n: record.n,
-                index: parse_usize(index, ln)?,
-                rng_seed,
+                index: q.num(0, "index")?,
+                rng_seed: q.hex(1, "rng seed")?,
                 reason,
             });
         }
@@ -382,15 +272,8 @@ pub fn write_quarantine_file(
         quarantined.len()
     );
     for q in quarantined {
-        let (kind, detail) = match &q.reason {
-            QuarantineReason::Panic(msg) => ("panic", sanitize_message(msg)),
-            QuarantineReason::Timeout { elapsed_ms } => ("timeout", elapsed_ms.to_string()),
-        };
-        let _ = writeln!(
-            content,
-            "csaq1|{}|{}|{:016x}|{kind}|{detail}",
-            q.n, q.index, q.rng_seed
-        );
+        let (seed, fields) = (hex(q.rng_seed), q.reason.fields());
+        let _ = writeln!(content, "csaq1|{}|{}|{seed}|{fields}", q.n, q.index);
     }
     write_atomic(&path, &content)?;
     Ok(path)
@@ -456,37 +339,77 @@ mod tests {
         std::env::temp_dir().join(format!("csa_ckpt_test_{}_{name}", std::process::id()))
     }
 
+    fn test_header() -> Header {
+        Header::new(CHECKPOINT_TAG)
+            .field("sweep", "test")
+            .field("seed", 2017)
+            .field("cols", "a,b,c")
+    }
+
     #[test]
     fn journal_round_trips_bit_exactly() {
-        let header = "csacp1|sweep=test|seed=2017|cols=a,b,c";
+        let header = test_header();
         let records = sample_records();
         let path = temp_path("roundtrip.csacp");
-        save_journal(&path, header, &records).unwrap();
-        let loaded = load_journal(&path, header, 3).unwrap();
+        save_journal(&path, &header, &records).unwrap();
+        let loaded = load_journal(&path, &header, 3).unwrap();
         assert_eq!(loaded, records);
+        std::fs::remove_file(path).unwrap();
+    }
+
+    /// The `csacp1` bytes of [`sample_records`]: a witness, a panic and a
+    /// timeout quarantine record. Round-trip tests alone cannot catch a
+    /// self-consistent format change.
+    const PINNED_JOURNAL: &str = "\
+# Sweep checkpoint journal: one `s` record per completed shard with its\n\
+# witness sample (`w`) and quarantined instances (`q`). Rewritten\n\
+# atomically after every shard; stale headers are recomputed, never merged.\n\
+csacp1|sweep=test|seed=2017|cols=a,b,c\n\
+s|4|0|8|5,0,3|1|2\n\
+w|csaw1|certificate-lie|continuous|2017|4|3|\
+pendulum:2970167:4483394:15445140:3ff41e5054c58df1:3fae8c08e353150d;\
+double_integrator:471119:612402:12950863:3ff4466116ad4930:3fa07290c85d801b;\
+dc_servo:478893:660138:3592086:4000309925faa5d5:3f85fe98cd7cd985;\
+pendulum:1062970:1141322:5236784:3ff3f6c93730ae6a:3fb03b441ecc40ac\n\
+q|5|04cfe3ec9acb4c60|panic|boom at 5\n\
+q|7|84ec18e381dca8f8|timeout|1234\n\
+s|4|8|8|8,1,0|0|0\n";
+
+    #[test]
+    fn journal_bytes_are_pinned() {
+        let path = temp_path("pinned.csacp");
+        save_journal(&path, &test_header(), &sample_records()).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text, PINNED_JOURNAL);
         std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn header_mismatch_names_the_field() {
         let path = temp_path("mismatch.csacp");
-        save_journal(&path, "csacp1|sweep=test|seed=2017|cols=a,b,c", &[]).unwrap();
-        let err = load_journal(&path, "csacp1|sweep=test|seed=2018|cols=a,b,c", 3).unwrap_err();
-        assert_eq!(err, CheckpointStale::Mismatch("seed=".to_string()));
-        let err = load_journal(&path, "csacpX|sweep=test|seed=2017|cols=a,b,c", 3).unwrap_err();
-        assert_eq!(err, CheckpointStale::Mismatch("csacp1".to_string()));
-        let err =
-            load_journal(&path, "csacp1|sweep=test|seed=2017|cols=a,b,c|extra=1", 3).unwrap_err();
-        assert!(matches!(err, CheckpointStale::Malformed(_)), "{err:?}");
+        save_journal(&path, &test_header(), &[]).unwrap();
+        let other = |tag, seed: u64| Header::new(tag).field("sweep", "test").field("seed", seed);
+        for (expected, want) in [
+            (other(CHECKPOINT_TAG, 2018), "seed"),
+            (other("x", 2017), "tag"),
+        ] {
+            let err = load_journal(&path, &expected, 3).unwrap_err();
+            assert!(
+                matches!(err, Stale::Mismatch { field, .. } if field == want),
+                "{err:?}"
+            );
+        }
+        let err = load_journal(&path, &test_header().field("extra", 1), 3).unwrap_err();
+        assert!(matches!(err, Stale::Malformed(_)), "{err:?}");
         std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn missing_and_corrupt_journals_are_stale() {
-        let missing = load_journal(Path::new("/nonexistent/x.csacp"), "h", 1);
-        assert_eq!(missing.unwrap_err(), CheckpointStale::Missing);
+        let header = Header::new(CHECKPOINT_TAG).field("sweep", "test");
+        let missing = load_journal(Path::new("/nonexistent/x.csacp"), &header, 1);
+        assert_eq!(missing.unwrap_err(), Stale::Missing);
 
-        let header = "csacp1|sweep=test|cols=a";
         let path = temp_path("corrupt.csacp");
         for (body, needle) in [
             ("s|4|0|8|1,2|0|0\n", "counters"),
@@ -498,9 +421,9 @@ mod tests {
             ),
             ("w|csaw1|whatever\n", "expected `s`"),
         ] {
-            std::fs::write(&path, format!("{header}\n{body}")).unwrap();
-            let err = load_journal(&path, header, 1).unwrap_err();
-            let CheckpointStale::Malformed(msg) = &err else {
+            std::fs::write(&path, format!("{}\n{body}", header.line())).unwrap();
+            let err = load_journal(&path, &header, 1).unwrap_err();
+            let Stale::Malformed(msg) = &err else {
                 panic!("{body:?}: expected Malformed, got {err:?}");
             };
             assert!(msg.contains(needle), "{body:?}: {msg:?} missing {needle:?}");
@@ -516,6 +439,11 @@ mod tests {
         assert!(s.chars().count() <= 161 && s.ends_with('…'));
     }
 
+    const PINNED_QUARANTINE: &str = "\
+# 2 quarantined instance(s); replay with StdRng::seed_from_u64(0x<rng_seed>)\n\
+csaq1|4|5|04cfe3ec9acb4c60|panic|boom at 5\n\
+csaq1|4|7|84ec18e381dca8f8|timeout|1234\n";
+
     #[test]
     fn quarantine_file_lists_replay_seeds() {
         let records = sample_records();
@@ -524,7 +452,7 @@ mod tests {
         let content = std::fs::read_to_string(&path).unwrap();
         let seed5 = instance_seed(2017, 4, 5);
         assert!(content.contains(&format!("csaq1|4|5|{seed5:016x}|panic|boom at 5")));
-        assert!(content.contains("timeout|1234"));
+        assert_eq!(content, PINNED_QUARANTINE, "csaq1 bytes");
         std::fs::remove_file(path).unwrap();
     }
 }

@@ -24,6 +24,11 @@
 //! * [`Witness`] — replayable serialization of every invalid/anomalous
 //!   instance a sweep finds; the committed corpus pins them as
 //!   regression tests.
+//! * [`artifact`] — the one layer under every persisted line format
+//!   (margin tables, sweep journals, quarantine lists, witnesses,
+//!   monitor snapshots): fingerprint [`Header`](artifact::Header)s, the
+//!   [`Stale`](artifact::Stale) verdict, the line cursor, the strict
+//!   16-digit hex codec, FNV-1a and [`write_atomic`] (DESIGN.md §10.1).
 //! * [`parallel_map`] / [`instance_seed`] — deterministic sharding of
 //!   benchmark instances across workers: results are bit-identical at
 //!   any thread count because every instance derives its own RNG stream
@@ -78,6 +83,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod artifact;
 mod benchgen;
 mod census;
 mod checkpoint;
@@ -96,6 +102,7 @@ mod search;
 mod table1;
 mod witness;
 
+pub use artifact::write_atomic;
 pub use benchgen::{generate_benchmark, BenchmarkConfig, PeriodModel};
 pub use census::{
     classify_instance, classify_instance_on, format_census, has_certificate_lie,
@@ -103,8 +110,7 @@ pub use census::{
     run_census_with_threads, CensusConfig, CensusRow, InstanceClassification,
 };
 pub use checkpoint::{
-    journal_path, write_quarantine_file, CheckpointStale, QuarantineReason, QuarantinedInstance,
-    CHECKPOINT_TAG,
+    journal_path, write_quarantine_file, QuarantineReason, QuarantinedInstance, CHECKPOINT_TAG,
 };
 pub use crossval::{
     find_unknown_instances, quantize_replica, quantize_task, run_crossval, snap_period_pow2,
@@ -117,7 +123,7 @@ pub use fig5::{empirical_order, run_fig5, Fig5Config, Fig5Point};
 pub use grid::{log_period_grid, log_period_point};
 pub use margin_cache::{
     load_margin_artifact, margin_artifact_path, pool_fingerprint, save_margin_artifact,
-    warm_cached_tables, StaleReason, MARGIN_ARTIFACT_TAG,
+    warm_cached_tables, MARGIN_ARTIFACT_TAG,
 };
 pub use margins::{
     fresh_margin_fit, interpolated_tables, margin_tables, warm_interpolated_tables,
@@ -134,7 +140,7 @@ pub use period_opt::{
 };
 pub use report::{
     budget_flag, csv_file_name, orchestrator_flags, profile_flag, quick_flag, search_flag,
-    task_counts_flag, threads_flag, write_atomic, write_csv, RESULTS_DIR,
+    task_counts_flag, threads_flag, write_csv, RESULTS_DIR,
 };
 pub use search::{SearchConfig, SearchMode};
 pub use table1::{

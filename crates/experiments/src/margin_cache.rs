@@ -7,18 +7,20 @@
 //! are cached on disk across *invocations* (the in-process `OnceLock`
 //! caches in [`crate::margins`] only span one process).
 //!
-//! The artifact is a plain text file in the `witness.rs` idiom: every
-//! `f64` is serialized as its 16-hex-digit IEEE-754 bit pattern, so a
-//! load reproduces the computed tables **bit-for-bit** — mandatory,
+//! The artifact is a `csamt1` file of the [`crate::artifact`] layer:
+//! every `f64` is serialized as its 16-hex-digit IEEE-754 bit pattern, so
+//! a load reproduces the computed tables **bit-for-bit** — mandatory,
 //! because the `GridSnapped` benchmark profile embeds table entries in
 //! seeded experiment outputs that are part of the regression surface.
 //!
 //! The header carries everything the tables are keyed on. On any
 //! mismatch — version tag, kernel revision, plant-pool fingerprint,
 //! grid shape, period series, safety factor — the loader reports a
-//! [`StaleReason`] and [`warm_cached_tables`] recomputes with a warning;
-//! a stale artifact is *never* silently reused (DESIGN.md §10).
+//! [`Stale`] naming the field and [`warm_cached_tables`] recomputes with
+//! a warning; a stale artifact is *never* silently reused (DESIGN.md
+//! §10).
 
+use crate::artifact::{self, hex, Fnv64, Header, Lines, Stale};
 use crate::margins::{
     self, InterpSegmentRun, MarginEntry, MarginInterp, PlantMargins, CURVE_POINTS,
     DENSE_GRID_POINTS, GRID_POINTS, INTERP_SAFETY, PERIOD_SERIES,
@@ -26,7 +28,6 @@ use crate::margins::{
 use crate::report::RESULTS_DIR;
 use csa_control::plants;
 use csa_linalg::Mat;
-use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Version tag of the margin-table artifact format; first header field.
@@ -43,75 +44,11 @@ pub(crate) const KERNEL_REVISION: u32 = 1;
 /// File name of the artifact inside the cache directory.
 const ARTIFACT_FILE: &str = "margin_tables.csamt";
 
-/// Why a margin-table artifact cannot back the current request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StaleReason {
-    /// No artifact file exists at the path (first run; not an error).
-    Missing,
-    /// The version tag is not [`MARGIN_ARTIFACT_TAG`].
-    VersionTag,
-    /// The artifact was produced by a different kernel revision.
-    KernelRevision,
-    /// The plant-pool fingerprint (names, models, weights, period
-    /// ranges) does not match the compiled-in pool.
-    PoolHash,
-    /// The grid shape `(GRID_POINTS, DENSE_GRID_POINTS, CURVE_POINTS)`
-    /// does not match.
-    GridShape,
-    /// The engineering period-series fingerprint does not match.
-    SeriesHash,
-    /// The `INTERP_SAFETY` conservatism factor does not match.
-    SafetyFactor,
-    /// The file exists but cannot be parsed (truncation, corruption, or
-    /// an I/O error other than absence); carries a diagnostic.
-    Malformed(String),
-}
-
-impl fmt::Display for StaleReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StaleReason::Missing => write!(f, "no artifact file"),
-            StaleReason::VersionTag => write!(f, "unrecognized artifact version tag"),
-            StaleReason::KernelRevision => write!(f, "kernel revision mismatch"),
-            StaleReason::PoolHash => write!(f, "plant-pool fingerprint mismatch"),
-            StaleReason::GridShape => write!(f, "grid shape mismatch"),
-            StaleReason::SeriesHash => write!(f, "period-series fingerprint mismatch"),
-            StaleReason::SafetyFactor => write!(f, "conservatism safety-factor mismatch"),
-            StaleReason::Malformed(m) => write!(f, "malformed artifact: {m}"),
-        }
-    }
-}
-
-/// Streaming FNV-1a 64-bit hasher (deterministic across platforms and
-/// processes, unlike `std`'s `DefaultHasher`).
-struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new() -> Self {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    fn write_mat(&mut self, m: &Mat) {
-        self.write_u64(m.rows() as u64);
-        self.write_u64(m.cols() as u64);
-        for &v in m.as_slice() {
-            self.write_f64(v);
-        }
+fn write_mat(h: &mut Fnv64, m: &Mat) {
+    h.write_u64(m.rows() as u64);
+    h.write_u64(m.cols() as u64);
+    for &v in m.as_slice() {
+        h.write_u64(v.to_bits());
     }
 }
 
@@ -120,15 +57,15 @@ impl Fnv64 {
 /// Any pool change invalidates every margin-table artifact.
 pub fn pool_fingerprint() -> u64 {
     let pool = plants::benchmark_pool().expect("benchmark pool must construct");
-    let mut h = Fnv64::new();
+    let mut h = Fnv64::default();
     h.write_u64(pool.len() as u64);
     for bp in &pool {
         h.write_bytes(bp.name.as_bytes());
         h.write_bytes(&[0]);
-        h.write_f64(bp.period_range.0);
-        h.write_f64(bp.period_range.1);
+        h.write_u64(bp.period_range.0.to_bits());
+        h.write_u64(bp.period_range.1.to_bits());
         for m in [bp.plant.a(), bp.plant.b(), bp.plant.c(), bp.plant.d()] {
-            h.write_mat(m);
+            write_mat(&mut h, m);
         }
         for m in [
             &bp.weights.q1,
@@ -136,65 +73,31 @@ pub fn pool_fingerprint() -> u64 {
             &bp.weights.r1,
             &bp.weights.r2,
         ] {
-            h.write_mat(m);
+            write_mat(&mut h, m);
         }
     }
-    h.0
+    h.finish()
 }
 
 fn series_fingerprint() -> u64 {
-    let mut h = Fnv64::new();
+    let mut h = Fnv64::default();
     h.write_u64(PERIOD_SERIES.len() as u64);
     for &p in &PERIOD_SERIES {
-        h.write_f64(p);
+        h.write_u64(p.to_bits());
     }
-    h.0
+    h.finish()
 }
 
-fn header_line() -> String {
-    format!(
-        "{MARGIN_ARTIFACT_TAG}|kernel={KERNEL_REVISION}|pool={:016x}|grid={},{},{}|series={:016x}|safety={:016x}",
-        pool_fingerprint(),
-        GRID_POINTS,
-        DENSE_GRID_POINTS,
-        CURVE_POINTS,
-        series_fingerprint(),
-        INTERP_SAFETY.to_bits(),
-    )
-}
-
-/// Diagnoses a header mismatch field-by-field: the first differing field
-/// names the invalidation cause.
-fn check_header(line: &str) -> Result<(), StaleReason> {
-    let expected = header_line();
-    if line == expected {
-        return Ok(());
-    }
-    let got: Vec<&str> = line.split('|').collect();
-    let want: Vec<&str> = expected.split('|').collect();
-    if got.first() != want.first() {
-        return Err(StaleReason::VersionTag);
-    }
-    if got.len() != want.len() {
-        return Err(StaleReason::Malformed(format!(
-            "header has {} fields, expected {}",
-            got.len(),
-            want.len()
-        )));
-    }
-    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-        if g != w {
-            return Err(match i {
-                1 => StaleReason::KernelRevision,
-                2 => StaleReason::PoolHash,
-                3 => StaleReason::GridShape,
-                4 => StaleReason::SeriesHash,
-                5 => StaleReason::SafetyFactor,
-                _ => StaleReason::Malformed(format!("unexpected header field {i}: {g}")),
-            });
-        }
-    }
-    unreachable!("some field must differ when the lines differ");
+fn header() -> Header {
+    Header::new(MARGIN_ARTIFACT_TAG)
+        .field("kernel", KERNEL_REVISION)
+        .field("pool", hex(pool_fingerprint()))
+        .field(
+            "grid",
+            format!("{GRID_POINTS},{DENSE_GRID_POINTS},{CURVE_POINTS}"),
+        )
+        .field("series", hex(series_fingerprint()))
+        .field("safety", hex(INTERP_SAFETY.to_bits()))
 }
 
 /// Location of the margin-table artifact: `$CSA_MARGIN_CACHE_DIR` if
@@ -206,9 +109,14 @@ pub fn margin_artifact_path() -> PathBuf {
         .join(ARTIFACT_FILE)
 }
 
-fn push_f64(out: &mut String, v: f64) {
-    out.push('|');
-    out.push_str(&format!("{:016x}", v.to_bits()));
+/// Appends one `tag|<f64 bits>|...` record.
+fn push_f64s(out: &mut String, tag: &str, values: &[f64]) {
+    out.push_str(tag);
+    for v in values {
+        out.push('|');
+        out.push_str(&hex(v.to_bits()));
+    }
+    out.push('\n');
 }
 
 /// Serializes the margin tables and interpolants to `path` (creating
@@ -230,141 +138,66 @@ pub fn save_margin_artifact(
     out.push_str("# Margin-table artifact: precomputed stability-margin tables of the\n");
     out.push_str("# benchmark plant pool, f64s as IEEE-754 bit patterns. Regenerated\n");
     out.push_str("# automatically whenever the header no longer matches the binary.\n");
-    out.push_str(&header_line());
+    out.push_str(&header().line());
     out.push('\n');
     for t in tables {
         out.push_str(&format!("table|{}|{}\n", t.name, t.entries.len()));
         for e in &t.entries {
-            out.push('e');
-            push_f64(&mut out, e.period);
-            push_f64(&mut out, e.a);
-            push_f64(&mut out, e.b);
-            out.push('\n');
+            push_f64s(&mut out, "e", &[e.period, e.a, e.b]);
         }
     }
     for t in interp {
         out.push_str(&format!("interp|{}|{}\n", t.name, t.runs.len()));
         for r in &t.runs {
-            out.push_str("run");
-            push_f64(&mut out, r.p_lo);
-            push_f64(&mut out, r.p_hi);
-            out.push_str(&format!("|{}\n", r.x.len()));
+            let (lo, hi) = (hex(r.p_lo.to_bits()), hex(r.p_hi.to_bits()));
+            out.push_str(&format!("run|{lo}|{hi}|{}\n", r.x.len()));
             for k in 0..r.x.len() {
-                out.push('k');
-                push_f64(&mut out, r.x[k]);
-                push_f64(&mut out, r.a[k]);
-                push_f64(&mut out, r.b[k]);
-                push_f64(&mut out, r.ta[k]);
-                push_f64(&mut out, r.tb[k]);
-                out.push('\n');
+                push_f64s(&mut out, "k", &[r.x[k], r.a[k], r.b[k], r.ta[k], r.tb[k]]);
             }
             for s in 0..r.x.len() - 1 {
-                out.push('f');
-                push_f64(&mut out, r.shrink_b[s]);
-                push_f64(&mut out, r.inflate_a[s]);
-                out.push('\n');
+                push_f64s(&mut out, "f", &[r.shrink_b[s], r.inflate_a[s]]);
             }
         }
     }
-    crate::report::write_atomic(path, &out)
+    artifact::write_atomic(path, &out)
 }
 
-/// Line cursor over the artifact's content lines (blanks and `#`
-/// comments skipped), annotating every failure with its line number.
-struct Cursor<'a> {
-    lines: std::iter::Peekable<std::vec::IntoIter<(usize, &'a str)>>,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(text: &'a str) -> Self {
-        let lines: Vec<(usize, &str)> = text
-            .lines()
-            .enumerate()
-            .map(|(i, l)| (i + 1, l.trim()))
-            .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'))
-            .collect();
-        Cursor {
-            lines: lines.into_iter().peekable(),
-        }
-    }
-
-    fn next(&mut self, what: &str) -> Result<(usize, &'a str), StaleReason> {
-        self.lines.next().ok_or_else(|| {
-            StaleReason::Malformed(format!("unexpected end of file, expected {what}"))
-        })
-    }
-}
-
-fn parse_f64_bits(s: &str, line: usize) -> Result<f64, StaleReason> {
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|e| StaleReason::Malformed(format!("line {line}: bad f64 bit pattern {s:?}: {e}")))
-}
-
-fn parse_usize(s: &str, line: usize) -> Result<usize, StaleReason> {
-    s.parse()
-        .map_err(|e| StaleReason::Malformed(format!("line {line}: bad count {s:?}: {e}")))
-}
-
-fn expect_fields<'a>(
-    line: usize,
-    text: &'a str,
-    tag: &str,
-    n: usize,
-) -> Result<Vec<&'a str>, StaleReason> {
-    let fields: Vec<&str> = text.split('|').collect();
-    if fields.len() != n + 1 || fields[0] != tag {
-        return Err(StaleReason::Malformed(format!(
-            "line {line}: expected `{tag}` record with {n} fields, got {text:?}"
+/// Reads a `tag|name|count` record, which must name the pool plant
+/// `name` (the artifact lists plants in pool order), and returns its
+/// count.
+fn pool_record(lines: &mut Lines<'_>, tag: &str, name: &str) -> Result<usize, Stale> {
+    let r = lines.record(tag, 2)?;
+    let found = r.str(0)?;
+    if found != name {
+        return Err(r.malformed(format!(
+            "{tag} for {found:?}, expected {name:?} (pool order)"
         )));
     }
-    Ok(fields[1..].to_vec())
+    r.num(1, "count")
 }
 
 /// Loads and validates a margin-table artifact.
 ///
 /// # Errors
 ///
-/// [`StaleReason`] when the file is absent, its header does not match
-/// the compiled-in pool/grid/kernel, or its body is corrupt. Callers
-/// must recompute in every error case.
-pub fn load_margin_artifact(
-    path: &Path,
-) -> Result<(Vec<PlantMargins>, Vec<MarginInterp>), StaleReason> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(StaleReason::Missing),
-        Err(e) => {
-            return Err(StaleReason::Malformed(format!(
-                "read {}: {e}",
-                path.display()
-            )))
-        }
-    };
+/// [`Stale`] when the file is absent, its header does not match the
+/// compiled-in pool/grid/kernel, or its body is corrupt. Callers must
+/// recompute in every error case.
+pub fn load_margin_artifact(path: &Path) -> Result<(Vec<PlantMargins>, Vec<MarginInterp>), Stale> {
+    let text = artifact::read(path)?;
     let pool = plants::benchmark_pool().expect("benchmark pool must construct");
-    let mut cur = Cursor::new(&text);
-    let (_, header) = cur.next("header")?;
-    check_header(header)?;
+    let mut lines = Lines::new(&text);
+    header().check(lines.require("header")?.text)?;
 
     let mut tables = Vec::with_capacity(pool.len());
     for bp in &pool {
-        let (ln, line) = cur.next("table record")?;
-        let f = expect_fields(ln, line, "table", 2)?;
-        if f[0] != bp.name {
-            return Err(StaleReason::Malformed(format!(
-                "line {ln}: table for {:?}, expected {:?} (pool order)",
-                f[0], bp.name
-            )));
-        }
-        let count = parse_usize(f[1], ln)?;
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let (ln, line) = cur.next("table entry")?;
-            let f = expect_fields(ln, line, "e", 3)?;
+        let mut entries = Vec::new();
+        for _ in 0..pool_record(&mut lines, "table", bp.name)? {
+            let e = lines.record("e", 3)?;
             entries.push(MarginEntry {
-                period: parse_f64_bits(f[0], ln)?,
-                a: parse_f64_bits(f[1], ln)?,
-                b: parse_f64_bits(f[2], ln)?,
+                period: e.f64(0, "period")?,
+                a: e.f64(1, "a")?,
+                b: e.f64(2, "b")?,
             });
         }
         tables.push(PlantMargins {
@@ -375,52 +208,36 @@ pub fn load_margin_artifact(
 
     let mut interp = Vec::with_capacity(pool.len());
     for bp in &pool {
-        let (ln, line) = cur.next("interp record")?;
-        let f = expect_fields(ln, line, "interp", 2)?;
-        if f[0] != bp.name {
-            return Err(StaleReason::Malformed(format!(
-                "line {ln}: interpolant for {:?}, expected {:?} (pool order)",
-                f[0], bp.name
-            )));
-        }
-        let n_runs = parse_usize(f[1], ln)?;
-        let mut runs = Vec::with_capacity(n_runs);
-        for _ in 0..n_runs {
-            let (ln, line) = cur.next("run record")?;
-            let f = expect_fields(ln, line, "run", 3)?;
-            let p_lo = parse_f64_bits(f[0], ln)?;
-            let p_hi = parse_f64_bits(f[1], ln)?;
-            let knots = parse_usize(f[2], ln)?;
+        let mut runs = Vec::new();
+        for _ in 0..pool_record(&mut lines, "interp", bp.name)? {
+            let r = lines.record("run", 3)?;
+            let knots: usize = r.num(2, "knot count")?;
             if knots < 2 {
-                return Err(StaleReason::Malformed(format!(
-                    "line {ln}: run with {knots} knots (need >= 2)"
-                )));
+                return Err(r.malformed(format!("run with {knots} knots (need >= 2)")));
             }
             let mut run = InterpSegmentRun {
-                p_lo,
-                p_hi,
-                x: Vec::with_capacity(knots),
-                a: Vec::with_capacity(knots),
-                b: Vec::with_capacity(knots),
-                ta: Vec::with_capacity(knots),
-                tb: Vec::with_capacity(knots),
-                shrink_b: Vec::with_capacity(knots - 1),
-                inflate_a: Vec::with_capacity(knots - 1),
+                p_lo: r.f64(0, "p_lo")?,
+                p_hi: r.f64(1, "p_hi")?,
+                x: Vec::new(),
+                a: Vec::new(),
+                b: Vec::new(),
+                ta: Vec::new(),
+                tb: Vec::new(),
+                shrink_b: Vec::new(),
+                inflate_a: Vec::new(),
             };
             for _ in 0..knots {
-                let (ln, line) = cur.next("knot record")?;
-                let f = expect_fields(ln, line, "k", 5)?;
-                run.x.push(parse_f64_bits(f[0], ln)?);
-                run.a.push(parse_f64_bits(f[1], ln)?);
-                run.b.push(parse_f64_bits(f[2], ln)?);
-                run.ta.push(parse_f64_bits(f[3], ln)?);
-                run.tb.push(parse_f64_bits(f[4], ln)?);
+                let k = lines.record("k", 5)?;
+                run.x.push(k.f64(0, "x")?);
+                run.a.push(k.f64(1, "a")?);
+                run.b.push(k.f64(2, "b")?);
+                run.ta.push(k.f64(3, "ta")?);
+                run.tb.push(k.f64(4, "tb")?);
             }
             for _ in 0..knots - 1 {
-                let (ln, line) = cur.next("factor record")?;
-                let f = expect_fields(ln, line, "f", 2)?;
-                run.shrink_b.push(parse_f64_bits(f[0], ln)?);
-                run.inflate_a.push(parse_f64_bits(f[1], ln)?);
+                let f = lines.record("f", 2)?;
+                run.shrink_b.push(f.f64(0, "shrink_b")?);
+                run.inflate_a.push(f.f64(1, "inflate_a")?);
             }
             runs.push(run);
         }
@@ -429,11 +246,7 @@ pub fn load_margin_artifact(
             runs,
         });
     }
-    if let Some((ln, line)) = cur.lines.next() {
-        return Err(StaleReason::Malformed(format!(
-            "line {ln}: trailing content {line:?}"
-        )));
-    }
+    lines.finish()?;
     Ok((tables, interp))
 }
 
@@ -455,37 +268,31 @@ pub fn warm_cached_tables(threads: usize) -> (&'static [PlantMargins], &'static 
     }
     let path = margin_artifact_path();
     match load_margin_artifact(&path) {
-        Ok((tables, interp)) => (
-            margins::seed_margin_tables(tables),
-            margins::seed_interp_tables(interp),
-        ),
-        Err(reason) => {
-            match &reason {
-                StaleReason::Missing => {
-                    eprintln!(
-                        "margins: no artifact at {} — computing tables",
-                        path.display()
-                    );
-                }
-                other => {
-                    eprintln!(
-                        "margins: WARNING: artifact at {} is unusable ({other}); recomputing",
-                        path.display()
-                    );
-                }
-            }
-            let tables = margins::warm_margin_tables(threads);
-            let interp = margins::warm_interpolated_tables(threads);
-            match save_margin_artifact(&path, tables, interp) {
-                Ok(()) => eprintln!("margins: wrote artifact {}", path.display()),
-                Err(e) => eprintln!(
-                    "margins: WARNING: could not write artifact {}: {e}",
-                    path.display()
-                ),
-            }
-            (tables, interp)
+        Ok((tables, interp)) => {
+            return (
+                margins::seed_margin_tables(tables),
+                margins::seed_interp_tables(interp),
+            )
         }
+        Err(Stale::Missing) => eprintln!(
+            "margins: no artifact at {} — computing tables",
+            path.display()
+        ),
+        Err(stale) => eprintln!(
+            "margins: WARNING: artifact at {} is unusable ({stale}); recomputing",
+            path.display()
+        ),
     }
+    let tables = margins::warm_margin_tables(threads);
+    let interp = margins::warm_interpolated_tables(threads);
+    match save_margin_artifact(&path, tables, interp) {
+        Ok(()) => eprintln!("margins: wrote artifact {}", path.display()),
+        Err(e) => eprintln!(
+            "margins: WARNING: could not write artifact {}: {e}",
+            path.display()
+        ),
+    }
+    (tables, interp)
 }
 
 #[cfg(test)]
@@ -497,31 +304,5 @@ mod tests {
         assert_eq!(pool_fingerprint(), pool_fingerprint());
         assert_eq!(series_fingerprint(), series_fingerprint());
         assert_ne!(pool_fingerprint(), series_fingerprint());
-    }
-
-    #[test]
-    fn header_checks_pass_on_own_output_and_name_each_field() {
-        check_header(&header_line()).expect("own header must validate");
-        let fields: Vec<String> = header_line().split('|').map(String::from).collect();
-        let cases = [
-            (0, StaleReason::VersionTag),
-            (1, StaleReason::KernelRevision),
-            (2, StaleReason::PoolHash),
-            (3, StaleReason::GridShape),
-            (4, StaleReason::SeriesHash),
-            (5, StaleReason::SafetyFactor),
-        ];
-        for (idx, want) in cases {
-            let mut f = fields.clone();
-            f[idx] = format!("{}x", f[idx]);
-            let line = f.join("|");
-            assert_eq!(check_header(&line).unwrap_err(), want, "field {idx}");
-        }
-    }
-
-    #[test]
-    fn missing_artifact_is_reported_as_missing() {
-        let err = load_margin_artifact(Path::new("/nonexistent/dir/margin_tables.csamt"));
-        assert_eq!(err.unwrap_err(), StaleReason::Missing);
     }
 }

@@ -33,9 +33,8 @@
 //! (the default) are bit-deterministic unconditionally, panics included
 //! (a panic is a pure function of the instance).
 
-use crate::checkpoint::{
-    self, CheckpointStale, QuarantineReason, QuarantinedInstance, ShardRecord,
-};
+use crate::artifact::{hex, Header, Stale};
+use crate::checkpoint::{self, QuarantineReason, QuarantinedInstance, ShardRecord};
 use crate::margin_cache;
 use crate::parallel::{instance_seed, parallel_map_catching};
 use crate::witness::Witness;
@@ -137,32 +136,30 @@ impl SweepSpec {
     /// plant-pool fingerprint (benchmark task sets embed margin-table
     /// values, so a kernel or pool change invalidates partial results
     /// exactly as it invalidates the margin artifact).
-    pub fn header_line(&self, orch: &OrchestratorConfig) -> String {
-        use std::fmt::Write as _;
+    pub fn header(&self, orch: &OrchestratorConfig) -> Header {
         let ns: Vec<String> = self.task_counts.iter().map(usize::to_string).collect();
-        let mut h = format!(
-            "{}|sweep={}|kernel={}|pool={:016x}|seed={}|benchmarks={}|ns={}|cols={}|shard={}|reservoir={}|timeout={}",
-            checkpoint::CHECKPOINT_TAG,
-            self.name,
-            margin_cache::KERNEL_REVISION,
-            margin_cache::pool_fingerprint(),
-            self.seed,
-            self.benchmarks,
-            ns.join(","),
-            self.columns.join(","),
-            orch.shard_size,
-            if orch.reservoir == usize::MAX {
-                "max".to_string()
-            } else {
-                orch.reservoir.to_string()
-            },
-            orch.instance_timeout_ms
-                .map_or("none".to_string(), |ms| format!("{ms}ms")),
-        );
-        for (k, v) in &self.config {
-            let _ = write!(h, "|{k}={v}");
+        let reservoir = match orch.reservoir {
+            usize::MAX => "max".to_string(),
+            cap => cap.to_string(),
+        };
+        let timeout = orch
+            .instance_timeout_ms
+            .map_or("none".to_string(), |ms| format!("{ms}ms"));
+        let mut header = Header::new(checkpoint::CHECKPOINT_TAG)
+            .field("sweep", self.name)
+            .field("kernel", margin_cache::KERNEL_REVISION)
+            .field("pool", hex(margin_cache::pool_fingerprint()))
+            .field("seed", self.seed)
+            .field("benchmarks", self.benchmarks)
+            .field("ns", ns.join(","))
+            .field("cols", self.columns.join(","))
+            .field("shard", orch.shard_size)
+            .field("reservoir", reservoir)
+            .field("timeout", timeout);
+        for (key, value) in &self.config {
+            header = header.field(key, value);
         }
-        h
+        header
     }
 }
 
@@ -354,7 +351,7 @@ where
 {
     assert!(!spec.columns.is_empty(), "a sweep must have columns");
     let shard_size = orch.shard_size.max(1);
-    let header = spec.header_line(orch);
+    let header = spec.header(orch);
     let journal_path = orch
         .checkpoint_dir
         .as_deref()
@@ -373,7 +370,7 @@ where
                     );
                     existing = records.into_iter().map(|r| ((r.n, r.start), r)).collect();
                 }
-                Err(CheckpointStale::Missing) => {
+                Err(Stale::Missing) => {
                     eprintln!(
                         "{}: no checkpoint at {} — starting fresh",
                         spec.name,
@@ -412,23 +409,17 @@ where
         let mut start = 0;
         while start < spec.benchmarks {
             let len = shard_size.min(spec.benchmarks - start);
-            let record = match existing.remove(&(n, start)) {
+            let (record, fresh) = match existing.remove(&(n, start)) {
                 Some(r) if r.len == len => {
                     run.shards_resumed += 1;
-                    r
+                    (r, false)
                 }
                 // A length mismatch can only follow a hand-edited
                 // journal (shard size is in the header): recompute.
                 _ => {
-                    let r = compute_shard(spec, orch, threads, &eval, n, start, len);
                     run.shards_computed += 1;
-                    journal.push(r.clone());
-                    if let Some(path) = &journal_path {
-                        checkpoint::save_journal(path, &header, &journal)?;
-                    }
-                    // Undo the push-before-save ordering for the fold
-                    // below by re-borrowing the just-pushed record.
-                    journal.pop().expect("just pushed")
+                    let r = compute_shard(spec, orch, threads, &eval, n, start, len);
+                    (r, true)
                 }
             };
             for (acc, c) in row.counts.iter_mut().zip(&record.counts) {
@@ -438,6 +429,11 @@ where
             run.witnesses.extend(record.witnesses.iter().cloned());
             run.quarantined.extend(record.quarantined.iter().cloned());
             journal.push(record);
+            if fresh {
+                if let Some(path) = &journal_path {
+                    checkpoint::save_journal(path, &header, &journal)?;
+                }
+            }
             start += len;
         }
         run.rows.push(row);
@@ -609,7 +605,7 @@ mod tests {
         // Truncate the journal to its first 3 shards — as if the run had
         // been killed there — and resume.
         let path = checkpoint::journal_path(&dir, spec.name);
-        let header = spec.header_line(&orch);
+        let header = spec.header(&orch);
         let records = checkpoint::load_journal(&path, &header, 3).unwrap();
         checkpoint::save_journal(&path, &header, &records[..3]).unwrap();
         let resumed = run_sharded_sweep(&spec, &orch, 3, test_eval).unwrap();
@@ -646,7 +642,7 @@ mod tests {
         assert_eq!(run.shards_computed, 4);
         // And the journal now carries the new fingerprint.
         let path = checkpoint::journal_path(&dir, "stale");
-        let records = checkpoint::load_journal(&path, &other.header_line(&orch), 3).unwrap();
+        let records = checkpoint::load_journal(&path, &other.header(&orch), 3).unwrap();
         assert_eq!(records.len(), 4);
         std::fs::remove_dir_all(dir).unwrap();
     }
@@ -654,11 +650,13 @@ mod tests {
     #[test]
     fn header_covers_the_shard_layout() {
         let spec = test_spec("hdr", 3, 8);
-        let a = spec.header_line(&OrchestratorConfig::in_memory());
-        let b = spec.header_line(&OrchestratorConfig {
-            shard_size: 7,
-            ..OrchestratorConfig::in_memory()
-        });
+        let a = spec.header(&OrchestratorConfig::in_memory()).line();
+        let b = spec
+            .header(&OrchestratorConfig {
+                shard_size: 7,
+                ..OrchestratorConfig::in_memory()
+            })
+            .line();
         assert_ne!(a, b, "shard size must be fingerprinted");
         assert!(a.contains("|sweep=hdr|"));
         assert!(a.contains("|profile=test"));

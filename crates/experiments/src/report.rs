@@ -1,44 +1,11 @@
 //! Small CSV/report helpers shared by the experiment binaries.
 
-use std::fs;
-use std::io::Write;
+use crate::artifact::write_atomic;
 use std::path::{Path, PathBuf};
 
 /// Default output directory for experiment artifacts (CSV files),
 /// relative to the working directory.
 pub const RESULTS_DIR: &str = "results";
-
-/// Atomically replaces the file at `path` with `content`: the bytes are
-/// written to a `.tmp` sibling in the same directory, fsynced, and
-/// renamed over the target. A crash at any instant leaves either the
-/// previous complete file or the new complete file — never a torn one
-/// that parses as a truncated-but-plausible result. Every artifact
-/// writer in this crate (CSV reports, witness files, the margin-table
-/// artifact, checkpoint journals) goes through this helper.
-///
-/// # Errors
-///
-/// Propagates I/O failures (including creating parent directories).
-pub fn write_atomic(path: &Path, content: &str) -> std::io::Result<()> {
-    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
-    if let Some(dir) = dir {
-        fs::create_dir_all(dir)?;
-    }
-    // The tmp file must live in the target's directory: rename(2) is
-    // only atomic within one filesystem.
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    {
-        // csa-lint: allow(A001) this IS the atomic tmp+fsync+rename implementation
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(content.as_bytes())?;
-        // Flush to stable storage before the rename publishes the file:
-        // otherwise a power loss could rename an empty inode into place.
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)
-}
 
 /// Writes a CSV file under [`RESULTS_DIR`], creating the directory if
 /// needed. Returns the full path.
@@ -511,19 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn atomic_write_replaces_and_leaves_no_tmp() {
-        let path = Path::new(RESULTS_DIR).join("test_write_atomic.txt");
-        write_atomic(&path, "first\n").unwrap();
-        assert_eq!(fs::read_to_string(&path).unwrap(), "first\n");
-        write_atomic(&path, "second\n").unwrap();
-        assert_eq!(fs::read_to_string(&path).unwrap(), "second\n");
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        assert!(!Path::new(&tmp).exists(), "tmp file must not survive");
-        fs::remove_file(path).unwrap();
-    }
-
-    #[test]
     fn csv_roundtrip() {
         let path = write_csv(
             "test_report_roundtrip.csv",
@@ -531,8 +485,8 @@ mod tests {
             ["1,2".to_string(), "3,4".to_string()],
         )
         .unwrap();
-        let content = fs::read_to_string(&path).unwrap();
+        let content = std::fs::read_to_string(&path).unwrap();
         assert_eq!(content, "x,y\n1,2\n3,4\n");
-        fs::remove_file(path).unwrap();
+        std::fs::remove_file(path).unwrap();
     }
 }

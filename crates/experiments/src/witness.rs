@@ -15,9 +15,11 @@
 //!
 //! The line format is versioned and lossless: tick quantities are
 //! decimal `u64`s and the `(a, b)` stability coefficients are serialized
-//! as IEEE-754 bit patterns in hex, so a parsed witness compares equal to
-//! the generated original down to the last bit.
+//! as IEEE-754 bit patterns in the strict 16-digit hex codec of
+//! [`crate::artifact`], so a parsed witness compares equal to the
+//! generated original down to the last bit.
 
+use crate::artifact::{hex, parse_hex, write_atomic, Lines};
 use crate::benchgen::PeriodModel;
 use crate::report::RESULTS_DIR;
 use csa_core::{ControlTask, StabilityBound};
@@ -161,9 +163,9 @@ fn parse_u64(s: &str, what: &str) -> Result<u64, String> {
 }
 
 fn parse_f64_bits(s: &str, what: &str) -> Result<f64, String> {
-    u64::from_str_radix(s, 16)
+    parse_hex(s)
         .map(f64::from_bits)
-        .map_err(|e| format!("bad {what} {s:?}: {e}"))
+        .map_err(|e| format!("bad {what}: {e}"))
 }
 
 /// Serializes a task set in the witness line's task-list syntax
@@ -179,13 +181,13 @@ pub fn format_task_list(tasks: &[ControlTask]) -> String {
         }
         let _ = write!(
             out,
-            "{}:{}:{}:{}:{:016x}:{:016x}",
+            "{}:{}:{}:{}:{}:{}",
             t.label(),
             t.task().c_best().get(),
             t.task().c_worst().get(),
             t.task().period().get(),
-            t.bound().a().to_bits(),
-            t.bound().b().to_bits(),
+            hex(t.bound().a().to_bits()),
+            hex(t.bound().b().to_bits()),
         );
     }
     out
@@ -233,15 +235,9 @@ fn parse_task(s: &str, index: usize) -> Result<ControlTask, String> {
 /// Propagates the first line's parse error, annotated with its line
 /// number.
 pub fn parse_witness_corpus(content: &str) -> Result<Vec<Witness>, String> {
-    let mut out = Vec::new();
-    for (lineno, line) in content.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        out.push(Witness::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?);
-    }
-    Ok(out)
+    Lines::new(content)
+        .map(|r| Witness::parse(r.text).map_err(|e| format!("line {}: {e}", r.line)))
+        .collect()
 }
 
 /// Writes witnesses to `results/<file_name>`, one line each with a
@@ -263,7 +259,7 @@ pub fn write_witness_file(file_name: &str, witnesses: &[Witness]) -> std::io::Re
         content.push_str(&w.to_line());
         content.push('\n');
     }
-    crate::report::write_atomic(&path, &content)?;
+    write_atomic(&path, &content)?;
     Ok(path)
 }
 
@@ -335,6 +331,10 @@ mod tests {
             (
                 "csaw1|unsafe-invalid|continuous|1|1|0|x:1:1:4:zzz:3ff0000000000000",
                 "bad a",
+            ),
+            (
+                "csaw1|unsafe-invalid|continuous|1|1|0|x:1:1:4:3ff0000000000000:3ff000",
+                "bad b: expected 16 hex digits",
             ),
             (
                 "csaw1|unsafe-invalid|continuous|1|1|0|x:1:1",

@@ -7,10 +7,12 @@
 //! and named — silent reuse of a stale artifact is the failure mode the
 //! guard exists to prevent.
 
+use csa_experiments::artifact::Stale;
 use csa_experiments::{
     load_margin_artifact, save_margin_artifact, warm_interpolated_tables, warm_margin_tables,
-    InterpSegmentRun, MarginInterp, PlantMargins, StaleReason,
+    InterpSegmentRun, MarginInterp, PlantMargins,
 };
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 /// Fresh per-test scratch path (the tests run in one process but must
@@ -87,6 +89,26 @@ fn artifact_round_trips_bit_identically() {
     assert_interp_bits_eq(interp, &i2);
 }
 
+/// FNV-1a 64 written out here, independent of the library's hasher, so
+/// the byte pin below cannot move together with the code it pins.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+#[test]
+fn artifact_bytes_are_pinned() {
+    // A self-consistent format change would still round-trip; the digest
+    // of the saved bytes catches it.
+    let path = scratch_path("pinned");
+    save_margin_artifact(&path, warm_margin_tables(0), warm_interpolated_tables(0))
+        .expect("artifact must save");
+    let bytes = std::fs::read(&path).expect("artifact readable");
+    assert_eq!(bytes.len(), 15_182);
+    assert_eq!(format!("{:016x}", fnv1a(&bytes)), "51d2a0a3d8d4eab4");
+}
+
 #[test]
 fn corrupting_each_header_field_is_detected_and_named() {
     let tables = warm_margin_tables(0);
@@ -115,29 +137,24 @@ fn corrupting_each_header_field_is_detected_and_named() {
             .join("\n")
     };
 
-    let cases: Vec<(usize, &str, StaleReason)> = vec![
-        (0, "csamt0", StaleReason::VersionTag),
-        (1, "kernel=999", StaleReason::KernelRevision),
-        (2, "pool=0000000000000000", StaleReason::PoolHash),
-        (3, "grid=9,14,15", StaleReason::GridShape),
-        (4, "series=ffffffffffffffff", StaleReason::SeriesHash),
-        (5, "safety=0000000000000000", StaleReason::SafetyFactor),
+    let cases = [
+        (0, "csamt0", "tag"),
+        (1, "kernel=999", "kernel"),
+        (2, "pool=0000000000000000", "pool"),
+        (3, "grid=9,14,15", "grid"),
+        (4, "series=ffffffffffffffff", "series"),
+        (5, "safety=0000000000000000", "safety"),
     ];
     for (idx, replacement, want) in cases {
         std::fs::write(&path, corrupt_field(idx, replacement)).expect("write corrupted");
         let got = load_margin_artifact(&path).expect_err("corrupt header must be rejected");
-        assert_eq!(got, want, "header field {idx} ({replacement})");
+        assert!(
+            matches!(got, Stale::Mismatch { field, .. } if field == want),
+            "header field {idx} ({replacement}): {got:?}"
+        );
     }
 
-    // Body corruption (truncation) is malformed, not silently accepted.
-    let keep = original.lines().count() - 3;
-    let truncated: String = original.lines().take(keep).collect::<Vec<_>>().join("\n");
-    std::fs::write(&path, truncated).expect("write truncated");
-    match load_margin_artifact(&path) {
-        Err(StaleReason::Malformed(_)) => {}
-        other => panic!("truncated artifact must be malformed, got {other:?}"),
-    }
-
+    // Body truncation is covered byte by byte below.
     // Restore and confirm it loads again (the guard is on content, not
     // on the path).
     std::fs::write(&path, &original).expect("restore artifact");
@@ -147,8 +164,43 @@ fn corrupting_each_header_field_is_detected_and_named() {
 #[test]
 fn missing_artifact_reports_missing_not_malformed() {
     let path = scratch_path("missing").with_file_name("never_written.csamt");
-    assert_eq!(
-        load_margin_artifact(&path).unwrap_err(),
-        StaleReason::Missing
-    );
+    assert_eq!(load_margin_artifact(&path).unwrap_err(), Stale::Missing);
+}
+
+#[test]
+fn every_truncation_is_malformed_except_the_final_newline() {
+    // A cut inside a hex field used to load a shorter bit pattern with no
+    // warning; every prefix of the file must now be rejected, except the
+    // one that drops only the final newline.
+    let tables = warm_margin_tables(0);
+    let interp = warm_interpolated_tables(0);
+    let path = scratch_path("truncation");
+    save_margin_artifact(&path, tables, interp).expect("artifact must save");
+    let original = std::fs::read_to_string(&path).expect("artifact readable");
+    let len = original.len();
+    // Every line end, and every byte of the last three lines.
+    let tail = original[..len - 1]
+        .rmatch_indices('\n')
+        .nth(2)
+        .map_or(0, |(i, _)| i + 1);
+    let cuts: BTreeSet<usize> = original
+        .match_indices('\n')
+        .map(|(i, _)| i + 1)
+        .chain(tail..len)
+        .filter(|&cut| cut < len)
+        .collect();
+    for cut in cuts {
+        std::fs::write(&path, &original[..cut]).expect("write truncated");
+        match load_margin_artifact(&path) {
+            Ok((t, i)) if cut == len - 1 => {
+                assert_tables_bits_eq(tables, &t);
+                assert_interp_bits_eq(interp, &i);
+            }
+            Err(Stale::Malformed(_)) if cut < len - 1 => {}
+            other => panic!(
+                "cut at byte {cut} of {len}: got {:?}",
+                other.map(|_| "a loaded artifact")
+            ),
+        }
+    }
 }

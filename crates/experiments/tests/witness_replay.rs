@@ -40,6 +40,22 @@ fn corpus() -> Vec<Witness> {
 }
 
 #[test]
+fn corpus_lines_reserialize_byte_identically() {
+    // Round-trip equality alone cannot catch a self-consistent change of
+    // the `csaw1` format; re-serializing every committed line can.
+    let lines: Vec<&str> = CORPUS
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .collect();
+    assert_eq!(lines.len(), 80, "committed corpus size");
+    for line in lines {
+        let w = Witness::parse(line).expect("committed corpus must parse");
+        assert_eq!(w.to_line(), line);
+    }
+}
+
+#[test]
 fn corpus_has_certificate_lies() {
     // The headline reproduced event: the raw Table I mechanism.
     let lies = corpus()

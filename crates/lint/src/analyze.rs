@@ -356,7 +356,7 @@ fn lint_a001(path: &str, code: &[Token<'_>], out: &mut Vec<Violation>) {
                 t.line,
                 Lint::A001,
                 "file write bypasses write_atomic: a crash mid-write can leave a torn \
-                 artifact; route through csa_experiments::report::write_atomic"
+                 artifact; route through csa_experiments::artifact::write_atomic"
                     .to_string(),
             );
         }

@@ -20,7 +20,7 @@ pub enum Lint {
     /// Wall-clock read (`Instant::now` / `SystemTime::now`) outside
     /// the allowlisted timing-report surface.
     D002,
-    /// File write bypassing `csa_experiments::report::write_atomic`:
+    /// File write bypassing `csa_experiments::artifact::write_atomic`:
     /// a crash mid-write may leave a torn artifact that parses as a
     /// truncated-but-plausible result (the PR 7 contract).
     A001,

@@ -9,7 +9,7 @@ pub fn safe_csv(rows: &[String]) -> std::io::Result<()> {
     write_atomic(std::path::Path::new("results/table.csv"), &content)
 }
 
-// Stand-in for csa_experiments::report::write_atomic in this fixture.
+// Stand-in for csa_experiments::artifact::write_atomic in this fixture.
 pub fn write_atomic(path: &std::path::Path, content: &str) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
     {

@@ -21,9 +21,10 @@
 use std::io::BufRead;
 use std::path::PathBuf;
 
-use csa_experiments::{budget_flag, search_flag, threads_flag, write_atomic, SearchConfig};
+use csa_experiments::artifact::{write_atomic, Stale};
+use csa_experiments::{budget_flag, search_flag, threads_flag, SearchConfig};
 use csa_monitor::jsonl::{event_line, parse_request, response_line};
-use csa_monitor::snapshot::{self, SnapshotStale};
+use csa_monitor::snapshot;
 use csa_monitor::{MonitorConfig, MonitorEngine};
 
 fn flag_u64(name: &str, default: u64) -> u64 {
@@ -97,9 +98,9 @@ fn main() {
                 );
                 engine
             }
-            Err(SnapshotStale::Missing) => MonitorEngine::new(config),
+            Err(Stale::Missing) => MonitorEngine::new(config),
             Err(stale) => {
-                eprintln!("monitor: {stale}; starting fresh");
+                eprintln!("monitor: snapshot unusable ({stale}); starting fresh");
                 MonitorEngine::new(config)
             }
         },

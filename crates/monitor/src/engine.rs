@@ -25,6 +25,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Mutex;
 
 use csa_core::{check_task, ControlTask, StabilityChecker, VerdictMemo, MEMO_MAX_TASKS};
+use csa_experiments::artifact::{hex, Fnv64};
 use csa_experiments::{
     classify_instance, classify_instance_on, generate_benchmark, instance_seed,
     parallel_map_catching, BenchmarkConfig, SearchConfig, WitnessKind,
@@ -80,21 +81,14 @@ impl Default for MonitorConfig {
     }
 }
 
-/// FNV-1a over every field of the task list (labels, execution times,
+/// [`Fnv64`] over every field of the task list (labels, execution times,
 /// periods, and the raw `(a, b)` float bits): the memo bank's task-set
 /// fingerprint. It is verified by full equality on every take, so a
 /// collision can only cost warmth, never correctness.
 pub(crate) fn task_fingerprint(tasks: &[ControlTask]) -> u64 {
-    fn mix_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv64::default();
     for t in tasks {
-        h = mix_bytes(h, t.label().as_bytes());
+        h.write_bytes(t.label().as_bytes());
         for v in [
             t.task().c_best().get(),
             t.task().c_worst().get(),
@@ -102,10 +96,10 @@ pub(crate) fn task_fingerprint(tasks: &[ControlTask]) -> u64 {
             t.bound().a().to_bits(),
             t.bound().b().to_bits(),
         ] {
-            h = mix_bytes(h, &v.to_le_bytes());
+            h.write_u64(v);
         }
     }
-    h
+    h.finish()
 }
 
 /// Warm verdict-memo tables keyed by task-set fingerprint, FIFO-bounded.
@@ -426,7 +420,7 @@ impl MonitorEngine {
             Ok(a) => (a, None),
             Err(msg) => {
                 self.quarantined += 1;
-                let detail = format!("{msg}; replay seed {:016x}", prep.replay_seed);
+                let detail = format!("{msg}; replay seed {}", hex(prep.replay_seed));
                 (
                     Assessment {
                         verdict: Verdict::Quarantined,

@@ -11,15 +11,17 @@
 //! The fingerprint header pins every configuration knob that *does*
 //! shape the stream (search mode, budget, lock thresholds, event
 //! thresholds); `threads`, `batch_window` and `memo_tables` are omitted
-//! because the determinism contract makes them irrelevant. Writes go
-//! through `write_atomic` (tmp + rename), so a kill mid-snapshot leaves
-//! either the old file or the new one, never a torn state — the
-//! `service_faults` suite drives this with injected crashes.
+//! because the determinism contract makes them irrelevant. Header
+//! checks, line parsing and the hex codec are the shared
+//! [`csa_experiments::artifact`] layer. Writes go through `write_atomic`
+//! (tmp + rename), so a kill mid-snapshot leaves either the old file or
+//! the new one, never a torn state — the `service_faults` suite drives
+//! this with injected crashes.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 
-use csa_experiments::write_atomic;
+use csa_experiments::artifact::{self, hex, parse_hex, Header, Lines, Stale};
 
 use crate::baseline::{Baseline, BaselineState, CellStats, Lifecycle, LockedCell};
 use crate::engine::{EventState, MonitorConfig, MonitorEngine};
@@ -31,54 +33,27 @@ pub const SNAPSHOT_TAG: &str = "csamon1";
 /// File name of the snapshot inside a `--snapshot-dir`.
 pub const SNAPSHOT_FILE: &str = "monitor.csamon";
 
-/// Why a snapshot could not be restored.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapshotStale {
-    /// No snapshot file present.
-    Missing,
-    /// A fingerprint header field disagrees with the running
-    /// configuration (named field).
-    Mismatch(String),
-    /// The file is not a well-formed `csamon1` snapshot.
-    Malformed(String),
-}
-
-impl std::fmt::Display for SnapshotStale {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotStale::Missing => f.write_str("no snapshot present"),
-            SnapshotStale::Mismatch(field) => {
-                write!(f, "snapshot fingerprint mismatch on {field}")
-            }
-            SnapshotStale::Malformed(what) => write!(f, "malformed snapshot: {what}"),
-        }
-    }
-}
-
 /// Path of the snapshot file inside `dir`.
 pub fn snapshot_path(dir: &Path) -> PathBuf {
     dir.join(SNAPSHOT_FILE)
 }
 
-fn header(config: &MonitorConfig) -> String {
-    format!(
-        "{SNAPSHOT_TAG}|search={}|budget={}|min_samples={}|min_coverage={}|z={:016x}|persistence={}|cooldown={}|drift_window={}|drift_threshold={:016x}",
-        config.search.mode.name(),
-        config.search.budget,
-        config.min_samples,
-        config.min_coverage,
-        config.z_threshold.to_bits(),
-        config.persistence,
-        config.cooldown,
-        config.drift_window,
-        config.drift_threshold.to_bits(),
-    )
+fn header(config: &MonitorConfig) -> Header {
+    Header::new(SNAPSHOT_TAG)
+        .field("search", config.search.mode.name())
+        .field("budget", config.search.budget)
+        .field("min_samples", config.min_samples)
+        .field("min_coverage", config.min_coverage)
+        .field("z", hex(config.z_threshold.to_bits()))
+        .field("persistence", config.persistence)
+        .field("cooldown", config.cooldown)
+        .field("drift_window", config.drift_window)
+        .field("drift_threshold", hex(config.drift_threshold.to_bits()))
 }
 
 /// Serializes the engine's durable state as a `csamon1` document.
 pub fn snapshot_string(engine: &MonitorEngine) -> String {
-    let mut out = String::new();
-    out.push_str(&header(&engine.config));
+    let mut out = header(&engine.config).line();
     out.push('\n');
     out.push_str(&format!(
         "m|{}|{}|{}|{}\n",
@@ -97,7 +72,7 @@ pub fn snapshot_string(engine: &MonitorEngine) -> String {
             for ((n, profile), samples) in cells {
                 let body = samples
                     .iter()
-                    .map(|[s, ns]| format!("{:016x}:{:016x}", s.to_bits(), ns.to_bits()))
+                    .map(|[s, ns]| format!("{}:{}", hex(s.to_bits()), hex(ns.to_bits())))
                     .collect::<Vec<_>>()
                     .join(",");
                 out.push_str(&format!("b|{n}|{profile}|{body}\n"));
@@ -108,17 +83,17 @@ pub fn snapshot_string(engine: &MonitorEngine) -> String {
             truncation_rate,
             samples,
         } => {
-            out.push_str(&format!("T|{:016x}|{samples}\n", truncation_rate.to_bits()));
+            out.push_str(&format!("T|{}|{samples}\n", hex(truncation_rate.to_bits())));
             for ((n, profile), cell) in cells {
                 let s = cell.stats[Metric::Slack.index()];
                 let ns = cell.stats[Metric::NormSlack.index()];
                 out.push_str(&format!(
-                    "L|{n}|{profile}|{}|{:016x}|{:016x}|{:016x}|{:016x}\n",
+                    "L|{n}|{profile}|{}|{}|{}|{}|{}\n",
                     s.count,
-                    s.mean.to_bits(),
-                    s.std.to_bits(),
-                    ns.mean.to_bits(),
-                    ns.std.to_bits(),
+                    hex(s.mean.to_bits()),
+                    hex(s.std.to_bits()),
+                    hex(ns.mean.to_bits()),
+                    hex(ns.std.to_bits()),
                 ));
             }
         }
@@ -141,35 +116,23 @@ pub fn snapshot_string(engine: &MonitorEngine) -> String {
 
 /// Atomically writes the engine's snapshot into `dir`.
 pub fn save(engine: &MonitorEngine, dir: &Path) -> std::io::Result<()> {
-    write_atomic(&snapshot_path(dir), &snapshot_string(engine))
+    artifact::write_atomic(&snapshot_path(dir), &snapshot_string(engine))
 }
 
 /// Restores an engine from snapshot text, verifying the configuration
 /// fingerprint field by field (first mismatch is named).
-pub fn restore(config: MonitorConfig, text: &str) -> Result<MonitorEngine, SnapshotStale> {
-    let mut lines = text.lines();
-    let head = lines
-        .next()
-        .ok_or_else(|| SnapshotStale::Malformed("empty file".to_string()))?;
-    check_header(&config, head)?;
+pub fn restore(config: MonitorConfig, text: &str) -> Result<MonitorEngine, Stale> {
+    let mut lines = Lines::new(text);
+    header(&config).check(lines.require("header")?.text)?;
 
-    let meta = lines
-        .next()
-        .ok_or_else(|| SnapshotStale::Malformed("missing state line".to_string()))?;
-    let meta: Vec<&str> = meta.split('|').collect();
-    if meta.len() != 5 || meta[0] != "m" {
-        return Err(SnapshotStale::Malformed("bad state line".to_string()));
-    }
-    let lifecycle = Lifecycle::parse(meta[1])
-        .ok_or_else(|| SnapshotStale::Malformed(format!("bad lifecycle {:?}", meta[1])))?;
-    let processed = parse_u64(meta[2], "processed")?;
-    let events_emitted = parse_u64(meta[3], "events_emitted")?;
-    let quarantined = parse_u64(meta[4], "quarantined")?;
-
+    let meta = lines.record("m", 4)?;
+    let name = meta.str(0)?;
+    let lifecycle =
+        Lifecycle::parse(name).ok_or_else(|| meta.malformed(format!("bad lifecycle {name:?}")))?;
     let mut engine = MonitorEngine::new(config);
-    engine.processed = processed;
-    engine.events_emitted = events_emitted;
-    engine.quarantined = quarantined;
+    engine.processed = meta.num(1, "processed")?;
+    engine.events_emitted = meta.num(2, "events_emitted")?;
+    engine.quarantined = meta.num(3, "quarantined")?;
 
     let mut building_cells: BTreeMap<(usize, String), Vec<[f64; 2]>> = BTreeMap::new();
     let mut locked_cells: BTreeMap<(usize, String), LockedCell> = BTreeMap::new();
@@ -178,123 +141,100 @@ pub fn restore(config: MonitorConfig, text: &str) -> Result<MonitorEngine, Snaps
     let mut window = VecDeque::new();
     let mut events_state = BTreeMap::new();
 
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split('|').collect();
-        match fields[0] {
-            "t" if fields.len() == 3 => {
-                totals = Some((
-                    parse_u64(fields[1], "seen")?,
-                    parse_u64(fields[2], "truncated")?,
-                ));
+    for rec in lines {
+        match (rec.tag, rec.arity()) {
+            ("t", 2) => totals = Some((rec.num(0, "seen")?, rec.num(1, "truncated")?)),
+            ("T", 2) => {
+                locked_totals = Some((rec.f64(0, "truncation_rate")?, rec.num(1, "samples")?));
             }
-            "T" if fields.len() == 3 => {
-                locked_totals = Some((
-                    parse_f64_bits(fields[1], "truncation_rate")?,
-                    parse_u64(fields[2], "samples")?,
-                ));
-            }
-            "b" if fields.len() == 4 => {
-                let n = parse_u64(fields[1], "cell n")? as usize;
+            ("b", 3) => {
+                let bits = |s: &str| {
+                    parse_hex(s)
+                        .map(f64::from_bits)
+                        .map_err(|e| rec.malformed(format!("bad sample: {e}")))
+                };
                 let mut samples = Vec::new();
-                if !fields[3].is_empty() {
-                    for pair in fields[3].split(',') {
-                        let (s, ns) = pair.split_once(':').ok_or_else(|| {
-                            SnapshotStale::Malformed("bad sample pair".to_string())
-                        })?;
-                        samples.push([
-                            parse_f64_bits(s, "sample slack")?,
-                            parse_f64_bits(ns, "sample norm-slack")?,
-                        ]);
+                let body = rec.str(2)?;
+                if !body.is_empty() {
+                    for pair in body.split(',') {
+                        let (s, ns) = pair
+                            .split_once(':')
+                            .ok_or_else(|| rec.malformed("bad sample pair"))?;
+                        samples.push([bits(s)?, bits(ns)?]);
                     }
                 }
-                building_cells.insert((n, fields[2].to_string()), samples);
+                building_cells.insert((rec.num(0, "cell n")?, rec.str(1)?.to_string()), samples);
             }
-            "L" if fields.len() == 8 => {
-                let n = parse_u64(fields[1], "cell n")? as usize;
-                let count = parse_u64(fields[3], "cell count")?;
+            ("L", 7) => {
+                let count = rec.num(2, "cell count")?;
                 let cell = LockedCell {
                     stats: [
                         CellStats {
                             count,
-                            mean: parse_f64_bits(fields[4], "slack mean")?,
-                            std: parse_f64_bits(fields[5], "slack std")?,
+                            mean: rec.f64(3, "slack mean")?,
+                            std: rec.f64(4, "slack std")?,
                         },
                         CellStats {
                             count,
-                            mean: parse_f64_bits(fields[6], "norm-slack mean")?,
-                            std: parse_f64_bits(fields[7], "norm-slack std")?,
+                            mean: rec.f64(5, "norm-slack mean")?,
+                            std: rec.f64(6, "norm-slack std")?,
                         },
                     ],
                 };
-                locked_cells.insert((n, fields[2].to_string()), cell);
+                locked_cells.insert((rec.num(0, "cell n")?, rec.str(1)?.to_string()), cell);
             }
-            "w" if fields.len() == 2 => {
-                for c in fields[1].chars() {
+            ("w", 1) => {
+                for c in rec.str(0)?.chars() {
                     match c {
                         '0' => window.push_back(false),
                         '1' => window.push_back(true),
-                        _ => {
-                            return Err(SnapshotStale::Malformed(
-                                "bad drift-window bit".to_string(),
-                            ))
-                        }
+                        _ => return Err(rec.malformed("bad drift-window bit")),
                     }
                 }
             }
-            "e" if fields.len() == 4 => {
-                let last_fired = if fields[3] == "-" {
-                    None
-                } else {
-                    Some(parse_u64(fields[3], "last_fired")?)
+            ("e", 3) => {
+                let last_fired = match rec.str(2)? {
+                    "-" => None,
+                    _ => Some(rec.num(2, "last_fired")?),
                 };
                 events_state.insert(
-                    fields[1].to_string(),
+                    rec.str(0)?.to_string(),
                     EventState {
-                        streak: parse_u64(fields[2], "streak")?,
+                        streak: rec.num(1, "streak")?,
                         last_fired,
                     },
                 );
             }
-            tag => {
-                return Err(SnapshotStale::Malformed(format!(
-                    "unknown line tag {tag:?}"
-                )));
+            (tag, arity) => {
+                return Err(rec.malformed(format!("unknown {tag:?} record with {arity} fields")));
             }
         }
     }
 
-    let min_samples = engine.config.min_samples;
-    let min_coverage = engine.config.min_coverage;
-    engine.baseline = match lifecycle {
+    let state = match lifecycle {
         Lifecycle::Building => {
             let (seen, truncated) =
-                totals.ok_or_else(|| SnapshotStale::Malformed("missing 't' line".to_string()))?;
-            Baseline {
-                min_samples,
-                min_coverage: min_coverage.max(1),
-                state: BaselineState::Building {
-                    cells: building_cells,
-                    seen,
-                    truncated,
-                },
+                totals.ok_or_else(|| Stale::Malformed("missing 't' line".to_string()))?;
+            BaselineState::Building {
+                cells: building_cells,
+                seen,
+                truncated,
             }
         }
         Lifecycle::Locked => {
-            let (truncation_rate, samples) = locked_totals
-                .ok_or_else(|| SnapshotStale::Malformed("missing 'T' line".to_string()))?;
-            Baseline {
-                min_samples,
-                min_coverage: min_coverage.max(1),
-                state: BaselineState::Locked {
-                    cells: locked_cells,
-                    truncation_rate,
-                    samples,
-                },
+            let (truncation_rate, samples) =
+                locked_totals.ok_or_else(|| Stale::Malformed("missing 'T' line".to_string()))?;
+            BaselineState::Locked {
+                cells: locked_cells,
+                truncation_rate,
+                samples,
             }
         }
+    };
+    engine.baseline = Baseline {
+        min_samples: engine.config.min_samples,
+        min_coverage: engine.config.min_coverage.max(1),
+        state,
     };
     engine.window = window;
     engine.events_state = events_state;
@@ -302,52 +242,8 @@ pub fn restore(config: MonitorConfig, text: &str) -> Result<MonitorEngine, Snaps
 }
 
 /// Loads and restores the snapshot inside `dir`, if any.
-pub fn load(config: MonitorConfig, dir: &Path) -> Result<MonitorEngine, SnapshotStale> {
-    let path = snapshot_path(dir);
-    match std::fs::read_to_string(&path) {
-        Ok(text) => restore(config, &text),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(SnapshotStale::Missing),
-        Err(e) => Err(SnapshotStale::Malformed(format!("unreadable: {e}"))),
-    }
-}
-
-fn check_header(config: &MonitorConfig, head: &str) -> Result<(), SnapshotStale> {
-    let expected = header(config);
-    if head == expected {
-        return Ok(());
-    }
-    let stored: Vec<&str> = head.split('|').collect();
-    let wanted: Vec<&str> = expected.split('|').collect();
-    if stored.first() != Some(&SNAPSHOT_TAG) {
-        return Err(SnapshotStale::Malformed(format!(
-            "unknown tag {:?}",
-            stored.first().copied().unwrap_or("")
-        )));
-    }
-    for want in &wanted[1..] {
-        let Some((field, _)) = want.split_once('=') else {
-            continue;
-        };
-        let found = stored[1..]
-            .iter()
-            .find(|s| s.split_once('=').map(|(f, _)| f) == Some(field));
-        match found {
-            Some(got) if got == want => {}
-            _ => return Err(SnapshotStale::Mismatch(field.to_string())),
-        }
-    }
-    Err(SnapshotStale::Mismatch("header layout".to_string()))
-}
-
-fn parse_u64(s: &str, what: &str) -> Result<u64, SnapshotStale> {
-    s.parse()
-        .map_err(|_| SnapshotStale::Malformed(format!("bad {what}: {s:?}")))
-}
-
-fn parse_f64_bits(s: &str, what: &str) -> Result<f64, SnapshotStale> {
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|_| SnapshotStale::Malformed(format!("bad {what}: {s:?}")))
+pub fn load(config: MonitorConfig, dir: &Path) -> Result<MonitorEngine, Stale> {
+    restore(config, &artifact::read(&snapshot_path(dir))?)
 }
 
 #[cfg(test)]
@@ -398,6 +294,32 @@ mod tests {
         assert_eq!(restored.baseline(), engine.baseline());
     }
 
+    /// `csamon1` bytes of `run_engine(6, 1_000)` (Building) and
+    /// `run_engine(16, 4)` (Locked). Round-trip tests alone cannot catch
+    /// a self-consistent format change.
+    const PINNED_BUILDING: &str = "\
+csamon1|search=backtracking|budget=18446744073709551615|min_samples=1000|min_coverage=1|\
+z=4008000000000000|persistence=2|cooldown=16|drift_window=32|drift_threshold=3fd0000000000000\n\
+m|building|6|0|0\n\
+t|6|0\n\
+b|4|margin-tight|3f674ff4665b62e8:3fd2746c7d623ba5,3f8295c4f9492ce0:3fc0a4322880142d,\
+3f527c6343ee99c0:3fa18048d8485506,3f61d21a03656424:3fb0f42fea4071d7,\
+3f954078b88b0140:3fddb663213378d5,3f95220a26178e6a:3fd0c8f9a43de262\n\
+w|000000\n";
+    const PINNED_LOCKED: &str = "\
+csamon1|search=backtracking|budget=18446744073709551615|min_samples=4|min_coverage=1|\
+z=4008000000000000|persistence=2|cooldown=16|drift_window=32|drift_threshold=3fd0000000000000\n\
+m|locked|16|0|0\n\
+T|0000000000000000|4\n\
+L|4|margin-tight|4|3f6f2dd4fc3731db|3f696b23d2484266|3fc099cd539db669|3fb90edf48504351\n\
+w|0000000000000000\n";
+
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        assert_eq!(snapshot_string(&run_engine(6, 1_000)), PINNED_BUILDING);
+        assert_eq!(snapshot_string(&run_engine(16, 4)), PINNED_LOCKED);
+    }
+
     #[test]
     fn fingerprint_mismatch_names_the_field() {
         let engine = run_engine(2, 1_000);
@@ -406,7 +328,11 @@ mod tests {
         other.cooldown += 1;
         assert_eq!(
             restore(other, &text).err(),
-            Some(SnapshotStale::Mismatch("cooldown".to_string()))
+            Some(Stale::Mismatch {
+                field: "cooldown",
+                expected: "17".to_string(),
+                found: "16".to_string(),
+            })
         );
         // Latency-only knobs are not fingerprinted.
         let mut latency_only = engine.config().clone();
@@ -422,17 +348,17 @@ mod tests {
         let config = engine.config().clone();
         assert!(matches!(
             restore(config.clone(), ""),
-            Err(SnapshotStale::Malformed(_))
+            Err(Stale::Malformed(_))
         ));
         assert!(matches!(
             restore(config.clone(), "csaw1|nope"),
-            Err(SnapshotStale::Malformed(_))
+            Err(Stale::Mismatch { field: "tag", .. })
         ));
         let good = snapshot_string(&engine);
         let truncated: String = good.lines().take(1).collect();
         assert!(matches!(
             restore(config, &truncated),
-            Err(SnapshotStale::Malformed(_))
+            Err(Stale::Malformed(_))
         ));
     }
 }
