@@ -188,15 +188,15 @@ impl MarginScratch {
             return Ok(0.0);
         }
         self.sweep_tables(h, loop_sys.period());
+        let m00s = self.resp.sweep(
+            loop_sys.a(),
+            loop_sys.b(),
+            loop_sys.c(),
+            loop_sys.d(),
+            &self.sweep_z,
+        )?;
         let mut j_max = JITTER_CAP_PERIODS * h;
-        for (&z, &deriv) in self.sweep_z.iter().zip(&self.sweep_deriv) {
-            let m00 = self.resp.response_at_in(
-                loop_sys.a(),
-                loop_sys.b(),
-                loop_sys.c(),
-                loop_sys.d(),
-                z,
-            )?[(0, 0)];
+        for (&m00, &deriv) in m00s.iter().zip(&self.sweep_deriv) {
             let gain = deriv * m00.abs();
             if gain > 0.0 {
                 j_max = j_max.min(1.0 / gain);

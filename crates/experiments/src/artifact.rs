@@ -142,11 +142,16 @@ pub fn read(path: &Path) -> Result<String, Stale> {
 
 /// Atomically replaces the file at `path` with `content`: the bytes are
 /// written to a `.tmp` sibling in the same directory, fsynced, and
-/// renamed over the target. A crash at any instant leaves either the
-/// previous complete file or the new complete file — never a torn one
-/// that parses as a truncated-but-plausible result. Every artifact
-/// writer in the workspace (CSV reports, witness files, the margin-table
-/// artifact, checkpoint journals, monitor snapshots) goes through it.
+/// renamed over the target, and on Unix the directory is fsynced after
+/// the rename. A crash at any instant leaves either the previous
+/// complete file or the new complete file — never a torn one that
+/// parses as a truncated-but-plausible result — and once this returns
+/// the new file survives a power loss. A filesystem that cannot sync a
+/// directory (EBADF or EINVAL) leaves that last step undone and still
+/// counts as success, as the rename has already published the file.
+/// Every artifact writer in the workspace (CSV reports, witness files,
+/// the margin-table artifact, checkpoint journals, monitor snapshots)
+/// goes through it.
 ///
 /// # Errors
 ///
@@ -169,7 +174,27 @@ pub fn write_atomic(path: &Path, content: &str) -> std::io::Result<()> {
         // otherwise a power loss could rename an empty inode into place.
         f.sync_all()?;
     }
-    fs::rename(&tmp, path)
+    fs::rename(&tmp, path)?;
+    // The new name lives in the directory, which a power loss can still
+    // roll back to the old entry until the directory itself is synced.
+    #[cfg(unix)]
+    sync_unsupported_is_ok(
+        fs::File::open(dir.unwrap_or(Path::new("."))).and_then(|d| d.sync_all()),
+    )?;
+    Ok(())
+}
+
+/// The result of syncing a directory, with EBADF and EINVAL (the answers
+/// of filesystems that cannot sync a directory) counted as success.
+#[cfg(unix)]
+fn sync_unsupported_is_ok(synced: std::io::Result<()>) -> std::io::Result<()> {
+    // The numbers of EBADF and EINVAL on Linux, macOS and the BSDs.
+    const EBADF: i32 = 9;
+    const EINVAL: i32 = 22;
+    match synced {
+        Err(e) if matches!(e.raw_os_error(), Some(EBADF | EINVAL)) => Ok(()),
+        synced => synced,
+    }
 }
 
 /// `v` as exactly 16 lowercase hex digits: the on-disk form of every
@@ -441,6 +466,24 @@ mod tests {
             eof.contains("unexpected end of file, expected header"),
             "{eof}"
         );
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn unsupported_directory_sync_counts_as_success() {
+        use std::io::Error;
+        assert!(sync_unsupported_is_ok(Ok(())).is_ok());
+        for errno in [9, 22] {
+            assert!(sync_unsupported_is_ok(Err(Error::from_raw_os_error(errno))).is_ok());
+        }
+        // EIO, EACCES and errors without a number still fail the write.
+        for e in [
+            Error::from_raw_os_error(5),
+            Error::from_raw_os_error(13),
+            Error::other("x"),
+        ] {
+            assert!(sync_unsupported_is_ok(Err(e)).is_err());
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Persistent, versioned margin-table artifact.
 //!
 //! Margin-table construction is the dominant startup cost of every
-//! experiment binary: ~160 LQG designs plus stability-curve fits before
-//! the first benchmark is drawn. The tables are a pure function of the
-//! plant pool, the grid shape, and the conservatism parameters, so they
-//! are cached on disk across *invocations* (the in-process `OnceLock`
-//! caches in [`crate::margins`] only span one process).
+//! experiment binary: 236 cells (47 snapped-grid periods, 98 dense-grid
+//! knots and 91 held-out midpoints), each an LQG design plus a
+//! stability-curve fit, before the first benchmark is drawn. The tables
+//! are a pure function of the plant pool, the grid shape, and the
+//! conservatism parameters, so they are cached on disk across
+//! *invocations* (the in-process `OnceLock` caches in
+//! [`crate::margins`] only span one process).
 //!
 //! The artifact is a `csamt1` file of the [`crate::artifact`] layer:
 //! every `f64` is serialized as its 16-hex-digit IEEE-754 bit pattern, so

@@ -483,57 +483,49 @@ pub(crate) fn compute_interp_tables(threads: usize) -> Vec<MarginInterp> {
     // knot segment. A midpoint that fails to stabilize splits its run; a
     // stabilizing midpoint contributes to the run's conservatism factors.
     // Again one batched walk per plant, midpoints in (run, segment) order.
-    let mids_by_plant: Vec<Vec<f64>> = runs_raw
-        .iter()
-        .map(|runs| {
-            runs.iter()
-                .flat_map(|run| {
-                    (0..run.len() - 1).map(|s| (run[s].period * run[s + 1].period).sqrt())
-                })
-                .collect()
-        })
-        .collect();
     let mid_fits = parallel_map(pool.len(), threads, |p| {
         let mut batch = StabilityCurveBatch::new();
-        mids_by_plant[p]
+        runs_raw[p]
             .iter()
-            .map(|&h| compute_cell_with(&mut batch, &pool[p], h))
+            .map(|run| {
+                run.windows(2)
+                    .map(|w| (w[0].period * w[1].period).sqrt())
+                    .map(|h| compute_cell_with(&mut batch, &pool[p], h))
+                    .collect::<Vec<_>>()
+            })
             .collect::<Vec<_>>()
     });
-    let mut tables: Vec<MarginInterp> = pool
-        .iter()
-        .map(|bp| MarginInterp {
-            name: bp.name,
-            runs: Vec::new(),
-        })
-        .collect();
-    for (p, runs) in runs_raw.iter().enumerate() {
-        // Midpoint fits come back in the same flat (run, segment) order
-        // they were enqueued in above.
-        let mut next_fit = mid_fits[p].iter();
-        for run in runs {
-            // The fresh midpoint fit of each knot segment, or `None`
-            // where the midpoint fails to stabilize (splits the run).
-            let seg_fit: Vec<Option<MarginEntry>> = (0..run.len() - 1)
-                .map(|_| *next_fit.next().expect("one midpoint fit per segment"))
-                .collect();
-            let mut start = 0;
-            for s in 0..=seg_fit.len() {
-                let broken = s == seg_fit.len() || seg_fit[s].is_none();
-                if broken {
-                    // Knots start..=s form a contiguous validated span.
-                    if s > start {
-                        let span = &run[start..=s];
-                        let fits: Vec<MarginEntry> =
-                            seg_fit[start..s].iter().map(|f| f.unwrap()).collect();
-                        tables[p].runs.push(build_run(span, &fits));
+    pool.iter()
+        .zip(runs_raw.iter().zip(&mid_fits))
+        .map(|(bp, (runs, fits))| {
+            let mut validated = Vec::new();
+            for (run, fits) in runs.iter().zip(fits) {
+                // Knots of the current validated span and the fresh
+                // midpoint fits of its segments.
+                let mut span = run[..1].to_vec();
+                let mut span_fits = Vec::new();
+                for (&knot, fit) in run[1..].iter().zip(fits) {
+                    if let Some(fit) = fit {
+                        span.push(knot);
+                        span_fits.push(*fit);
+                        continue;
                     }
-                    start = s + 1;
+                    if !span_fits.is_empty() {
+                        validated.push(build_run(&span, &span_fits));
+                    }
+                    span = vec![knot];
+                    span_fits.clear();
+                }
+                if !span_fits.is_empty() {
+                    validated.push(build_run(&span, &span_fits));
                 }
             }
-        }
-    }
-    tables
+            MarginInterp {
+                name: bp.name,
+                runs: validated,
+            }
+        })
+        .collect()
 }
 
 /// Builds one interpolation run from its knots plus the held-out midpoint

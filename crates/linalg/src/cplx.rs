@@ -180,22 +180,71 @@ impl Mul<Cplx> for f64 {
     }
 }
 
+/// Smith's ratio and denominator of one non-zero complex divisor `z`,
+/// computed once and reusable for any number of numerators.
+///
+/// `n / z` is `((n.re * u + n.im * v) / d, (n.im * u - n.re * v) / d)`
+/// with `(u, v) = (1, z.im / z.re)` when `|z.re| >= |z.im|` and
+/// `(z.re / z.im, 1)` otherwise. Multiplying by `1.0` is exact, so both
+/// branches share one formula without changing a bit, and a caller can
+/// divide many numerators by `z`, or lanes with different branches,
+/// with straight-line arithmetic. [`Cplx`]'s `/` is built on it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SmithDivisor {
+    /// Multiplier of the numerator part that shares the major axis.
+    pub u: f64,
+    /// Multiplier of the other numerator part.
+    pub v: f64,
+    /// Smith's denominator.
+    pub d: f64,
+}
+
+impl SmithDivisor {
+    /// `n / z` for the divisor `z` this was built from.
+    #[inline]
+    pub fn divide(self, n: Cplx) -> Cplx {
+        Cplx::new(
+            (n.re * self.u + n.im * self.v) / self.d,
+            (n.im * self.u - n.re * self.v) / self.d,
+        )
+    }
+}
+
+impl Cplx {
+    /// Smith's ratio and denominator for dividing by `self`, or `None`
+    /// when `self` is zero.
+    #[inline]
+    pub fn smith_divisor(self) -> Option<SmithDivisor> {
+        if self.re.abs() >= self.im.abs() {
+            if self.re == 0.0 && self.im == 0.0 {
+                return None;
+            }
+            let r = self.im / self.re;
+            Some(SmithDivisor {
+                u: 1.0,
+                v: r,
+                d: self.re + self.im * r,
+            })
+        } else {
+            let r = self.re / self.im;
+            Some(SmithDivisor {
+                u: r,
+                v: 1.0,
+                d: self.re * r + self.im,
+            })
+        }
+    }
+}
+
 impl Div for Cplx {
     type Output = Cplx;
     /// Complex division using Smith's algorithm (robust against
     /// intermediate overflow/underflow).
+    #[inline]
     fn div(self, rhs: Cplx) -> Cplx {
-        if rhs.re.abs() >= rhs.im.abs() {
-            if rhs.re == 0.0 && rhs.im == 0.0 {
-                return Cplx::new(self.re / 0.0, self.im / 0.0);
-            }
-            let r = rhs.im / rhs.re;
-            let d = rhs.re + rhs.im * r;
-            Cplx::new((self.re + self.im * r) / d, (self.im - self.re * r) / d)
-        } else {
-            let r = rhs.re / rhs.im;
-            let d = rhs.re * r + rhs.im;
-            Cplx::new((self.re * r + self.im) / d, (self.im * r - self.re) / d)
+        match rhs.smith_divisor() {
+            Some(s) => s.divide(self),
+            None => Cplx::new(self.re / 0.0, self.im / 0.0),
         }
     }
 }
@@ -257,6 +306,55 @@ mod tests {
         let b = Cplx::new(-0.25, 4.0);
         let q = a / b;
         assert!(close(q * b, a, 1e-12));
+    }
+
+    #[test]
+    fn smith_divisor_matches_the_two_branch_formula_bit_for_bit() {
+        // Smith's algorithm written out per branch: the reference the
+        // one-formula divisor must reproduce bit for bit.
+        fn two_branch(n: Cplx, z: Cplx) -> Cplx {
+            if z.re.abs() >= z.im.abs() {
+                if z.re == 0.0 && z.im == 0.0 {
+                    return Cplx::new(n.re / 0.0, n.im / 0.0);
+                }
+                let r = z.im / z.re;
+                let d = z.re + z.im * r;
+                Cplx::new((n.re + n.im * r) / d, (n.im - n.re * r) / d)
+            } else {
+                let r = z.re / z.im;
+                let d = z.re * r + z.im;
+                Cplx::new((n.re * r + n.im) / d, (n.im * r - n.re) / d)
+            }
+        }
+        let parts = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.75,
+            -3.5,
+            1e-310,
+            -2e-308,
+            1e300,
+            -1.7e308,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for &nr in &parts {
+            for &ni in &parts {
+                for &zr in &parts {
+                    for &zi in &parts {
+                        let (n, z) = (Cplx::new(nr, ni), Cplx::new(zr, zi));
+                        let (got, want) = (n / z, two_branch(n, z));
+                        assert!(
+                            got.re.to_bits() == want.re.to_bits()
+                                && got.im.to_bits() == want.im.to_bits(),
+                            "{n} / {z}: {got} vs {want}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

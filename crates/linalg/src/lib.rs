@@ -10,7 +10,8 @@
 //!
 //! * [`Mat`] — dense row-major `f64` matrices with the usual arithmetic.
 //! * [`Cplx`], [`CMat`] — complex scalars/matrices for eigenvalues and
-//!   frequency responses.
+//!   frequency responses; [`SmithDivisor`] divides many numerators by
+//!   one complex value with [`Cplx`]'s own Smith arithmetic.
 //! * [`Lu`] — LU factorization with partial pivoting
 //!   ([`Mat::solve`], [`Mat::inverse`], [`Mat::det`]).
 //! * [`eigenvalues`], [`spectral_radius`], [`is_schur_stable`],
@@ -56,7 +57,7 @@ mod mat;
 mod qr;
 
 pub use cmat::CMat;
-pub use cplx::Cplx;
+pub use cplx::{Cplx, SmithDivisor};
 pub use dare::{
     dare_residual, solve_dare, solve_dare_fixed_point, DareScratch, DareSolution, StageCost,
 };
