@@ -1,5 +1,5 @@
-//! Event-queue simulator core vs. the retained scan-based reference
-//! loop at n = 16/32/64 over long busy horizons.
+//! Event simulator core vs. the retained scan-based reference loop at
+//! n = 16/32/64 over long busy horizons.
 //!
 //! The task sets pin nominal utilization slightly above one, so the
 //! processor is busy for the *entire* horizon with a slowly growing
@@ -8,10 +8,13 @@
 //! enter after rounding. This is where the reference loop's per-event
 //! scans show their true cost: its flat ready vector grows with the
 //! backlog, so `max_by_key` is O(pending jobs) per event, while the
-//! event core (`Simulator::run`) stays O(log n) per event regardless of
-//! backlog (the ready *bitmap* tracks tasks, not jobs). The event
-//! core's time should scale with the event count (~2x per doubling of
-//! n here) and beat the reference by >= 5x at n >= 32.
+//! event core (`Simulator::run`) pays one O(n) release scan per release
+//! instant and O(1) ready-bitmap work per event regardless of backlog
+//! (the bitmap tracks tasks, not jobs; an overrunning task's later jobs
+//! wait in its own backlog). Tasks sharing a period release together,
+//! so each instant releases about n/5 jobs here. The event core's time
+//! should scale with the event count (~2x per doubling of n here) and
+//! beat the reference by >= 5x at n >= 32.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use csa_rta::{Task, TaskId, Ticks};

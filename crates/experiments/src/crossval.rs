@@ -3,7 +3,7 @@
 //!
 //! The corpus (PR 4) and the portfolio's "unknown" instances (PR 5) are
 //! pinned only by *analysis* replay; this module actually **runs** their
-//! schedules over one full hyperperiod on the event-queue simulator and
+//! schedules over one full hyperperiod on the event-core simulator and
 //! checks, per task and per execution policy,
 //!
 //! * every observed response time lies in the analytical `[R_b, R_w]`

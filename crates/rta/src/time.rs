@@ -128,6 +128,12 @@ impl Ticks {
         self.0.checked_mul(rhs).map(Ticks)
     }
 
+    /// Saturating addition (clamps at [`Ticks::MAX`]).
+    #[inline]
+    pub const fn saturating_add(self, rhs: Ticks) -> Ticks {
+        Ticks(self.0.saturating_add(rhs.0))
+    }
+
     /// Saturating subtraction (clamps at zero).
     #[inline]
     pub const fn saturating_sub(self, rhs: Ticks) -> Ticks {

@@ -1,26 +1,28 @@
-//! Event-queue simulation core (DESIGN.md §12).
+//! Event-driven simulation core (DESIGN.md §12).
 //!
 //! The reference loop (`reference.rs`) pays three O(n) scans per
 //! scheduling event: a release sweep over all tasks, a `max_by_key` over
 //! the ready queue, and a `min` over the next-release vector. This core
 //! replaces them with
 //!
-//! 1. a **release queue**: a [`BinaryHeap`] of [`QueuedRelease`] with
-//!    flipped `Ord` (Rust's heap is a max-heap, so ordering is reversed
-//!    to pop the minimum), keyed by `(time, task_index)` — the exact
-//!    order the reference release sweep visits tasks, which is observable
-//!    through stateful execution policies and the trace; and
+//! 1. a **release scan**: one next-release time per task plus the
+//!    earliest of them. Only a release instant scans the array, once: the
+//!    scan releases every task due at `now` in ascending task index — the
+//!    exact order the reference sweep visits tasks, which is observable
+//!    through stateful execution policies and the trace — and recomputes
+//!    the earliest pending release in the same pass. Completions and
+//!    preemption cuts touch no release state at all; and
 //! 2. a **ready index**: tasks keyed by priority *rank* in a `u64` bitmap
 //!    for n ≤ 64 (highest ready rank via `leading_zeros`, O(1)) falling
-//!    back to an ordered set beyond that, plus one FIFO job queue per
-//!    task (jobs of one task complete in release order).
+//!    back to an ordered set beyond that. A ready task holds its front
+//!    (oldest) job inline; later jobs wait in a per-task backlog that only
+//!    an overrunning task touches (jobs of one task complete in release
+//!    order).
 //!
 //! Completions need no queued events at all: the running job is always
-//! the front of the highest-ranked ready queue, so its finish time is
+//! the front job of the highest-ranked ready task, so its finish time is
 //! implicit (`now + remaining`) and never needs invalidating on
-//! preemption. Each event therefore costs O(log n) heap maintenance
-//! instead of Θ(n) scans, and an idle processor jumps straight to the
-//! next release.
+//! preemption. An idle processor jumps straight to the next release.
 //!
 //! The loop structure below mirrors the reference loop step for step;
 //! the differential suite (`tests/differential.rs`) pins the two
@@ -29,30 +31,12 @@
 use crate::policy::ExecutionPolicy;
 use crate::simulator::{finalize_stats, init_stats, SimOutcome, Simulator, TraceEvent};
 use csa_rta::Ticks;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
-/// A pending job release. `Ord` is flipped so that [`BinaryHeap`] (a
-/// max-heap) pops the earliest `(time, task_index)` first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct QueuedRelease {
-    time: Ticks,
-    task_index: usize,
-}
-
-impl Ord for QueuedRelease {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.task_index.cmp(&self.task_index))
-    }
-}
-
-impl PartialOrd for QueuedRelease {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
+/// Next-release time of a task with no release left before the horizon.
+/// No real release equals it: every release lies below the horizon,
+/// which is at most `Ticks::MAX`.
+const NEVER: Ticks = Ticks::MAX;
 
 /// Set of tasks with at least one pending job, keyed by priority rank
 /// (`n - 1` = highest priority).
@@ -73,26 +57,32 @@ impl ReadyIndex {
         }
     }
 
-    /// Marks a rank ready (idempotent: a task may queue several jobs).
-    fn insert(&mut self, rank: usize) {
+    #[inline]
+    fn contains(&self, rank: usize) -> bool {
         match self {
-            ReadyIndex::Bitmap(bits) => *bits |= 1u64 << rank,
-            ReadyIndex::Tree(set) => {
-                set.insert(rank);
-            }
+            ReadyIndex::Bitmap(bits) => bits & (1u64 << rank) != 0,
+            ReadyIndex::Tree(set) => set.contains(&rank),
         }
     }
 
+    #[inline]
+    fn insert(&mut self, rank: usize) {
+        match self {
+            ReadyIndex::Bitmap(bits) => *bits |= 1u64 << rank,
+            ReadyIndex::Tree(set) => tree_insert(set, rank),
+        }
+    }
+
+    #[inline]
     fn remove(&mut self, rank: usize) {
         match self {
             ReadyIndex::Bitmap(bits) => *bits &= !(1u64 << rank),
-            ReadyIndex::Tree(set) => {
-                set.remove(&rank);
-            }
+            ReadyIndex::Tree(set) => tree_remove(set, rank),
         }
     }
 
     /// Highest ready rank, if any.
+    #[inline]
     fn highest(&self) -> Option<usize> {
         match self {
             ReadyIndex::Bitmap(bits) => bits.checked_ilog2().map(|b| b as usize),
@@ -101,14 +91,29 @@ impl ReadyIndex {
     }
 }
 
-/// A pending job of one task (the task index is the queue it sits in).
-#[derive(Debug, Clone, Copy)]
+// The B-tree updates stay out of line so that the bitmap arms of
+// `insert` and `remove` inline into the event loop. Compiled as one
+// function, each bitmap update was a call that saved and restored six
+// registers for a single `or` or `and`, once per release and once per
+// completion (DESIGN.md §12).
+#[inline(never)]
+fn tree_insert(set: &mut BTreeSet<usize>, rank: usize) {
+    set.insert(rank);
+}
+
+#[inline(never)]
+fn tree_remove(set: &mut BTreeSet<usize>, rank: usize) {
+    set.remove(&rank);
+}
+
+/// A pending job of one task (the task index is the slot it sits in).
+#[derive(Debug, Clone, Copy, Default)]
 struct Job {
     release: Ticks,
     remaining: Ticks,
 }
 
-/// Runs the simulation on the event-queue core. Public API:
+/// Runs the simulation on the event core. Public API:
 /// [`Simulator::run`]. Semantics are bit-identical to
 /// [`crate::reference::run`].
 pub(crate) fn run<P: ExecutionPolicy + ?Sized>(
@@ -120,80 +125,74 @@ pub(crate) fn run<P: ExecutionPolicy + ?Sized>(
     let mut sink = sim.trace_sink();
     let mut stats = init_stats(&sim.tasks);
     let mut job_count = vec![0u64; n];
-    let mut queues: Vec<VecDeque<Job>> = vec![VecDeque::new(); n];
+    // `front[i]` is task `i`'s oldest pending job; it means something
+    // exactly while `i`'s rank is in `ready`. `backlog[i]` holds the
+    // jobs released behind it, oldest first.
+    let mut front = vec![Job::default(); n];
+    let mut backlog: Vec<VecDeque<Job>> = vec![VecDeque::new(); n];
     let mut ready = ReadyIndex::new(n);
-    let mut releases: BinaryHeap<QueuedRelease> = BinaryHeap::with_capacity(n + 1);
-    for (i, t) in sim.tasks.iter().enumerate() {
-        // Releases at or past the horizon never happen (matching the
-        // reference sweep's `next_release[i] < horizon` guard), so they
-        // never enter the heap and the heap holds at most one entry per
-        // task.
-        if t.offset < horizon {
-            releases.push(QueuedRelease {
-                time: t.offset,
-                task_index: i,
-            });
-        }
-    }
+    // Releases at or past the horizon never happen (the reference
+    // sweep's `next_release[i] < horizon` guard).
+    let mut next_release: Vec<Ticks> = sim
+        .tasks
+        .iter()
+        .map(|t| if t.offset < horizon { t.offset } else { NEVER })
+        .collect();
+    let mut next_rel = next_release.iter().copied().fold(NEVER, Ticks::min);
 
     let mut now = Ticks::ZERO;
     loop {
-        // Release every job due at `now`, ending with the next pending
-        // release time in hand (one heap inspection serves both the
-        // sweep and the slice-cut below). The heap never holds a release
-        // in the past: busy intervals are cut at the next release and
-        // idle intervals jump straight to it. A task's next release
-        // replaces its current heap entry in place (`PeekMut` re-sifts
-        // on drop: one sift instead of a pop + push pair).
-        let next_rel: Option<Ticks> = loop {
-            let Some(mut top) = releases.peek_mut() else {
-                break None;
-            };
-            let QueuedRelease { time, task_index } = *top;
-            if time > now {
-                break Some(time);
+        // Release every job due at `now`. No release is ever in the past
+        // (busy intervals are cut at `next_rel`, idle ones jump to it), so
+        // each due task releases exactly one job here. `now` is below the
+        // horizon, so a task at `NEVER` is never due.
+        if next_rel <= now {
+            let mut earliest = NEVER;
+            for (i, slot) in next_release.iter_mut().enumerate() {
+                let time = *slot;
+                if time <= now {
+                    // Overflow past `Ticks::MAX` also lies past the horizon.
+                    *slot = time
+                        .checked_add(sim.tasks[i].task.period())
+                        .filter(|&next| next < horizon)
+                        .unwrap_or(NEVER);
+                    let job = Job {
+                        release: time,
+                        remaining: sim.execution_time(policy, i, job_count[i]),
+                    };
+                    job_count[i] += 1;
+                    let rank = sim.rank_of[i];
+                    if ready.contains(rank) {
+                        backlog[i].push_back(job);
+                    } else {
+                        front[i] = job;
+                        ready.insert(rank);
+                    }
+                    sink.push(TraceEvent::Release {
+                        at: time,
+                        task_id: sim.tasks[i].task.id(),
+                    });
+                }
+                earliest = earliest.min(*slot);
             }
-            let next = time + sim.tasks[task_index].task.period();
-            if next < horizon {
-                top.time = next;
-                drop(top);
-            } else {
-                std::collections::binary_heap::PeekMut::pop(top);
-            }
-            let c = sim.execution_time(policy, task_index, job_count[task_index]);
-            job_count[task_index] += 1;
-            queues[task_index].push_back(Job {
-                release: time,
-                remaining: c,
-            });
-            ready.insert(sim.rank_of[task_index]);
-            sink.push(TraceEvent::Release {
-                at: time,
-                task_id: sim.tasks[task_index].task.id(),
-            });
-        };
+            next_rel = earliest;
+        }
 
-        // The running job is the front (earliest release) of the
-        // highest-ranked ready queue.
+        // The running job is the front job of the highest-ranked ready
+        // task.
         let Some(rank) = ready.highest() else {
             // Idle: jump to the next release, or stop.
-            match next_rel {
-                Some(r) => {
-                    now = r;
-                    continue;
-                }
-                None => break,
+            if next_rel == NEVER {
+                break;
             }
+            now = next_rel;
+            continue;
         };
         let ti = sim.task_at_rank[rank];
-        let job = queues[ti].front_mut().expect("ready task has a queued job");
-        let finish_at = now + job.remaining;
-        let until = match next_rel {
-            Some(r) if r < finish_at => r,
-            _ => finish_at,
-        };
-        // Never run past the horizon.
-        let until = until.min(horizon);
+        let job = &mut front[ti];
+        // Run to the job's finish or the next release, whichever comes
+        // first, and never past the horizon.
+        let until = now.saturating_add(job.remaining).min(next_rel).min(horizon);
         if until > now {
             sink.push(TraceEvent::Run {
                 from: now,
@@ -203,11 +202,11 @@ pub(crate) fn run<P: ExecutionPolicy + ?Sized>(
             job.remaining -= until - now;
         }
         if job.remaining.is_zero() {
-            let done = queues[ti].pop_front().expect("front job just ran");
-            if queues[ti].is_empty() {
-                ready.remove(rank);
+            let response = until - job.release;
+            match backlog[ti].pop_front() {
+                Some(next) => *job = next,
+                None => ready.remove(rank),
             }
-            let response = until - done.release;
             let s = &mut stats[ti];
             s.completed += 1;
             s.total += response;
@@ -228,8 +227,9 @@ pub(crate) fn run<P: ExecutionPolicy + ?Sized>(
         now = until;
     }
 
-    for (s, q) in stats.iter_mut().zip(&queues) {
-        s.in_flight = q.len() as u64;
+    // Every released job has either completed or is still pending.
+    for (s, released) in stats.iter_mut().zip(job_count) {
+        s.in_flight = released - s.completed;
     }
     finalize_stats(&mut stats);
     let (trace, trace_dropped) = sink.finish();
@@ -246,22 +246,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn release_heap_pops_time_then_task_index() {
-        let mut heap = BinaryHeap::new();
-        for (time, task_index) in [(5u64, 1usize), (3, 2), (5, 0), (3, 0), (9, 3)] {
-            heap.push(QueuedRelease {
-                time: Ticks::new(time),
-                task_index,
-            });
-        }
-        let mut popped = Vec::new();
-        while let Some(r) = heap.pop() {
-            popped.push((r.time.get(), r.task_index));
-        }
-        assert_eq!(popped, vec![(3, 0), (3, 2), (5, 0), (5, 1), (9, 3)]);
-    }
-
-    #[test]
     fn bitmap_index_tracks_highest_rank() {
         let mut idx = ReadyIndex::new(8);
         assert_eq!(idx.highest(), None);
@@ -269,9 +253,11 @@ mod tests {
         idx.insert(5);
         idx.insert(0);
         assert_eq!(idx.highest(), Some(5));
+        assert!(idx.contains(3) && !idx.contains(4));
         idx.insert(5); // idempotent
         idx.remove(5);
         assert_eq!(idx.highest(), Some(3));
+        assert!(!idx.contains(5));
         idx.remove(3);
         idx.remove(0);
         assert_eq!(idx.highest(), None);
@@ -280,6 +266,7 @@ mod tests {
         full.insert(63);
         full.insert(62);
         assert_eq!(full.highest(), Some(63));
+        assert!(full.contains(63));
     }
 
     #[test]
@@ -291,7 +278,9 @@ mod tests {
         idx.insert(99);
         idx.insert(70);
         assert_eq!(idx.highest(), Some(99));
+        assert!(idx.contains(70) && !idx.contains(71));
         idx.remove(99);
         assert_eq!(idx.highest(), Some(70));
+        assert!(!idx.contains(99));
     }
 }

@@ -12,13 +12,13 @@
 //! 2. **Demonstration** — the examples animate the anomalies on concrete
 //!    schedules (observed latency/jitter per task, schedule traces).
 //!
-//! Since PR 8 the hot loop is an **event-queue core** (DESIGN.md §12):
-//! a flipped-`Ord` binary-heap release queue plus a priority-bitmap ready
-//! index make each scheduling event O(log n) instead of three O(n)
-//! scans, which is what lets the `crossval` experiment execute witnesses
-//! over full hyperperiods. The original scan loop survives as
-//! [`reference::run`], pinned bit-identical by a differential proptest
-//! suite.
+//! The hot loop is an **event core** (DESIGN.md §12): a release scan
+//! that runs once per release instant, plus a priority-bitmap ready
+//! index over tasks that each hold their front job inline, replace the
+//! three O(n) scans the original loop paid per scheduling event. That is
+//! what lets the `crossval` experiment execute witnesses over full
+//! hyperperiods. The original scan loop survives as [`reference::run`],
+//! pinned bit-identical by a differential proptest suite.
 //!
 //! # Example
 //!

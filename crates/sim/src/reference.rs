@@ -1,13 +1,14 @@
 //! The original scan-based simulation loop, retained as the oracle.
 //!
-//! This is the loop `Simulator::run` executed before the event-queue
-//! core (`event_core.rs`) replaced it: every scheduling event pays three
+//! This is the loop `Simulator::run` executed before the event core
+//! (`event_core.rs`) replaced it: every scheduling event pays three
 //! O(n) scans — a release sweep over all tasks, a `max_by_key` over the
 //! flat ready queue, and a `min` over the next-release vector. It is
-//! kept verbatim (adapted only to the shared trace sink and the
-//! `in_flight` accounting) as the semantic reference: the differential
-//! proptest suite (`tests/differential.rs`) pins the event core
-//! bit-identical to it, the same pattern as `csa_core::reference`.
+//! kept verbatim (adapted only to the shared trace sink, the
+//! `in_flight` accounting, and overflow-safe release and finish times
+//! for horizons near `Ticks::MAX`) as the semantic reference: the
+//! differential proptest suite (`tests/differential.rs`) pins the event
+//! core bit-identical to it, the same pattern as `csa_core::reference`.
 //!
 //! Use [`run`] directly only to benchmark against or test the event
 //! core; production callers go through [`Simulator::run`].
@@ -47,7 +48,11 @@ pub fn run<P: ExecutionPolicy + ?Sized>(
                 let release = next_release[i];
                 let c = sim.execution_time(policy, i, job_count[i]);
                 job_count[i] += 1;
-                next_release[i] = release + sim.tasks[i].task.period();
+                // Overflow past `Ticks::MAX` also lies past the horizon:
+                // `MAX < horizon` never holds, so the task stops releasing.
+                next_release[i] = release
+                    .checked_add(sim.tasks[i].task.period())
+                    .unwrap_or(Ticks::MAX);
                 ready.push(Job {
                     task_index: i,
                     release,
@@ -86,7 +91,7 @@ pub fn run<P: ExecutionPolicy + ?Sized>(
         };
 
         let job = ready[run_idx];
-        let finish_at = now + job.remaining;
+        let finish_at = now.saturating_add(job.remaining);
         let until = match next_rel {
             Some(r) if r < finish_at => r,
             _ => finish_at,

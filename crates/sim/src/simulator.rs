@@ -6,12 +6,13 @@
 //! response-time bounds from `csa-rta` and provides observed
 //! latency/jitter for the examples.
 //!
-//! [`Simulator::run`] executes on the event-queue core (`event_core.rs`,
-//! DESIGN.md §12): a flipped-`Ord` binary-heap release queue plus a
-//! priority-indexed ready structure, so each scheduling event costs
-//! O(log n) instead of three O(n) scans. The original scan-based loop is
-//! retained verbatim as [`crate::reference::run`] and pinned bit-identical
-//! by the differential proptest suite (`tests/differential.rs`).
+//! [`Simulator::run`] executes on the event core (`event_core.rs`,
+//! DESIGN.md §12): a per-task next-release array scanned once per
+//! release instant, plus a priority-indexed ready structure whose tasks
+//! hold their front job inline, instead of three O(n) scans per
+//! scheduling event. The original scan-based loop is retained as
+//! [`crate::reference::run`] and pinned bit-identical by the
+//! differential proptest suite (`tests/differential.rs`).
 
 use crate::policy::ExecutionPolicy;
 use csa_rta::{Task, TaskId, Ticks};
@@ -355,7 +356,7 @@ impl Simulator {
     /// — the overrunning job keeps executing at its priority and the miss
     /// is counted, letting over-utilized sets run to the horizon.
     ///
-    /// Executes on the event-queue core; semantics (including the trace
+    /// Executes on the event core; semantics (including the trace
     /// and the order of policy calls) are bit-identical to
     /// [`crate::reference::run`].
     pub fn run<P: ExecutionPolicy + ?Sized>(&self, horizon: Ticks, policy: &mut P) -> SimOutcome {

@@ -1,13 +1,16 @@
-//! Differential suite pinning the event-queue core bit-identical to the
+//! Differential suite pinning the event core bit-identical to the
 //! retained scan-based loop (`csa_sim::reference`), plus the
 //! hyperperiod-wraparound invariant.
 //!
 //! `Simulator::run` (event core) and `reference::run` must produce the
 //! same `SimOutcome` — statistics, full trace, capped trace, and dropped
 //! count — across random task sets, offsets, priority permutations,
-//! execution policies, and horizons. Stateful policies (the seeded
-//! uniform one) make the *order* of policy calls observable, so equality
-//! here also pins the release-processing order.
+//! execution policies, and horizons: small sets with arbitrary periods,
+//! crossval-replica-shaped sets of up to 64 tasks on the `m · 2^k`
+//! period lattice, a 70-task set, and horizons up to `Ticks::MAX`.
+//! Stateful policies (the seeded uniform one) make the *order* of policy
+//! calls observable, so equality here also pins the release-processing
+//! order.
 
 use csa_rta::{hyperperiod, Task, TaskId, Ticks};
 use csa_sim::{
@@ -143,6 +146,115 @@ proptest! {
             event.trace_dropped as usize,
             full.trace.len() - event.trace.len()
         );
+    }
+}
+
+/// Snaps `v` to the nearest `m · 2^k` whose mantissa `m` has at most
+/// `bits` significant bits: the period lattice of crossval's quantized
+/// replicas (`csa_experiments::crossval::snap_period_pow2`, restated here
+/// because csa-sim cannot depend on csa-experiments).
+fn snap_pow2(v: u64, bits: u32) -> u64 {
+    let width = 64 - v.leading_zeros();
+    if width <= bits {
+        return v;
+    }
+    let shift = width - bits;
+    ((v + (1 << (shift - 1))) >> shift) << shift
+}
+
+/// Per task: raw period, share of the utilization target, best-case
+/// execution as a percentage of the worst case, and raw offset.
+type ReplicaSpec = (u64, u64, u64, u64);
+
+/// 10–64 tasks, as many as the unknown-scan replicas run.
+fn replica_specs() -> impl Strategy<Value = Vec<ReplicaSpec>> {
+    proptest::collection::vec((16u64..600, 1u64..100, 10u64..=100, any::<u64>()), 10..=64)
+}
+
+/// A replica-shaped set: periods on the `m · 2^k` lattice, so many tasks
+/// release at the same instant, and worst-case utilization near
+/// `util_pct` percent (above 100, low-priority tasks overrun and queue
+/// several jobs).
+fn build_replica(
+    specs: &[ReplicaSpec],
+    bits: u32,
+    util_pct: u64,
+    synchronous: bool,
+    prio_seed: u64,
+) -> Vec<SimTask> {
+    let prios = permuted_priorities(specs.len(), prio_seed);
+    let total_share: u64 = specs.iter().map(|s| s.1).sum();
+    specs
+        .iter()
+        .enumerate()
+        .map(|(i, &(raw, share, best_pct, offset))| {
+            let period = snap_pow2(raw, bits);
+            let cw = (util_pct * share * period / (100 * total_share)).clamp(1, period);
+            let cb = (cw * best_pct / 100).clamp(1, cw);
+            let offset = if synchronous { 0 } else { offset % period };
+            let task = Task::new(
+                TaskId::new(i as u32),
+                Ticks::new(cb),
+                Ticks::new(cw),
+                Ticks::new(period),
+            )
+            .expect("valid by construction");
+            SimTask::with_offset(task, prios[i], Ticks::new(offset))
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The regime crossval runs: tens of tasks on a snapped period
+    /// lattice, so one release instant releases several tasks at once
+    /// (their order is observable through the trace and the seeded
+    /// policy's draws), and overload queues several jobs per task (their
+    /// FIFO order is observable through the responses).
+    #[test]
+    fn replica_shaped_sets_match_reference(
+        specs in replica_specs(),
+        bits in 2u32..=5,
+        util_pct in 60u64..=130,
+        synchronous in any::<bool>(),
+        prio_seed in any::<u64>(),
+        policy_id in 0u8..4,
+        policy_seed in any::<u64>(),
+        capped in any::<bool>(),
+        cap in 0usize..64,
+        horizon in 1u64..3000,
+    ) {
+        let tasks = build_replica(&specs, bits, util_pct, synchronous, prio_seed);
+        let sim = Simulator::new(tasks).expect("unique priorities");
+        let sim = if capped {
+            sim.record_trace_capped(cap)
+        } else {
+            sim.record_trace(true)
+        };
+        let horizon = Ticks::new(horizon);
+        let event = run_with(&sim, horizon, policy_id, policy_seed, true);
+        let reference = run_with(&sim, horizon, policy_id, policy_seed, false);
+        prop_assert_eq!(event, reference);
+    }
+}
+
+/// Release and finish times near `Ticks::MAX` must not wrap: with a
+/// period of 2^63 and the horizon at `Ticks::MAX`, the third release
+/// would lie at 2^64. Both cores stop releasing there and terminate.
+#[test]
+fn horizons_near_tick_max_terminate_on_both_cores() {
+    let huge = Ticks::new(1 << 63);
+    for (c, completed, in_flight) in [(Ticks::new(1), 2, 0), (huge, 1, 1)] {
+        let task = Task::with_fixed_execution(TaskId::new(0), c, huge).expect("valid");
+        let sim = Simulator::new(vec![SimTask::new(task, 1)])
+            .expect("one task")
+            .record_trace(true);
+        let event = sim.run(Ticks::MAX, &mut WorstCasePolicy);
+        let oracle = reference::run(&sim, Ticks::MAX, &mut WorstCasePolicy);
+        assert_eq!(event, oracle, "c = {c}");
+        assert_eq!(event.stats[0].completed, completed, "c = {c}");
+        assert_eq!(event.stats[0].in_flight, in_flight, "c = {c}");
     }
 }
 
