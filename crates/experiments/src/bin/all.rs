@@ -8,19 +8,20 @@
 //! census; Figs. 2/4 sweep plants directly and have no benchmark
 //! distribution).
 
+use csa_experiments::cli::{Args, PROFILE, QUICK, SCALE, SWEEP, TASK_COUNTS};
 use csa_experiments::{
-    budget_flag, format_census, format_table1, profile_flag, quick_flag, run_census_with_threads,
-    run_fig2_with_threads, run_fig4, run_fig5, run_table1_with_threads, search_flag,
-    task_counts_flag, threads_flag, warm_cached_tables, CensusConfig, Fig2Config, Fig4Config,
-    Fig5Config, SearchConfig, Table1Config,
+    format_census, format_table1, run_census_with_threads, run_fig2_with_threads, run_fig4,
+    run_fig5, run_table1_with_threads, warm_cached_tables, CensusConfig, Fig2Config, Fig4Config,
+    Fig5Config, Table1Config,
 };
 
 fn main() {
-    let quick = quick_flag();
-    let threads = threads_flag();
-    let profile = profile_flag();
-    let search = SearchConfig::new(search_flag(), budget_flag());
-    let task_counts = task_counts_flag();
+    let args = Args::parse("all", &[SCALE, SWEEP]);
+    let quick = args.get(&QUICK).is_some();
+    let threads = args.threads();
+    let profile = args.get(&PROFILE).unwrap_or_default();
+    let search = args.search();
+    let task_counts = args.get(&TASK_COUNTS);
     eprintln!(
         "running all experiments ({} scale, profile {}, search {}, {} worker threads)",
         if quick { "quick" } else { "paper" },

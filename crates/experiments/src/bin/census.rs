@@ -1,45 +1,41 @@
-//! Anomaly-rarity census (supports the paper's §IV/§V argument). Pass
-//! `--quick` for a reduced run, `--threads N` to bound the worker count
-//! (results are identical at any thread count), and `--profile NAME`
-//! to select the benchmark period model (`grid-snapped` legacy default,
-//! `continuous`, `harmonic-stress`, `margin-tight`). `--n LIST` (e.g.
-//! `--n 4,8,12`) overrides the task-count sweep; `--search NAME`
-//! selects the solver behind the solvable column (`backtracking`
-//! default, `portfolio`, `opa`) and `--budget N` caps its logical
-//! checks per instance. Every anomalous instance found is serialized
-//! as a replayable witness line.
+//! Anomaly-rarity census (supports the paper's §IV/§V argument); every
+//! anomalous instance found is serialized as a replayable witness line.
 //!
-//! Crash safety (DESIGN.md §11): `--checkpoint-dir DIR` journals each
-//! completed shard atomically; `--resume` replays a compatible journal
-//! and skips completed shards, making a killed run restartable with
-//! bit-identical final output. `--shard-size N` sets the checkpoint
-//! granularity, `--reservoir N` bounds witnesses kept per shard, and
-//! `--instance-timeout MS` quarantines overlong instances instead of
-//! letting one pathological benchmark stall the sweep. Panicking
-//! instances are always quarantined (recorded with their replayable
-//! seed, never aborting the run).
+//! ```text
+//! census [--quick] [--threads N] [--profile NAME] [--n LIST] [--search NAME] [--budget N]
+//!        [--checkpoint-dir PATH] [--resume] [--shard-size N] [--instance-timeout N]
+//!        [--reservoir N]
+//! ```
+//!
+//! README.md's flag table explains each flag; `--search` selects the
+//! solver behind the solvable column. Results are identical at any
+//! `--threads`. Crash safety (DESIGN.md §11): with `--checkpoint-dir`,
+//! `--resume` restarts a killed run to bit-identical output, and
+//! overlong (`--instance-timeout` ms) or panicking instances are
+//! quarantined with their replayable seed instead of stalling the run.
 
+use csa_experiments::cli::{Args, ORCHESTRATION, PROFILE, QUICK, SCALE, SWEEP, TASK_COUNTS};
 use csa_experiments::{
-    budget_flag, csv_file_name, format_census, orchestrator_flags, profile_flag, quick_flag,
-    run_census_orchestrated, search_flag, task_counts_flag, threads_flag, warm_cached_tables,
-    write_csv, write_quarantine_file, write_witness_file, CensusConfig, SearchConfig,
+    csv_file_name, format_census, run_census_orchestrated, warm_cached_tables, write_csv,
+    write_quarantine_file, write_witness_file, CensusConfig,
 };
 
 fn main() -> std::io::Result<()> {
-    let profile = profile_flag();
-    let search = SearchConfig::new(search_flag(), budget_flag());
-    let orch = orchestrator_flags();
-    let mut config = if quick_flag() {
+    let args = Args::parse("census", &[SCALE, SWEEP, ORCHESTRATION]);
+    let profile = args.get(&PROFILE).unwrap_or_default();
+    let search = args.search();
+    let orch = args.orchestrator();
+    let mut config = if args.get(&QUICK).is_some() {
         CensusConfig::quick()
     } else {
         CensusConfig::paper()
     }
     .with_profile(profile)
     .with_search(search);
-    if let Some(counts) = task_counts_flag() {
+    if let Some(counts) = args.get(&TASK_COUNTS) {
         config.task_counts = counts;
     }
-    let threads = threads_flag();
+    let threads = args.threads();
     eprintln!(
         "census: {} benchmarks per n over n = {:?} (profile {}, search {}, {} worker threads)",
         config.benchmarks, config.task_counts, profile, search.mode, threads

@@ -5,79 +5,65 @@
 //! bounds and replaying the recorded verdicts.
 //!
 //! ```text
-//! crossval [--quick] [--threads T] [--corpus PATH] [--limit K]
-//!          [--max-jobs J] [--unknowns K] [--profile NAME] [--n LIST]
-//!          [--budget B] [--seed S]
+//! crossval [--quick] [--threads N] [--profile NAME] [--n LIST] [--budget N]
+//!          [--seed N] [--max-jobs N] [--unknowns N] [--corpus PATH] [--limit N]
 //! ```
 //!
 //! * `--corpus PATH` — witness corpus to execute (default: the committed
 //!   corpus baked into the binary).
-//! * `--limit K` — only the first K witnesses (`--quick` default: 20).
-//! * `--max-jobs J` — replica job cap; the quantizer narrows its period
+//! * `--limit N` — only the first N witnesses (`--quick` default: 20).
+//! * `--max-jobs N` — replica job cap; the quantizer narrows its period
 //!   mantissa until an instance fits (default 20M, quick 2M).
-//! * `--unknowns K` — scan K benchmark instances per n for
-//!   portfolio-unknowns and cross-validate them too (default 400, quick
-//!   0 = skip; use `--profile continuous --n 16` to reach the
-//!   population PR 5 measured at ~2% unknown).
-//! * `--budget B` — portfolio check budget for the unknown scan
-//!   (default 50 000).
+//! * `--unknowns N` — scan N benchmark instances per task count (`--n`,
+//!   default 16) for portfolio-unknowns and cross-validate them too
+//!   (default 400, quick 0 = skip; `--profile continuous` reaches the
+//!   ~2% unknown population EXPERIMENTS.md describes).
+//! * `--budget N` — positive portfolio check budget for the unknown
+//!   scan (default 50 000); `--seed N` — its seed (default 77).
 //!
 //! Writes `results/crossval[_profile].csv` and exits non-zero on any
 //! bound violation, WCRT-tightness miss, job-ledger mismatch, verdict
 //! replay failure, or instance error. Results are bit-identical at any
 //! `--threads` value.
 
+use std::path::PathBuf;
+
+use csa_experiments::cli::{Args, Flag, BUDGET, PROFILE, QUICK, SCALE, TASK_COUNTS};
 use csa_experiments::{
-    find_unknown_instances, parse_witness_corpus, profile_flag, quick_flag, run_crossval,
-    task_counts_flag, threads_flag, write_csv, CrossvalConfig, CrossvalInstance, CrossvalRow,
-    PeriodModel,
+    csv_file_name, find_unknown_instances, parse_witness_corpus, run_crossval, write_csv,
+    CrossvalConfig, CrossvalInstance, CrossvalRow, SearchConfig,
 };
 
 /// The committed witness corpus (pinned by the `witness_replay` suite).
 const COMMITTED_CORPUS: &str = include_str!("../../tests/data/witness_corpus.txt");
 
-/// Strict `--flag VALUE` / `--flag=VALUE` u64 parser: a present flag
-/// with a malformed value aborts instead of silently falling back.
-fn u64_arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        let value = if a == name {
-            Some(args.get(i + 1).map(String::as_str).unwrap_or(""))
-        } else {
-            a.strip_prefix(&format!("{name}="))
-        };
-        if let Some(v) = value {
-            return v.parse().unwrap_or_else(|_| {
-                eprintln!("bad {name} value {v:?}; expected an unsigned integer");
-                std::process::exit(2);
-            });
-        }
-    }
-    default
-}
-
-/// Optional `--flag VALUE` string argument.
-fn str_arg(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == name {
-            return Some(args.get(i + 1).cloned().unwrap_or_default());
-        }
-        if let Some(v) = a.strip_prefix(&format!("{name}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
+const SEED: Flag<u64> = Flag::count("--seed");
+const MAX_JOBS: Flag<u64> = Flag::count("--max-jobs");
+const UNKNOWNS: Flag<usize> = Flag::count("--unknowns");
+const CORPUS: Flag<PathBuf> = Flag::path("--corpus");
+const LIMIT: Flag<usize> = Flag::count("--limit");
 
 fn main() -> std::io::Result<()> {
-    let quick = quick_flag();
-    let threads = threads_flag();
-    let profile = profile_flag();
-    let seed = u64_arg("--seed", 77);
-    let max_jobs = u64_arg("--max-jobs", if quick { 2_000_000 } else { 20_000_000 });
-    let budget = u64_arg("--budget", 50_000);
-    let unknown_scan = u64_arg("--unknowns", if quick { 0 } else { 400 }) as usize;
+    let args = Args::parse(
+        "crossval",
+        &[
+            SCALE,
+            &[&PROFILE, &TASK_COUNTS, &BUDGET],
+            &[&SEED, &MAX_JOBS, &UNKNOWNS, &CORPUS, &LIMIT],
+        ],
+    );
+    let quick = args.get(&QUICK).is_some();
+    let threads = args.threads();
+    let profile = args.get(&PROFILE).unwrap_or_default();
+    let seed = args.get(&SEED).unwrap_or(77);
+    let max_jobs = args
+        .get(&MAX_JOBS)
+        .unwrap_or(if quick { 2_000_000 } else { 20_000_000 });
+    let budget = args.get(&BUDGET).unwrap_or(50_000);
+    let unknown_scan = args.get(&UNKNOWNS).unwrap_or(if quick { 0 } else { 400 });
+    let limit = args
+        .get(&LIMIT)
+        .unwrap_or(if quick { 20 } else { usize::MAX });
     let cfg = CrossvalConfig {
         threads,
         max_jobs,
@@ -86,7 +72,7 @@ fn main() -> std::io::Result<()> {
 
     // Witness instances: the committed corpus unless --corpus points
     // elsewhere, optionally truncated by --limit for smoke runs.
-    let corpus_text = match str_arg("--corpus") {
+    let corpus_text = match args.get(&CORPUS) {
         Some(path) => std::fs::read_to_string(&path)?,
         None => COMMITTED_CORPUS.to_string(),
     };
@@ -94,7 +80,6 @@ fn main() -> std::io::Result<()> {
         eprintln!("bad witness corpus: {e}");
         std::process::exit(2);
     });
-    let limit = u64_arg("--limit", if quick { 20 } else { u64::MAX }) as usize;
     let mut instances: Vec<CrossvalInstance> = witnesses
         .iter()
         .take(limit)
@@ -109,7 +94,7 @@ fn main() -> std::io::Result<()> {
     // Portfolio-unknown sweep: instances a budgeted anytime search left
     // undecided — exactly the ones with no analysis verdict to lean on.
     if unknown_scan > 0 {
-        for n in task_counts_flag().unwrap_or_else(|| vec![16]) {
+        for n in args.get(&TASK_COUNTS).unwrap_or_else(|| vec![16]) {
             let unknown = find_unknown_instances(profile, n, unknown_scan, seed, budget, threads);
             eprintln!(
                 "crossval: {} portfolio-unknowns among {unknown_scan} {profile} instances at n = {n} (budget {budget})",
@@ -126,11 +111,7 @@ fn main() -> std::io::Result<()> {
         .filter(|r| r.policy == "worst")
         .map(|r| r.jobs)
         .sum();
-    let file = if profile == PeriodModel::GridSnapped {
-        "crossval.csv".to_string()
-    } else {
-        format!("crossval_{profile}.csv")
-    };
+    let file = csv_file_name("crossval", profile, &SearchConfig::default());
     let rows: Vec<String> = report.rows.iter().map(CrossvalRow::to_csv_row).collect();
     let path = write_csv(&file, CrossvalRow::CSV_HEADER, rows)?;
     eprintln!(

@@ -2,15 +2,17 @@
 //! `--quick` for a reduced sweep and `--threads N` to bound the worker
 //! count (the curves are identical at any thread count).
 
-use csa_experiments::{quick_flag, run_fig2_with_threads, threads_flag, write_csv, Fig2Config};
+use csa_experiments::cli::{Args, QUICK, SCALE};
+use csa_experiments::{run_fig2_with_threads, write_csv, Fig2Config};
 
 fn main() -> std::io::Result<()> {
-    let config = if quick_flag() {
+    let args = Args::parse("fig2", &[SCALE]);
+    let config = if args.get(&QUICK).is_some() {
         Fig2Config::quick()
     } else {
         Fig2Config::paper()
     };
-    let threads = threads_flag();
+    let threads = args.threads();
     eprintln!(
         "fig2: sweeping h in [{}, {}] s with {} points ({} worker threads)",
         config.h_min, config.h_max, config.points, threads

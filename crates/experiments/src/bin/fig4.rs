@@ -1,10 +1,12 @@
 //! Regenerates the paper's Fig. 4 (stability curves + linear bounds).
 //! Pass `--quick` for a reduced run.
 
-use csa_experiments::{quick_flag, run_fig4, write_csv, Fig4Config};
+use csa_experiments::cli::{Args, QUICK};
+use csa_experiments::{run_fig4, write_csv, Fig4Config};
 
 fn main() -> std::io::Result<()> {
-    let config = if quick_flag() {
+    let args = Args::parse("fig4", &[&[&QUICK]]);
+    let config = if args.get(&QUICK).is_some() {
         Fig4Config::quick()
     } else {
         Fig4Config::paper()

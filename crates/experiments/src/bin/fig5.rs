@@ -9,22 +9,23 @@
 //! loop itself is single-threaded so workers cannot perturb the
 //! measured runtimes.
 
+use csa_experiments::cli::{Args, PROFILE, QUICK, SCALE, SWEEP, TASK_COUNTS};
 use csa_experiments::{
-    budget_flag, csv_file_name, empirical_order, profile_flag, quick_flag, run_fig5, search_flag,
-    task_counts_flag, threads_flag, warm_cached_tables, write_csv, Fig5Config, SearchConfig,
+    csv_file_name, empirical_order, run_fig5, warm_cached_tables, write_csv, Fig5Config,
 };
 
 fn main() -> std::io::Result<()> {
-    let profile = profile_flag();
-    let search = SearchConfig::new(search_flag(), budget_flag());
-    let mut config = if quick_flag() {
+    let args = Args::parse("fig5", &[SCALE, SWEEP]);
+    let profile = args.get(&PROFILE).unwrap_or_default();
+    let search = args.search();
+    let mut config = if args.get(&QUICK).is_some() {
         Fig5Config::quick()
     } else {
         Fig5Config::paper()
     }
     .with_profile(profile)
     .with_search(search);
-    if let Some(counts) = task_counts_flag() {
+    if let Some(counts) = args.get(&TASK_COUNTS) {
         config.task_counts = counts;
     }
     eprintln!(
@@ -39,7 +40,7 @@ fn main() -> std::io::Result<()> {
             "unbounded".to_string()
         }
     );
-    warm_cached_tables(threads_flag());
+    warm_cached_tables(args.threads());
     let points = run_fig5(&config);
     println!(
         "{:>4} {:>16} {:>16} {:>12} {:>10} {:>12} {:>10} {:>10}",

@@ -3,47 +3,40 @@
 //! replayable witness lines.
 //!
 //! ```text
-//! witness_corpus [--profile NAME] [--n LIST] [--benchmarks K] [--seed S] [--threads T]
+//! witness_corpus [--quick] [--threads N] [--profile NAME] [--n LIST] [--benchmarks N] [--seed N]
 //! ```
 //!
-//! Output goes to `results/witness_corpus_<profile>.txt`; the curated
+//! Defaults: `--n 4`, `--seed 77` and 20 000 benchmarks per n (500 with
+//! `--quick`). Output goes to `results/witness_corpus_<profile>.txt`; the curated
 //! copy lives in `crates/experiments/tests/data/` and is pinned by the
 //! `witness_replay` regression suite. Regenerate and re-commit it only
 //! when the generator intentionally changes (the replay test pins
 //! bit-identical regeneration).
 
+use csa_experiments::cli::{Args, Flag, PROFILE, QUICK, SCALE, TASK_COUNTS};
 use csa_experiments::{
-    profile_flag, quick_flag, run_census_collecting, task_counts_flag, threads_flag,
-    warm_cached_tables, write_witness_file, CensusConfig, SearchConfig,
+    run_census_collecting, warm_cached_tables, write_witness_file, CensusConfig, SearchConfig,
 };
 
-/// Strict `--flag VALUE` / `--flag=VALUE` u64 parser: a present flag
-/// with a malformed value aborts instead of silently falling back — the
-/// corpus this binary writes becomes a committed regression surface.
-fn u64_arg(name: &str, default: u64) -> u64 {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        let value = if a == name {
-            Some(args.get(i + 1).map(String::as_str).unwrap_or(""))
-        } else {
-            a.strip_prefix(&format!("{name}="))
-        };
-        if let Some(v) = value {
-            return v.parse().unwrap_or_else(|_| {
-                eprintln!("bad {name} value {v:?}; expected an unsigned integer");
-                std::process::exit(2);
-            });
-        }
-    }
-    default
-}
+const BENCHMARKS: Flag<usize> = Flag::count("--benchmarks");
+const SEED: Flag<u64> = Flag::count("--seed");
 
 fn main() -> std::io::Result<()> {
-    let profile = profile_flag();
-    let task_counts = task_counts_flag().unwrap_or_else(|| vec![4]);
-    let benchmarks = u64_arg("--benchmarks", if quick_flag() { 500 } else { 20_000 }) as usize;
-    let seed = u64_arg("--seed", 77);
-    let threads = threads_flag();
+    let args = Args::parse(
+        "witness_corpus",
+        &[SCALE, &[&PROFILE, &TASK_COUNTS, &BENCHMARKS, &SEED]],
+    );
+    let profile = args.get(&PROFILE).unwrap_or_default();
+    let task_counts = args.get(&TASK_COUNTS).unwrap_or_else(|| vec![4]);
+    let benchmarks = args
+        .get(&BENCHMARKS)
+        .unwrap_or(if args.get(&QUICK).is_some() {
+            500
+        } else {
+            20_000
+        });
+    let seed = args.get(&SEED).unwrap_or(77);
+    let threads = args.threads();
     // Always the complete unbudgeted search: the corpus is a committed
     // regression surface and must not depend on `--search`/`--budget`.
     let config = CensusConfig {

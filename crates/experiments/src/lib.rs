@@ -49,16 +49,15 @@
 //!   checked against the analytical `[R_b, R_w]` bounds and recorded
 //!   verdicts replayed.
 //!
-//! The `table1`, `fig2`, `fig4`, `fig5`, `census` and `all` binaries wrap
-//! these with console tables and CSV output under `results/`; all accept
-//! `--quick` (reduced scale) and `--threads N` (worker count, default:
-//! available parallelism), and the benchmark-driven ones (`table1`,
-//! `fig5`, `census`, `all`) also `--profile NAME` (period model,
-//! default: `grid-snapped`), `--search NAME` (solver, default:
-//! `backtracking`), `--budget N` (check cap, default: unbounded) and
-//! `--n LIST` (task-count override). The benchmark distribution and
-//! period-model profiles are DESIGN.md §3; the deterministic parallel
-//! driver is DESIGN.md §7.
+//! * [`cli`] — the one command-line parser of the binaries: each lists
+//!   the flags it accepts, and a malformed command line exits 2 before
+//!   any work.
+//!
+//! The `table1`, `fig2`, `fig4`, `fig5`, `census`, `all`, `crossval` and
+//! `witness_corpus` binaries wrap these with console tables and CSV
+//! output under `results/`; README.md lists their flags. The benchmark
+//! distribution and period-model profiles are DESIGN.md §3; the
+//! deterministic parallel driver is DESIGN.md §7.
 //!
 //! # Example
 //!
@@ -87,6 +86,7 @@ pub mod artifact;
 mod benchgen;
 mod census;
 mod checkpoint;
+pub mod cli;
 mod crossval;
 mod fig2;
 mod fig4;
@@ -138,10 +138,7 @@ pub use period_opt::{
     optimize_period_grid, optimize_period_ternary, run_period_opt, PeriodChoice,
     PeriodOptComparison,
 };
-pub use report::{
-    budget_flag, csv_file_name, orchestrator_flags, profile_flag, quick_flag, search_flag,
-    task_counts_flag, threads_flag, write_csv, RESULTS_DIR,
-};
+pub use report::{csv_file_name, write_csv, RESULTS_DIR};
 pub use search::{SearchConfig, SearchMode};
 pub use table1::{
     format_table1, run_table1, run_table1_collecting, run_table1_orchestrated,

@@ -56,7 +56,7 @@ const RESERVOIR_SALT: u64 = 0xC0FF_EE00_5EED_0001;
 /// How a sweep is sharded, checkpointed, and hardened. Built from the
 /// `--checkpoint-dir` / `--resume` / `--shard-size` /
 /// `--instance-timeout` / `--reservoir` flags by
-/// [`crate::orchestrator_flags`].
+/// [`Args::orchestrator`](crate::cli::Args::orchestrator).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OrchestratorConfig {
     /// Directory holding the checkpoint journal; `None` disables

@@ -18,8 +18,9 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Arguments shared by every census run here: the quick configuration
-/// narrowed to n = 4 (300 instances, seed 77).
-const BASE_ARGS: &[&str] = &["--quick", "--n", "4", "--threads", "2"];
+/// narrowed to n = 4 (300 instances, seed 77). Each run adds exactly one
+/// `--threads`.
+const BASE_ARGS: &[&str] = &["--quick", "--n", "4"];
 
 /// Scratch working directory (`results/` is cwd-relative) that cleans
 /// up after itself.
@@ -55,9 +56,10 @@ fn margin_cache_dir() -> &'static Path {
     })
 }
 
-fn census_command(cwd: &Path, extra_args: &[&str]) -> Command {
+fn census_command(cwd: &Path, threads: &str, extra_args: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_census"));
     cmd.args(BASE_ARGS)
+        .args(["--threads", threads])
         .args(extra_args)
         .current_dir(cwd)
         .env("CSA_MARGIN_CACHE_DIR", margin_cache_dir())
@@ -77,7 +79,7 @@ fn reference_csv() -> &'static [u8] {
     static REF: OnceLock<Vec<u8>> = OnceLock::new();
     REF.get_or_init(|| {
         let scratch = Scratch::new("reference");
-        let out = census_command(scratch.path(), &[])
+        let out = census_command(scratch.path(), "2", &[])
             .output()
             .expect("run census");
         assert!(out.status.success(), "reference run failed: {out:?}");
@@ -107,8 +109,7 @@ fn abort_injection_then_resume_is_byte_identical() {
             &ckpt_s,
             "--resume",
         ];
-        let crashed = census_command(scratch.path(), &args)
-            .args(["--threads", threads])
+        let crashed = census_command(scratch.path(), threads, &args)
             .env("CSA_FAULT_INJECT", format!("abort:4:{kill_index}"))
             .output()
             .expect("run census");
@@ -123,8 +124,7 @@ fn abort_injection_then_resume_is_byte_identical() {
             kill_index / 25
         );
 
-        let resumed = census_command(scratch.path(), &args)
-            .args(["--threads", threads])
+        let resumed = census_command(scratch.path(), threads, &args)
             .output()
             .expect("resume census");
         assert!(resumed.status.success(), "resume failed: {resumed:?}");
@@ -163,8 +163,7 @@ fn sigkill_then_resume_is_byte_identical() {
         &ckpt_s,
         "--resume",
     ];
-    let mut child = census_command(scratch.path(), &args)
-        .args(["--threads", "1"])
+    let mut child = census_command(scratch.path(), "1", &args)
         .spawn()
         .expect("spawn census");
     let journal = ckpt.join("census.csacp");
@@ -187,7 +186,7 @@ fn sigkill_then_resume_is_byte_identical() {
     }
     child.wait().expect("reap census");
 
-    let resumed = census_command(scratch.path(), &args)
+    let resumed = census_command(scratch.path(), "2", &args)
         .output()
         .expect("resume census");
     assert!(resumed.status.success(), "resume failed: {resumed:?}");
@@ -212,7 +211,7 @@ fn panic_injection_quarantines_with_replayable_seed() {
     // (replayable offline), and the CSV reports it in the
     // `quarantined` column.
     let scratch = Scratch::new("quarantine");
-    let out = census_command(scratch.path(), &[])
+    let out = census_command(scratch.path(), "2", &[])
         .env("CSA_FAULT_INJECT", "panic:4:5")
         .output()
         .expect("run census");
@@ -268,6 +267,7 @@ fn stale_checkpoint_warns_and_recomputes() {
     let ckpt_s = ckpt.to_str().unwrap().to_string();
     let first = census_command(
         scratch.path(),
+        "2",
         &["--shard-size", "25", "--checkpoint-dir", &ckpt_s],
     )
     .output()
@@ -276,6 +276,7 @@ fn stale_checkpoint_warns_and_recomputes() {
 
     let second = census_command(
         scratch.path(),
+        "2",
         &[
             "--shard-size",
             "30",

@@ -8,85 +8,66 @@
 //! a summary to stderr.
 //!
 //! ```text
-//! monitor [--batch N] [--threads N] [--search MODE] [--budget N]
-//!         [--min-samples N] [--min-coverage N] [--z F]
-//!         [--persistence N] [--cooldown N]
-//!         [--snapshot-dir DIR] [--resume]
+//! monitor [--threads N] [--search NAME] [--budget N] [--batch N]
+//!         [--min-samples N] [--min-coverage N] [--z X] [--persistence N]
+//!         [--cooldown N] [--drift-window N] [--drift-threshold X]
+//!         [--memo-tables N] [--snapshot-dir PATH] [--resume]
 //! ```
 //!
-//! With `--resume`, requests the snapshot says were already processed
-//! are skipped, so re-piping the same stream after a crash continues
-//! the response sequence (and the final snapshot) byte-identically.
+//! With `--resume` (which needs `--snapshot-dir`), requests the snapshot
+//! says were already processed are skipped, so re-piping the same stream
+//! after a crash continues the response sequence (and the final
+//! snapshot) byte-identically.
 
 use std::io::BufRead;
 use std::path::PathBuf;
 
 use csa_experiments::artifact::{write_atomic, Stale};
-use csa_experiments::{budget_flag, search_flag, threads_flag, SearchConfig};
+use csa_experiments::cli::{Args, Flag, BUDGET, SEARCH, THREADS};
 use csa_monitor::jsonl::{event_line, parse_request, response_line};
 use csa_monitor::snapshot;
 use csa_monitor::{MonitorConfig, MonitorEngine};
 
-fn flag_u64(name: &str, default: u64) -> u64 {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == name {
-            return args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("monitor: {name} needs an unsigned integer");
-                std::process::exit(2);
-            });
-        }
-    }
-    default
-}
-
-fn flag_f64(name: &str, default: f64) -> f64 {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == name {
-            return args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("monitor: {name} needs a number");
-                std::process::exit(2);
-            });
-        }
-    }
-    default
-}
-
-fn flag_path(name: &str) -> Option<PathBuf> {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == name {
-            return Some(PathBuf::from(args.next().unwrap_or_else(|| {
-                eprintln!("monitor: {name} needs a path");
-                std::process::exit(2);
-            })));
-        }
-    }
-    None
-}
-
-fn flag_present(name: &str) -> bool {
-    std::env::args().any(|arg| arg == name)
-}
+const BATCH: Flag<usize> = Flag::count("--batch");
+const MIN_SAMPLES: Flag<u64> = Flag::count("--min-samples");
+const MIN_COVERAGE: Flag<usize> = Flag::count("--min-coverage");
+const Z: Flag<f64> = Flag::real("--z");
+const PERSISTENCE: Flag<u64> = Flag::count("--persistence");
+const COOLDOWN: Flag<u64> = Flag::count("--cooldown");
+const DRIFT_WINDOW: Flag<usize> = Flag::count("--drift-window");
+const DRIFT_THRESHOLD: Flag<f64> = Flag::real("--drift-threshold");
+const MEMO_TABLES: Flag<usize> = Flag::count("--memo-tables");
+const SNAPSHOT_DIR: Flag<PathBuf> = Flag::path("--snapshot-dir");
+const RESUME: Flag<bool> = Flag::switch("--resume", Some("--snapshot-dir"));
 
 fn main() {
+    let args = Args::parse(
+        "monitor",
+        &[
+            &[&THREADS, &SEARCH, &BUDGET, &BATCH, &MIN_SAMPLES],
+            &[&MIN_COVERAGE, &Z, &PERSISTENCE, &COOLDOWN],
+            &[&DRIFT_WINDOW, &DRIFT_THRESHOLD, &MEMO_TABLES],
+            &[&SNAPSHOT_DIR, &RESUME],
+        ],
+    );
     let defaults = MonitorConfig::default();
     let config = MonitorConfig {
-        batch_window: flag_u64("--batch", defaults.batch_window as u64) as usize,
-        threads: threads_flag(),
-        search: SearchConfig::new(search_flag(), budget_flag()),
-        min_samples: flag_u64("--min-samples", defaults.min_samples),
-        min_coverage: flag_u64("--min-coverage", defaults.min_coverage as u64) as usize,
-        z_threshold: flag_f64("--z", defaults.z_threshold),
-        persistence: flag_u64("--persistence", defaults.persistence),
-        cooldown: flag_u64("--cooldown", defaults.cooldown),
-        drift_window: flag_u64("--drift-window", defaults.drift_window as u64) as usize,
-        drift_threshold: flag_f64("--drift-threshold", defaults.drift_threshold),
-        memo_tables: flag_u64("--memo-tables", defaults.memo_tables as u64) as usize,
+        batch_window: args.get(&BATCH).unwrap_or(defaults.batch_window),
+        threads: args.threads(),
+        search: args.search(),
+        min_samples: args.get(&MIN_SAMPLES).unwrap_or(defaults.min_samples),
+        min_coverage: args.get(&MIN_COVERAGE).unwrap_or(defaults.min_coverage),
+        z_threshold: args.get(&Z).unwrap_or(defaults.z_threshold),
+        persistence: args.get(&PERSISTENCE).unwrap_or(defaults.persistence),
+        cooldown: args.get(&COOLDOWN).unwrap_or(defaults.cooldown),
+        drift_window: args.get(&DRIFT_WINDOW).unwrap_or(defaults.drift_window),
+        drift_threshold: args
+            .get(&DRIFT_THRESHOLD)
+            .unwrap_or(defaults.drift_threshold),
+        memo_tables: args.get(&MEMO_TABLES).unwrap_or(defaults.memo_tables),
     };
-    let snapshot_dir = flag_path("--snapshot-dir");
-    let resume = flag_present("--resume");
+    let snapshot_dir = args.get(&SNAPSHOT_DIR);
+    let resume = args.get(&RESUME).is_some();
 
     let mut engine = match (&snapshot_dir, resume) {
         (Some(dir), true) => match snapshot::load(config.clone(), dir) {

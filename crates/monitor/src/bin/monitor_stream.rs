@@ -10,30 +10,24 @@
 //! into `monitor` replays the same benchmark instances a batch sweep at
 //! the same coordinates would assess.
 
-use csa_experiments::{profile_flag, task_counts_flag};
+use csa_experiments::cli::{Args, Flag, PROFILE, TASK_COUNTS};
 use csa_monitor::jsonl::request_line;
 use csa_monitor::{generate_stream, StreamConfig};
 
-fn flag_u64(name: &str, default: u64) -> u64 {
-    let mut args = std::env::args();
-    while let Some(arg) = args.next() {
-        if arg == name {
-            return args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("monitor_stream: {name} needs an unsigned integer");
-                std::process::exit(2);
-            });
-        }
-    }
-    default
-}
+const COUNT: Flag<usize> = Flag::count("--count");
+const SEED: Flag<u64> = Flag::count("--seed");
 
 fn main() {
+    let args = Args::parse(
+        "monitor_stream",
+        &[&[&COUNT, &SEED, &PROFILE, &TASK_COUNTS]],
+    );
     let defaults = StreamConfig::default();
     let config = StreamConfig {
-        count: flag_u64("--count", defaults.count as u64) as usize,
-        seed: flag_u64("--seed", defaults.seed),
-        task_counts: task_counts_flag().unwrap_or(defaults.task_counts),
-        profile: profile_flag(),
+        count: args.get(&COUNT).unwrap_or(defaults.count),
+        seed: args.get(&SEED).unwrap_or(defaults.seed),
+        task_counts: args.get(&TASK_COUNTS).unwrap_or(defaults.task_counts),
+        profile: args.get(&PROFILE).unwrap_or_default(),
     };
     for request in generate_stream(&config) {
         println!("{}", request_line(&request));

@@ -133,12 +133,13 @@ fn crash_mid_stream_resumes_to_byte_identical_snapshot() {
         std::fs::read_to_string(baseline.path().join("snap/monitor.csamon")).expect("snapshot");
 
     // Interrupted: abort while materializing instance index 13 (inside
-    // the 4th batch), then resume with the same stream.
+    // the 4th batch), then resume with the same stream. These runs spell
+    // `--snapshot-dir=snap`, so byte identity also pins the `=` form.
     let crashed = Scratch::new("crashed");
     let out = run_monitor(
         crashed.path(),
         &stream,
-        &["--snapshot-dir", "snap"],
+        &["--snapshot-dir=snap"],
         Some("abort:4:13"),
     );
     assert!(!out.status.success(), "abort must kill the process");
@@ -150,7 +151,7 @@ fn crash_mid_stream_resumes_to_byte_identical_snapshot() {
     let out = run_monitor(
         crashed.path(),
         &stream,
-        &["--snapshot-dir", "snap", "--resume"],
+        &["--snapshot-dir=snap", "--resume"],
         None,
     );
     assert!(
