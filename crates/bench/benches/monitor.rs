@@ -1,12 +1,13 @@
-//! Monitoring-service benchmarks (DESIGN.md §14): warm-memo vs cold
-//! assessment latency, and batched vs singleton windows.
+//! Monitoring-service benchmarks (DESIGN.md §14): a bank hit vs a cold
+//! assessment, and batched vs singleton windows.
 //!
-//! The determinism contract says memo warmth and batching change
-//! *latency only* — these benches quantify that latency. The headline
-//! number (checked in EXPERIMENTS.md) is the warm/cold ratio: a warm
-//! repeat of an already-seen task set must be at least 2× faster than
-//! a cold assessment, because the census classification re-asks many
-//! of the search's stability queries.
+//! The determinism contract says the assessment bank and batching
+//! change *latency only* — these benches quantify that latency. A cold
+//! request runs the whole census classification (search, anomaly scans,
+//! OPA, quadratic audit) and its slack checks; a repeat of an
+//! already-seen task set is a bank hit, an equality check against the
+//! banked set and a clone of its assessment, so what remains of a warm
+//! request is the engine's per-request bookkeeping (EXPERIMENTS.md).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use csa_bench::fixed_benchmarks_with;
@@ -36,11 +37,11 @@ fn inline(id: u64, tasks: &[ControlTask]) -> Request {
 fn bench_warm_vs_cold(c: &mut Criterion) {
     let mut group = c.benchmark_group("monitor_memo");
     // n = 14 keeps the census classification (search + anomaly scans +
-    // OPA + quadratic audit) expensive enough that per-request
-    // bookkeeping is noise next to the memoized analysis.
+    // OPA + quadratic audit) expensive enough that, on a cold request,
+    // per-request bookkeeping is noise next to the analysis.
     let tasks = fixed_benchmarks_with(14, 2, 0x40B1, PeriodModel::MarginTight).remove(1);
 
-    // Cold: a fresh engine (empty memo bank) assesses the set once.
+    // Cold: a fresh engine (empty bank) assesses the set once.
     group.bench_function("cold_single", |b| {
         let mut id = 0u64;
         b.iter(|| {
@@ -50,8 +51,8 @@ fn bench_warm_vs_cold(c: &mut Criterion) {
         })
     });
 
-    // Warm: the same engine re-assesses the set it has already seen;
-    // the banked memo answers most stability queries.
+    // Warm: the same engine answers a set it has already seen from the
+    // bank, without classifying it again.
     group.bench_function("warm_repeat", |b| {
         let mut engine = MonitorEngine::new(config(1));
         let mut id = 0u64;

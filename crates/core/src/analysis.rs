@@ -198,48 +198,14 @@ impl Iterator for BitIter {
     }
 }
 
-/// A detachable verdict-memo table for [`StabilityChecker`].
-///
-/// Entries are keyed by `(candidate, higher-priority bitmask)` and are
-/// only meaningful for the **exact** task slice they were computed on:
-/// seating a table under a different set silently corrupts verdicts, so
-/// long-lived callers (e.g. the `csa-monitor` service) must key stored
-/// tables by task-set identity and verify equality before reuse.
-///
-/// The intended cycle is: [`StabilityChecker::with_memo`] seats a table
-/// for one burst of checks, [`StabilityChecker::into_memo`] hands it
-/// back (now warmer) for the next request over the same set.
-#[derive(Debug, Default, Clone)]
-pub struct VerdictMemo {
-    // csa-lint: allow(D001) probed by key only, never iterated
-    map: HashMap<(u32, u64), TaskVerdict, FxBuildHasher>,
-}
-
-impl VerdictMemo {
-    /// An empty memo table.
-    pub fn new() -> VerdictMemo {
-        VerdictMemo::default()
-    }
-
-    /// Number of memoized verdicts.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when no verdicts are memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-/// A reusable, optionally memoizing stability-check engine over one task
-/// slice — the workhorse behind every assignment algorithm.
+/// A reusable, memoizing stability-check engine over one task slice —
+/// the workhorse behind every assignment algorithm.
 ///
 /// * **Zero-allocation**: response-time fixed points run on an internal
 ///   [`RtaScratch`], so a check performs no heap allocation once the
 ///   buffers are warm.
-/// * **Memoized**: for sets of up to [`MEMO_MAX_TASKS`] tasks, verdicts
-///   are cached under the key `(candidate, higher-priority bitmask)`.
+/// * **Memoized** exactly when `len() <= MEMO_MAX_TASKS`: verdicts are
+///   cached under the key `(candidate, higher-priority bitmask)`.
 ///   A backtracking search that revisits the same `(task, remaining
 ///   set)` state never recomputes the fixed points; the checker tracks
 ///   both the *logical* number of checks requested and the *computed*
@@ -289,54 +255,6 @@ impl<'a> StabilityChecker<'a> {
         }
     }
 
-    /// Creates a checker over `tasks` seated on an existing
-    /// [`VerdictMemo`]: verdicts already in the table are reused,
-    /// newly computed ones are added, and [`Self::into_memo`] detaches
-    /// the table for the next checker over the same set.
-    ///
-    /// Seeding a memo computed on a *different* task slice is a logic
-    /// error that silently corrupts verdicts (the table is trusted, not
-    /// revalidated); callers owning cross-request tables must verify
-    /// task-set equality before seating one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the set has more than [`MEMO_MAX_TASKS`] tasks — such
-    /// sets cannot key the bitmask memo; use [`Self::new`].
-    pub fn with_memo(tasks: &'a [ControlTask], memo: VerdictMemo) -> StabilityChecker<'a> {
-        assert!(
-            tasks.len() <= MEMO_MAX_TASKS,
-            "memo sharing requires a set of at most {MEMO_MAX_TASKS} tasks"
-        );
-        StabilityChecker {
-            tasks,
-            scratch: RtaScratch::with_capacity(tasks.len()),
-            memo: Some(memo.map),
-            logical: 0,
-            computed: 0,
-        }
-    }
-
-    /// Detaches the memo table (empty for uncached checkers) so a later
-    /// [`Self::with_memo`] checker over the same task slice starts warm.
-    pub fn into_memo(self) -> VerdictMemo {
-        VerdictMemo {
-            map: self.memo.unwrap_or_default(),
-        }
-    }
-
-    /// Creates a checker that never caches (still allocation-free) — the
-    /// reference point for the memoization differential tests.
-    pub fn uncached(tasks: &'a [ControlTask]) -> StabilityChecker<'a> {
-        StabilityChecker {
-            tasks,
-            scratch: RtaScratch::with_capacity(tasks.len()),
-            memo: None,
-            logical: 0,
-            computed: 0,
-        }
-    }
-
     /// The task slice under analysis.
     pub fn tasks(&self) -> &'a [ControlTask] {
         self.tasks
@@ -352,7 +270,8 @@ impl<'a> StabilityChecker<'a> {
         self.tasks.is_empty()
     }
 
-    /// `true` when verdicts are being memoized (set fits in the bitmask).
+    /// `true` when verdicts are being memoized: exactly when
+    /// `len() <= MEMO_MAX_TASKS` (the set fits in the bitmask).
     pub fn memoized(&self) -> bool {
         self.memo.is_some()
     }
@@ -536,37 +455,6 @@ mod tests {
         let v_both = check_task(&tasks, 2, &[0, 1]);
         assert_eq!(v_both.bounds.unwrap().wcrt.get(), 10);
         assert!(v_both.slack <= v_alone.slack);
-    }
-
-    #[test]
-    fn memo_roundtrip_keeps_verdicts_and_warmth() {
-        let tasks = three_tasks();
-        let mut cold = StabilityChecker::new(&tasks);
-        let v_cold = cold.check(2, &[0, 1]);
-        assert_eq!(cold.computed_checks(), 1);
-        let memo = cold.into_memo();
-        assert_eq!(memo.len(), 1);
-
-        // Re-seating the table over the same slice answers from cache.
-        let mut warm = StabilityChecker::with_memo(&tasks, memo.clone());
-        let v_warm = warm.check(2, &[0, 1]);
-        assert_eq!(v_cold, v_warm);
-        assert_eq!(warm.computed_checks(), 0);
-        assert_eq!(warm.cache_hits(), 1);
-
-        // A fresh empty memo behaves like a new checker.
-        let mut fresh = StabilityChecker::with_memo(&tasks, VerdictMemo::new());
-        fresh.check(2, &[0, 1]);
-        assert_eq!(fresh.computed_checks(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "memo sharing requires")]
-    fn memo_sharing_rejects_wide_sets() {
-        let tasks: Vec<ControlTask> = (0..65)
-            .map(|i| ControlTask::from_parts(i, 1, 1, 100_000, 1.0, 1.0).unwrap())
-            .collect();
-        let _ = StabilityChecker::with_memo(&tasks, VerdictMemo::new());
     }
 
     #[test]

@@ -54,7 +54,7 @@ mod stability;
 
 pub use analysis::{
     analyze, check_task, is_valid_assignment, PriorityAssignment, StabilityChecker, TaskVerdict,
-    VerdictMemo, MEMO_MAX_TASKS,
+    MEMO_MAX_TASKS,
 };
 pub use anomaly::{
     find_interference_removal_anomaly, find_interference_removal_anomaly_on,

@@ -229,11 +229,12 @@ pub fn portfolio_with_budget(tasks: &[ControlTask], max_checks: u64) -> Portfoli
 }
 
 /// [`portfolio_with_budget`] over an existing [`StabilityChecker`] —
-/// the memo-sharing entry point for streaming callers (the
-/// `csa-monitor` service seats one warm memo per task set across
-/// requests). The outcome is identical to a fresh-checker run on the
-/// same slice: memo warmth changes only `cache_hits`, never verdicts,
-/// logical check counts, or the truncation point.
+/// the memo-sharing entry point for callers that ask further questions
+/// of the same slice (the census classification runs the search and
+/// its anomaly scans on one checker). The outcome is identical to a
+/// fresh-checker run on the same slice: memo warmth changes only
+/// `cache_hits`, never verdicts, logical check counts, or the
+/// truncation point.
 ///
 /// # Panics
 ///

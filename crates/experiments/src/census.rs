@@ -282,10 +282,11 @@ pub fn classify_instance(tasks: &[ControlTask], search: &SearchConfig) -> Instan
 }
 
 /// [`classify_instance`] over an existing (possibly warm)
-/// [`StabilityChecker`] — the memo-sharing entry point the streaming
-/// service uses to keep one warm memo per task set across requests.
-/// Every step is pure in the verdicts, so warmth changes only cache-hit
-/// telemetry, never the classification.
+/// [`StabilityChecker`], so the caller can read the run's check counts
+/// and ask further questions of the same memo (the streaming service
+/// takes each admitted assignment's slacks from it). Every step is pure
+/// in the verdicts, so warmth changes only cache-hit telemetry, never
+/// the classification.
 ///
 /// # Panics
 ///

@@ -158,7 +158,7 @@ fn main() {
     }
 
     eprintln!(
-        "monitor: {} requests, {} events, {} quarantined, lifecycle {}, {} logical checks ({} computed), {} warm memo tables",
+        "monitor: {} requests, {} events, {} quarantined, lifecycle {}, {} logical checks ({} computed), {} banked assessments",
         engine.processed(),
         engine.events_emitted(),
         engine.quarantined(),

@@ -1,5 +1,5 @@
-//! The monitoring engine: deterministic batch windows over one shared
-//! warm verdict memo, baseline lifecycle, and the anomaly event
+//! The monitoring engine: deterministic batch windows over a bank of
+//! finished assessments, baseline lifecycle, and the anomaly event
 //! machine.
 //!
 //! # Determinism contract
@@ -8,9 +8,12 @@
 //! order regardless of arrival interleaving, and each request's
 //! assessment exposes only memo-invariant quantities (verdicts,
 //! logical check counts, truncation flags, slacks, census classes).
-//! Memo warmth therefore changes *latency only* — the response stream,
-//! the learned baseline, and every emitted event are bit-identical at
-//! any batch size, thread count, and memo-bank state (covered by the
+//! An assessment is a pure function of the task set and the engine's
+//! [`SearchConfig`], so each batch group of equal sets is classified
+//! once and the result is banked whole for later equal sets. Banking
+//! therefore changes *latency only* — the response stream, the learned
+//! baseline, and every emitted event are bit-identical at any batch
+//! size, thread count, and bank state (covered by the
 //! `service_vs_batch` differential suite).
 //!
 //! # Event machine
@@ -22,9 +25,8 @@
 //! then silenced for `cooldown` further requests.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::Mutex;
 
-use csa_core::{check_task, ControlTask, StabilityChecker, VerdictMemo, MEMO_MAX_TASKS};
+use csa_core::{ControlTask, StabilityChecker};
 use csa_experiments::artifact::{hex, Fnv64};
 use csa_experiments::{
     classify_instance, classify_instance_on, generate_benchmark, instance_seed,
@@ -59,7 +61,8 @@ pub struct MonitorConfig {
     pub drift_window: usize,
     /// Drift fires at `trailing_rate - baseline_rate >= drift_threshold`.
     pub drift_threshold: f64,
-    /// Maximum task-set memo tables kept warm (FIFO eviction).
+    /// Maximum task-set assessments kept banked (FIFO eviction; a hit
+    /// moves to the back).
     pub memo_tables: usize,
 }
 
@@ -82,9 +85,9 @@ impl Default for MonitorConfig {
 }
 
 /// [`Fnv64`] over every field of the task list (labels, execution times,
-/// periods, and the raw `(a, b)` float bits): the memo bank's task-set
-/// fingerprint. It is verified by full equality on every take, so a
-/// collision can only cost warmth, never correctness.
+/// periods, and the raw `(a, b)` float bits): the assessment bank's
+/// task-set fingerprint. It is verified by full equality on every take,
+/// so a collision can only cost a reclassification, never correctness.
 pub(crate) fn task_fingerprint(tasks: &[ControlTask]) -> u64 {
     let mut h = Fnv64::default();
     for t in tasks {
@@ -102,51 +105,61 @@ pub(crate) fn task_fingerprint(tasks: &[ControlTask]) -> u64 {
     h.finish()
 }
 
-/// Warm verdict-memo tables keyed by task-set fingerprint, FIFO-bounded.
-#[derive(Debug, Default)]
-pub(crate) struct MemoBank {
-    tables: BTreeMap<u64, (Vec<ControlTask>, VerdictMemo)>,
+/// One finished classification: the assessment every equal task set
+/// gets, the logical checks it costs each request, and the checks its
+/// run computed.
+#[derive(Debug, Clone)]
+struct Banked {
+    assessment: Assessment,
+    logical: u64,
+    computed: u64,
+}
+
+/// Finished classifications keyed by task-set fingerprint, FIFO-bounded.
+#[derive(Debug)]
+pub(crate) struct AssessmentBank {
+    entries: BTreeMap<u64, (Vec<ControlTask>, Banked)>,
     order: VecDeque<u64>,
     cap: usize,
 }
 
-impl MemoBank {
-    fn new(cap: usize) -> MemoBank {
-        MemoBank {
-            tables: BTreeMap::new(),
+impl AssessmentBank {
+    fn new(cap: usize) -> AssessmentBank {
+        AssessmentBank {
+            entries: BTreeMap::new(),
             order: VecDeque::new(),
             cap: cap.max(1),
         }
     }
 
-    /// Removes and returns the memo for `fingerprint` — only if the
-    /// stored task set is *equal* to `tasks` (seating a memo from a
-    /// different set would silently corrupt verdicts).
-    fn take(&mut self, fingerprint: u64, tasks: &[ControlTask]) -> Option<VerdictMemo> {
-        match self.tables.remove(&fingerprint) {
-            Some((stored, memo)) if stored == tasks => {
+    /// Removes and returns the entry for `fingerprint` — only if the
+    /// stored task set is *equal* to `tasks` (another set's assessment
+    /// would be a wrong answer, not a slow one).
+    fn take(&mut self, fingerprint: u64, tasks: &[ControlTask]) -> Option<Banked> {
+        match self.entries.remove(&fingerprint) {
+            Some((stored, banked)) if stored == tasks => {
                 self.order.retain(|&fp| fp != fingerprint);
-                Some(memo)
+                Some(banked)
             }
             Some(entry) => {
                 // Fingerprint collision: keep the resident entry, treat
                 // as a miss.
-                self.tables.insert(fingerprint, entry);
+                self.entries.insert(fingerprint, entry);
                 None
             }
             None => None,
         }
     }
 
-    /// Stores (or refreshes) a memo table, evicting FIFO past the cap.
-    fn put(&mut self, fingerprint: u64, tasks: Vec<ControlTask>, memo: VerdictMemo) {
-        if self.tables.insert(fingerprint, (tasks, memo)).is_none() {
+    /// Stores (or refreshes) an entry, evicting FIFO past the cap.
+    fn put(&mut self, fingerprint: u64, tasks: Vec<ControlTask>, banked: Banked) {
+        if self.entries.insert(fingerprint, (tasks, banked)).is_none() {
             self.order.push_back(fingerprint);
         }
-        while self.tables.len() > self.cap {
+        while self.entries.len() > self.cap {
             match self.order.pop_front() {
                 Some(old) => {
-                    self.tables.remove(&old);
+                    self.entries.remove(&old);
                 }
                 None => break,
             }
@@ -154,7 +167,7 @@ impl MemoBank {
     }
 
     fn len(&self) -> usize {
-        self.tables.len()
+        self.entries.len()
     }
 }
 
@@ -197,7 +210,7 @@ struct Prep {
 
 /// One equal-task-set group inside a batch window.
 struct Group {
-    /// `None` for fingerprint-collision singletons (never memo-banked).
+    /// `None` for fingerprint-collision singletons (never banked).
     fingerprint: Option<u64>,
     tasks: Vec<ControlTask>,
     /// Indices into the sorted batch that share this task set.
@@ -213,7 +226,7 @@ pub struct MonitorEngine {
     pub(crate) events_state: BTreeMap<String, EventState>,
     /// Trailing truncation flags of assessed requests (drift detector).
     pub(crate) window: VecDeque<bool>,
-    memo: MemoBank,
+    bank: AssessmentBank,
     pending: Vec<Request>,
     pub(crate) processed: u64,
     pub(crate) events_emitted: u64,
@@ -226,13 +239,13 @@ impl MonitorEngine {
     /// Creates an idle engine with an empty building-phase baseline.
     pub fn new(config: MonitorConfig) -> MonitorEngine {
         let baseline = Baseline::new(config.min_samples, config.min_coverage);
-        let memo = MemoBank::new(config.memo_tables);
+        let bank = AssessmentBank::new(config.memo_tables);
         MonitorEngine {
             config,
             baseline,
             events_state: BTreeMap::new(),
             window: VecDeque::new(),
-            memo,
+            bank,
             pending: Vec::new(),
             processed: 0,
             events_emitted: 0,
@@ -277,17 +290,21 @@ impl MonitorEngine {
         self.pending.len()
     }
 
-    /// Warm memo tables currently banked.
+    /// Task-set assessments currently banked.
     pub fn memo_tables(&self) -> usize {
-        self.memo.len()
+        self.bank.len()
     }
 
-    /// Logical exact stability checks spent so far (memo-invariant).
+    /// Logical exact stability checks spent so far (memo-invariant):
+    /// each assessed request counts its classification's checks plus its
+    /// `n` slack checks, whether classified or served from the bank
+    /// (sets wider than [`csa_core::MEMO_MAX_TASKS`] count none).
     pub fn logical_checks(&self) -> u64 {
         self.logical_checks
     }
 
-    /// Checks actually computed (logical minus warm-memo hits) —
+    /// Checks whose fixed points actually ran: a classified group
+    /// computes each distinct check once, a bank hit computes none —
     /// telemetry only, never part of a response.
     pub fn computed_checks(&self) -> u64 {
         self.computed_checks
@@ -329,38 +346,27 @@ impl MonitorEngine {
         let materialized: Vec<Result<Vec<ControlTask>, String>> =
             parallel_map_catching(batch.len(), threads, |i| materialize(&batch[i]));
 
-        // Group equal task sets so each group shares one warm checker.
+        // Group equal task sets so each group is classified once.
         let groups = group_batch(&materialized);
 
-        // Seat each group's warm memo (bank access is sequential).
-        let seats: Vec<Mutex<Option<VerdictMemo>>> = groups
+        // Bank look-up (sequential). A hit is taken out and put back
+        // below with the misses, so it moves to the FIFO's back.
+        let hits: Vec<Option<Banked>> = groups
             .iter()
-            .map(|g| {
-                let memo = g
-                    .fingerprint
-                    .and_then(|fp| self.memo.take(fp, &g.tasks))
-                    .unwrap_or_default();
-                Mutex::new(Some(memo))
-            })
+            .map(|g| g.fingerprint.and_then(|fp| self.bank.take(fp, &g.tasks)))
             .collect();
 
-        // Stage B: assess each group on one checker seeded with its
-        // warm memo. Panics are contained per group.
+        // Stage B: classify each missed group once, on a fresh checker.
+        // Panics are contained per group.
         let search = self.config.search;
-        let assessed: Vec<Result<GroupResult, String>> =
-            parallel_map_catching(groups.len(), threads, |gi| {
-                let group = &groups[gi];
-                let memo = seats[gi]
-                    .lock()
-                    .ok()
-                    .and_then(|mut seat| seat.take())
-                    .unwrap_or_default();
-                assess_group(group, memo, &search)
+        let assessed: Vec<Result<Banked, String>> =
+            parallel_map_catching(groups.len(), threads, |gi| match &hits[gi] {
+                Some(banked) => banked.clone(),
+                None => assess(&groups[gi].tasks, &search),
             });
 
-        // Scatter group results back to per-request slots, bank the
-        // warm memos, and count checker telemetry (groups and results
-        // are consumed — no clones on the hot path).
+        // Scatter each group's assessment to its requests' slots, count
+        // checker telemetry, and bank the results.
         let mut slots: Vec<Option<Result<Assessment, String>>> =
             batch.iter().map(|_| None).collect();
         for (i, mat) in materialized.iter().enumerate() {
@@ -368,16 +374,20 @@ impl MonitorEngine {
                 slots[i] = Some(Err(msg.clone()));
             }
         }
-        for (group, result) in groups.into_iter().zip(assessed) {
+        for ((group, hit), result) in groups.into_iter().zip(hits).zip(assessed) {
             match result {
-                Ok(gr) => {
-                    self.logical_checks += gr.logical;
-                    self.computed_checks += gr.computed;
-                    for (&pos, a) in group.positions.iter().zip(gr.assessments) {
-                        slots[pos] = Some(Ok(a));
+                Ok(banked) => {
+                    // Every request spends the logical checks; only a
+                    // miss computed any, once for its whole group.
+                    self.logical_checks += group.positions.len() as u64 * banked.logical;
+                    if hit.is_none() {
+                        self.computed_checks += banked.computed;
                     }
-                    if let (Some(fp), Some(memo)) = (group.fingerprint, gr.memo) {
-                        self.memo.put(fp, group.tasks, memo);
+                    for &pos in &group.positions {
+                        slots[pos] = Some(Ok(banked.assessment.clone()));
+                    }
+                    if let Some(fp) = group.fingerprint {
+                        self.bank.put(fp, group.tasks, banked);
                     }
                 }
                 Err(msg) => {
@@ -655,125 +665,50 @@ fn group_batch(materialized: &[Result<Vec<ControlTask>, String>]) -> Vec<Group> 
     groups
 }
 
-/// One group's assessments plus its (returned) warm memo and checker
-/// telemetry.
-struct GroupResult {
-    assessments: Vec<Assessment>,
-    memo: Option<VerdictMemo>,
-    logical: u64,
-    computed: u64,
-}
-
-fn assess_group(group: &Group, memo: VerdictMemo, search: &SearchConfig) -> GroupResult {
-    if group.tasks.len() > MEMO_MAX_TASKS {
-        // Wide sets bypass the shared memo (bounded-width masks).
-        let assessments = group
-            .positions
-            .iter()
-            .map(|_| assess_wide(&group.tasks, search))
-            .collect();
-        return GroupResult {
-            assessments,
-            memo: None,
-            logical: 0,
-            computed: 0,
-        };
+/// Classifies one task set on a fresh checker. A narrow set's `n` slack
+/// checks run on the classification's checker, so they count as logical;
+/// a wide set (`n > MEMO_MAX_TASKS`) takes the reference classification
+/// and counts no checks. Everything in the assessment is memo-invariant.
+fn assess(tasks: &[ControlTask], search: &SearchConfig) -> Banked {
+    let mut checker = StabilityChecker::new(tasks);
+    let c = if checker.memoized() {
+        classify_instance_on(&mut checker, search)
+    } else {
+        classify_instance(tasks, search)
+    };
+    let verdict = if c.solvable() {
+        Verdict::Admit
+    } else if c.truncated() {
+        Verdict::Unknown
+    } else {
+        Verdict::Reject
+    };
+    // Minimum slack and normalized slack over the assignment's tasks.
+    let lower = |min: Option<f64>, v: f64| Some(min.filter(|&m| m < v).unwrap_or(v));
+    let (mut slack, mut norm_slack) = (None, None);
+    if let Some(pa) = &c.outcome.assignment {
+        for (i, task) in tasks.iter().enumerate() {
+            let s = checker.check(i, &pa.hp_indices(i)).slack;
+            slack = lower(slack, s);
+            norm_slack = lower(norm_slack, s / task.bound().b());
+        }
     }
-    let mut checker = StabilityChecker::with_memo(&group.tasks, memo);
-    let assessments = group
-        .positions
-        .iter()
-        .map(|_| assess_on(&mut checker, search))
-        .collect();
-    let logical = checker.logical_checks();
-    let computed = checker.computed_checks();
-    GroupResult {
-        assessments,
-        memo: Some(checker.into_memo()),
+    let (logical, computed) = if checker.memoized() {
+        (checker.logical_checks(), checker.computed_checks())
+    } else {
+        (0, 0)
+    };
+    Banked {
+        assessment: Assessment {
+            verdict,
+            checks: c.outcome.stats.checks,
+            truncated: c.outcome.stats.truncated,
+            slack,
+            norm_slack,
+            anomalies: c.kinds(),
+        },
         logical,
         computed,
-    }
-}
-
-/// Assesses one task set on a (possibly warm) checker. Everything
-/// returned is memo-invariant.
-fn assess_on(checker: &mut StabilityChecker<'_>, search: &SearchConfig) -> Assessment {
-    let c = classify_instance_on(checker, search);
-    let verdict = if c.solvable() {
-        Verdict::Admit
-    } else if c.truncated() {
-        Verdict::Unknown
-    } else {
-        Verdict::Reject
-    };
-    let (slack, norm_slack) = match &c.outcome.assignment {
-        Some(pa) => {
-            let mut min_s: Option<f64> = None;
-            let mut min_ns: Option<f64> = None;
-            for i in 0..checker.len() {
-                let v = checker.check(i, &pa.hp_indices(i));
-                let b = checker.tasks()[i].bound().b();
-                let ns = v.slack / b;
-                min_s = Some(match min_s {
-                    Some(cur) if cur < v.slack => cur,
-                    _ => v.slack,
-                });
-                min_ns = Some(match min_ns {
-                    Some(cur) if cur < ns => cur,
-                    _ => ns,
-                });
-            }
-            (min_s, min_ns)
-        }
-        None => (None, None),
-    };
-    Assessment {
-        verdict,
-        checks: c.outcome.stats.checks,
-        truncated: c.outcome.stats.truncated,
-        slack,
-        norm_slack,
-        anomalies: c.kinds(),
-    }
-}
-
-/// Wide-set (`n > MEMO_MAX_TASKS`) assessment via the reference paths.
-fn assess_wide(tasks: &[ControlTask], search: &SearchConfig) -> Assessment {
-    let c = classify_instance(tasks, search);
-    let verdict = if c.solvable() {
-        Verdict::Admit
-    } else if c.truncated() {
-        Verdict::Unknown
-    } else {
-        Verdict::Reject
-    };
-    let (slack, norm_slack) = match &c.outcome.assignment {
-        Some(pa) => {
-            let mut min_s: Option<f64> = None;
-            let mut min_ns: Option<f64> = None;
-            for i in 0..tasks.len() {
-                let v = check_task(tasks, i, &pa.hp_indices(i));
-                let ns = v.slack / tasks[i].bound().b();
-                min_s = Some(match min_s {
-                    Some(cur) if cur < v.slack => cur,
-                    _ => v.slack,
-                });
-                min_ns = Some(match min_ns {
-                    Some(cur) if cur < ns => cur,
-                    _ => ns,
-                });
-            }
-            (min_s, min_ns)
-        }
-        None => (None, None),
-    };
-    Assessment {
-        verdict,
-        checks: c.outcome.stats.checks,
-        truncated: c.outcome.stats.truncated,
-        slack,
-        norm_slack,
-        anomalies: c.kinds(),
     }
 }
 
@@ -862,5 +797,50 @@ mod tests {
         assert_eq!(engine.memo_tables(), 2);
         assert_eq!(out[0].checks, out[1].checks);
         assert_eq!(out[0].verdict, out[2].verdict);
+    }
+
+    #[test]
+    fn bank_serves_only_the_equal_set_and_a_hit_computes_nothing() {
+        let (req_a, req_b) = (generated(1, 0), generated(2, 1));
+        let (a, b) = (materialize(&req_a), materialize(&req_b));
+        let search = MonitorConfig::default().search;
+        let (banked_a, banked_b) = (assess(&a, &search), assess(&b, &search));
+        assert_ne!(banked_a.assessment, banked_b.assessment);
+
+        // Set A banked under B's fingerprint: a collision the public API
+        // cannot produce. B misses and the resident entry stays.
+        let f = task_fingerprint(&b);
+        let mut bank = AssessmentBank::new(4);
+        bank.put(f, a.clone(), banked_a.clone());
+        assert!(bank.take(f, &b).is_none(), "A's assessment served to B");
+        assert_eq!(bank.len(), 1);
+        let hit = bank.take(f, &a).expect("the equal set hits");
+        assert_eq!(hit.assessment, banked_a.assessment);
+        assert_eq!(bank.len(), 0);
+
+        // Through the engine: B is classified afresh and replaces A's
+        // entry; a repeat of B then adds the banked logical count and
+        // computes nothing.
+        let mut engine = MonitorEngine::new(MonitorConfig {
+            batch_window: 1,
+            ..MonitorConfig::default()
+        });
+        engine.bank.put(f, a, banked_a);
+        let repeat = Request {
+            id: 3,
+            payload: req_b.payload.clone(),
+        };
+        for (k, request) in [req_b, repeat].into_iter().enumerate() {
+            let out = engine.submit(request);
+            let expected = &banked_b.assessment;
+            assert_eq!(out[0].verdict, expected.verdict);
+            assert_eq!(out[0].checks, expected.checks);
+            assert_eq!(out[0].slack, expected.slack);
+            assert_eq!(out[0].norm_slack, expected.norm_slack);
+            assert_eq!(out[0].anomalies, expected.anomalies);
+            assert_eq!(engine.logical_checks(), (k as u64 + 1) * banked_b.logical);
+            assert_eq!(engine.computed_checks(), banked_b.computed);
+        }
+        assert_eq!(engine.memo_tables(), 1);
     }
 }

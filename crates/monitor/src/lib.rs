@@ -8,10 +8,11 @@
 //! when one leaves the nominal envelope* — library-first (no network
 //! dependency), with a stdin/stdout JSONL binary on top.
 //!
-//! * [`MonitorEngine`] — deterministic batch windows over one shared
-//!   warm [`csa_core::VerdictMemo`]: a window of `K` requests yields
-//!   bit-identical responses at any batch size, thread count, and memo
-//!   warmth, because every exposed quantity is memo-invariant.
+//! * [`MonitorEngine`] — deterministic batch windows over a bank of
+//!   finished assessments: each group of equal task sets is classified
+//!   once and later equal sets reuse the result, so a window of `K`
+//!   requests yields bit-identical responses at any batch size, thread
+//!   count, and bank state.
 //! * [`Baseline`] — learned nominal margin statistics per
 //!   `(n, profile)` cell with an explicit Building → Locked lifecycle;
 //!   locked statistics are a pure function of the observed sample
@@ -21,8 +22,8 @@
 //!   drift, and contained-panic quarantines, gated by persistence and
 //!   cooldown.
 //! * [`snapshot`] — crash-safe `csamon1` persistence (fingerprint
-//!   header + atomic rename), excluding warmth so a cold resume
-//!   continues the stream byte-identically.
+//!   header + atomic rename), excluding the assessment bank so a resume
+//!   with an empty bank continues the stream byte-identically.
 //! * [`generate_stream`] — seeded request streams addressed exactly
 //!   like the census sweep's instances, for differential pinning.
 //!

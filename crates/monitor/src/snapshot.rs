@@ -4,9 +4,11 @@
 //! a restart for the response stream to continue bit-identically: the
 //! baseline lifecycle (raw building samples or locked statistics), the
 //! drift window, the per-class event machine, and the stream counters.
-//! It deliberately **excludes** the warm memo bank and the
-//! logical/computed check telemetry — warmth affects latency only, so
-//! a resumed service converges to the same bytes with a cold bank.
+//! It deliberately **excludes** the assessment bank and the
+//! logical/computed check telemetry — a banked assessment is a pure
+//! function of its task set and the search, so the bank affects latency
+//! only, and a resumed service converges to the same bytes with an
+//! empty one.
 //!
 //! The fingerprint header pins every configuration knob that *does*
 //! shape the stream (search mode, budget, lock thresholds, event

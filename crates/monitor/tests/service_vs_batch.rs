@@ -9,6 +9,7 @@
 //! every batch size and thread count, both as typed values and as
 //! serialized JSONL.
 
+use csa_core::analyze;
 use csa_experiments::{parse_witness_corpus, SearchConfig, Witness};
 use csa_monitor::jsonl::response_line;
 use csa_monitor::{MonitorConfig, MonitorEngine, Payload, Request, Response, Verdict};
@@ -45,38 +46,63 @@ fn run_service(witnesses: &[Witness], batch_window: usize, threads: usize) -> Ve
     responses
 }
 
+/// Bits of the minimum of `values` (`None` when empty).
+fn min_bits(values: impl Iterator<Item = f64>) -> Option<u64> {
+    values.reduce(f64::min).map(f64::to_bits)
+}
+
 #[test]
 fn service_verdicts_equal_batch_classification() {
     let witnesses = corpus();
-    let responses = run_service(&witnesses, 8, 1);
-    assert_eq!(responses.len(), witnesses.len());
     let search = SearchConfig::default();
-    for (witness, response) in witnesses.iter().zip(&responses) {
-        let reference = csa_experiments::classify_instance(&witness.tasks, &search);
-        let expected = if reference.solvable() {
-            Verdict::Admit
-        } else if reference.truncated() {
-            Verdict::Unknown
-        } else {
-            Verdict::Reject
-        };
-        assert_eq!(response.verdict, expected, "witness {witness:?}");
-        assert_eq!(response.checks, reference.outcome.stats.checks);
-        assert_eq!(response.truncated, reference.outcome.stats.truncated);
-        assert_eq!(response.anomalies, reference.kinds(), "witness {witness:?}");
-        assert_eq!(response.n, witness.tasks.len());
-        assert_eq!(response.profile, csa_monitor::INLINE_PROFILE);
-        assert!(response.quarantine.is_none());
-        // The corpus records pathologies: the recorded class must
-        // resurface in the service's census classification whenever
-        // the instance admits (anomaly classes are defined relative to
-        // a found assignment; unsolvable instances legitimately report
-        // none).
-        if response.verdict == Verdict::Admit {
-            assert!(
-                !response.anomalies.is_empty(),
-                "admitted corpus witness lost its anomaly: {witness:?}"
+    // Batch 1 answers every repeated corpus set from the bank; batch 8
+    // also shares classifications within a window.
+    for batch_window in [1usize, 8] {
+        let responses = run_service(&witnesses, batch_window, 1);
+        assert_eq!(responses.len(), witnesses.len());
+        for (witness, response) in witnesses.iter().zip(&responses) {
+            let reference = csa_experiments::classify_instance(&witness.tasks, &search);
+            let expected = if reference.solvable() {
+                Verdict::Admit
+            } else if reference.truncated() {
+                Verdict::Unknown
+            } else {
+                Verdict::Reject
+            };
+            assert_eq!(response.verdict, expected, "witness {witness:?}");
+            assert_eq!(response.checks, reference.outcome.stats.checks);
+            assert_eq!(response.truncated, reference.outcome.stats.truncated);
+            assert_eq!(response.anomalies, reference.kinds(), "witness {witness:?}");
+            assert_eq!(response.n, witness.tasks.len());
+            assert_eq!(response.profile, csa_monitor::INLINE_PROFILE);
+            assert!(response.quarantine.is_none());
+            // Slacks, recomputed cold under the reference's assignment.
+            let verdicts = match &reference.outcome.assignment {
+                Some(pa) => analyze(&witness.tasks, pa),
+                None => Vec::new(),
+            };
+            let bounds = witness.tasks.iter().map(|t| t.bound().b());
+            assert_eq!(
+                response.slack.map(f64::to_bits),
+                min_bits(verdicts.iter().map(|v| v.slack)),
+                "slack of witness {witness:?} at batch {batch_window}"
             );
+            assert_eq!(
+                response.norm_slack.map(f64::to_bits),
+                min_bits(verdicts.iter().zip(bounds).map(|(v, b)| v.slack / b)),
+                "norm_slack of witness {witness:?} at batch {batch_window}"
+            );
+            // The corpus records pathologies: the recorded class must
+            // resurface in the service's census classification whenever
+            // the instance admits (anomaly classes are defined relative to
+            // a found assignment; unsolvable instances legitimately report
+            // none).
+            if response.verdict == Verdict::Admit {
+                assert!(
+                    !response.anomalies.is_empty(),
+                    "admitted corpus witness lost its anomaly: {witness:?}"
+                );
+            }
         }
     }
 }
