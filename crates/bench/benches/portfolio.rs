@@ -4,10 +4,10 @@
 //! per-instance runtime at every budget, and strict OPA gives the
 //! lower baseline it stages on top of.
 //!
-//! Plain unbudgeted backtracking is deliberately absent here — a single
-//! tail instance can run for minutes, which is exactly the pathology
-//! the portfolio exists to bound; the fig5 driver measures it when
-//! explicitly asked (`--search backtracking`).
+//! Plain unbudgeted backtracking is absent here: `fig5_runtime` and the
+//! `fig5` binary (`--search backtracking`) time it. A tail instance
+//! still counts its exponential number of logical checks, but since the
+//! failed-set memo (DESIGN.md §7) it no longer runs for minutes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use csa_bench::fixed_benchmarks_with;

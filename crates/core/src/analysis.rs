@@ -303,7 +303,7 @@ impl<'a> StabilityChecker<'a> {
             let mask = hp_idx.iter().fold(0u64, |m, &j| m | (1u64 << j));
             self.check_mask(i, mask)
         } else {
-            self.logical += 1;
+            self.logical = self.logical.saturating_add(1);
             self.computed += 1;
             let tasks = self.tasks;
             let rb = self
@@ -330,7 +330,7 @@ impl<'a> StabilityChecker<'a> {
             hp_mask & (1u64 << i) == 0,
             "task {i} cannot be in its own higher-priority set"
         );
-        self.logical += 1;
+        self.logical = self.logical.saturating_add(1);
         let key = (i as u32, hp_mask);
         if let Some(memo) = self.memo.as_ref() {
             if let Some(&v) = memo.get(&key) {
@@ -349,8 +349,17 @@ impl<'a> StabilityChecker<'a> {
         v
     }
 
+    /// Counts `checks` logical checks answered from the memo without
+    /// asking for them one by one: the checks of a search subtree whose
+    /// every verdict is already memoized, which the caller skips (the
+    /// failed-set memo of the input-order backtracking search).
+    pub(crate) fn credit_hits(&mut self, checks: u64) {
+        debug_assert!(self.memo.is_some(), "only a memoized checker has hits");
+        self.logical = self.logical.saturating_add(checks);
+    }
+
     /// Total checks requested (the paper's work metric, identical with
-    /// and without memoization).
+    /// and without memoization). Saturates at `u64::MAX`.
     pub fn logical_checks(&self) -> u64 {
         self.logical
     }

@@ -33,9 +33,23 @@
 //! counts are bit-identical to the retained [`reference`]
 //! implementations — a property the `csa-core` test suite enforces on
 //! random task sets.
+//!
+//! On top of it, the input-order [`backtracking`] search keeps a
+//! *failed-set memo*: whether a remaining set can be ordered, and the
+//! logical checks and backtracks it takes to find out, depend on that
+//! set alone, so a set whose subtree failed once is never walked again.
+//! A revisit adds the stored counts and credits the checks to the
+//! checker as memo hits (a re-walk would answer every one from the
+//! verdict memo), so no count moves — budgets included — but the work
+//! done is at most one expansion per subset instead of one per ordering
+//! (DESIGN.md §7).
 
 use crate::analysis::{check_task, BitIter, PriorityAssignment, StabilityChecker, MEMO_MAX_TASKS};
+use crate::fxhash::FxBuildHasher;
 use crate::stability::ControlTask;
+// The failed-set memo below is keyed lookup only — it is never
+// iterated, so its nondeterministic order cannot leak into results.
+use std::collections::HashMap; // csa-lint: allow(D001) probed by key only, never iterated
 
 /// Instrumentation counters for an assignment run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -53,11 +67,14 @@ pub struct AssignmentStats {
     pub cache_hits: u64,
     /// Whether the search was cut short by a check budget before it
     /// could decide. A truncated run returning no assignment means
-    /// "unknown", not "infeasible". Always `false` for the unbudgeted
-    /// entry points ([`backtracking`], [`unsafe_quadratic`],
-    /// [`audsley_opa`], [`exhaustive`]); mirrors the `bool` returned by
-    /// [`backtracking_with_budget`] so sweeps that only keep the stats
-    /// can still report truncated-instance counts.
+    /// "unknown", not "infeasible". Always `false` for
+    /// [`unsafe_quadratic`], [`audsley_opa`] and [`exhaustive`]. The
+    /// unbudgeted [`backtracking`] runs with a budget of `u64::MAX` and
+    /// reports `true` only when its search reaches that many logical
+    /// checks (`checks` then reads `u64::MAX`), which the failed-set
+    /// memo makes reachable on deep infeasible sets. Mirrors the `bool`
+    /// returned by [`backtracking_with_budget`] so sweeps that only keep
+    /// the stats can still report truncated-instance counts.
     pub truncated: bool,
 }
 
@@ -144,11 +161,11 @@ pub fn backtracking(tasks: &[ControlTask]) -> AssignmentOutcome {
 }
 
 /// [`backtracking`] with an explicit candidate order (see
-/// [`CandidateOrder`]).
+/// [`CandidateOrder`]): [`backtracking_with_budget`] at `u64::MAX`
+/// checks, so it truncates only a search that makes that many (see
+/// [`AssignmentStats::truncated`]).
 pub fn backtracking_with_order(tasks: &[ControlTask], order: CandidateOrder) -> AssignmentOutcome {
-    let (outcome, truncated) = backtracking_with_budget(tasks, order, u64::MAX);
-    debug_assert!(!truncated, "unbounded search cannot be truncated");
-    outcome
+    backtracking_with_budget(tasks, order, u64::MAX).0
 }
 
 /// [`backtracking`] with a stability-check budget.
@@ -159,7 +176,8 @@ pub fn backtracking_with_order(tasks: &[ControlTask], order: CandidateOrder) -> 
 /// of exact stability checks. Returns the outcome plus a flag telling
 /// whether the search was cut short — a truncated `None` means
 /// "unknown", not "infeasible". The budget counts *logical* checks, so
-/// memoization does not move the truncation point.
+/// memoization does not move the truncation point. At `u64::MAX` the
+/// search still truncates when it reaches that many checks.
 ///
 /// # Examples
 ///
@@ -213,11 +231,17 @@ pub fn backtracking_on_checker(
     let n = checker.len();
     let full = checker.full_mask();
     let hits_before = checker.cache_hits();
+    let remaining = match order {
+        CandidateOrder::Input => Vec::new(),
+        CandidateOrder::MaxSlackFirst => (0..n).collect(),
+    };
     let mut search = BacktrackSearch {
         checker,
         order,
-        remaining: (0..n).collect(),
+        remaining,
         bottom_up: Vec::with_capacity(n),
+        // csa-lint: allow(D001) probed by key only, never iterated
+        failed: HashMap::default(),
         stats: AssignmentStats::default(),
         max_checks,
         truncated: false,
@@ -241,18 +265,37 @@ pub fn backtracking_on_checker(
     )
 }
 
+/// Entries the failed-set memo of one search may hold before it starts
+/// over. A dropped entry costs time (its subtree is walked again), never
+/// a count.
+const FAILED_SETS_CAP: usize = 1 << 18;
+
 /// State of one memoized backtracking run (Algorithm 1).
 ///
-/// `remaining` mirrors the remaining-set bitmask as a vector mutated
-/// exactly like the reference implementation's (swap-remove on descend,
-/// push on backtrack) because the [`CandidateOrder::MaxSlackFirst`]
-/// stable sort breaks slack ties by that vector's incidental order — and
+/// Under [`CandidateOrder::Input`], whether a remaining set `S` can be
+/// ordered, and the logical checks and backtracks it takes to find out,
+/// depend on `S` alone: each level tries `S`'s tasks in ascending index
+/// order, and each verdict depends on the candidate and `S`. So `failed`
+/// maps every remaining set whose subtree failed to that subtree's
+/// `(checks, backtracks)`, and a later visit adds them without walking
+/// it again whenever the plain walk would finish within the budget (see
+/// [`Self::input_level`]). The root set is never stored: it is visited
+/// once.
+///
+/// `remaining` is kept only under [`CandidateOrder::MaxSlackFirst`]: a
+/// vector mutated exactly like the reference implementation's
+/// (swap-remove on descend, push on backtrack) because that order's
+/// stable sort breaks slack ties by the vector's incidental order — and
 /// the memoized search must replay the reference search bit for bit.
+/// That dependence on order is also why the failed-set memo is not used
+/// there.
 struct BacktrackSearch<'c, 'a> {
     checker: &'c mut StabilityChecker<'a>,
     order: CandidateOrder,
     remaining: Vec<usize>,
     bottom_up: Vec<usize>,
+    // csa-lint: allow(D001) probed by key only, never iterated
+    failed: HashMap<u64, (u64, u64), FxBuildHasher>,
     stats: AssignmentStats,
     max_checks: u64,
     truncated: bool,
@@ -268,57 +311,100 @@ impl BacktrackSearch<'_, '_> {
             return false;
         }
         match self.order {
-            CandidateOrder::Input => {
-                // Ascending bit order == the reference's sorted clone of
-                // the remaining set, without the clone.
-                for cand in BitIter(remaining_mask) {
-                    if self.stats.checks >= self.max_checks {
-                        self.truncated = true;
-                        return false;
-                    }
-                    self.stats.checks += 1;
-                    let stable = self
-                        .checker
-                        .check_mask(cand, remaining_mask & !(1u64 << cand))
-                        .stable;
-                    if stable {
-                        if self.descend(remaining_mask, cand) {
-                            return true;
-                        }
-                        if self.truncated {
-                            return false;
-                        }
-                    }
-                }
+            CandidateOrder::Input => self.input_level(remaining_mask),
+            CandidateOrder::MaxSlackFirst => self.slack_level(remaining_mask),
+        }
+    }
+
+    /// One level of the input-order search: the reference's sorted
+    /// clone of the remaining set is the ascending bit order of its
+    /// mask.
+    ///
+    /// A failed set found in the memo with cost `c` is skipped when
+    /// `checks + c <= max_checks`. The plain walk's last truncation test
+    /// inside that subtree would see at most `checks + c - 1`, so it
+    /// would finish the subtree untruncated with exactly the stored
+    /// counts; and every check it made would be a verdict-memo hit,
+    /// which [`StabilityChecker::credit_hits`] records. Otherwise the
+    /// subtree is walked, its children's entries still apply, and
+    /// truncation lands on the same logical check as the plain search.
+    fn input_level(&mut self, mask: u64) -> bool {
+        if let Some(&(checks, backtracks)) = self.failed.get(&mask) {
+            if self
+                .stats
+                .checks
+                .checked_add(checks)
+                .is_some_and(|total| total <= self.max_checks)
+            {
+                self.stats.checks += checks;
+                self.stats.backtracks += backtracks;
+                self.checker.credit_hits(checks);
+                return false;
             }
-            CandidateOrder::MaxSlackFirst => {
-                let mut scored: Vec<(f64, usize)> = Vec::with_capacity(self.remaining.len());
-                for idx in 0..self.remaining.len() {
-                    let cand = self.remaining[idx];
-                    self.stats.checks += 1;
-                    let slack = self
-                        .checker
-                        .check_mask(cand, remaining_mask & !(1u64 << cand))
-                        .slack;
-                    scored.push((slack, cand));
+        }
+        let (checks_before, backtracks_before) = (self.stats.checks, self.stats.backtracks);
+        for cand in BitIter(mask) {
+            if self.stats.checks >= self.max_checks {
+                self.truncated = true;
+                return false;
+            }
+            self.stats.checks += 1;
+            let rest = mask & !(1u64 << cand);
+            if self.checker.check_mask(cand, rest).stable {
+                self.bottom_up.push(cand);
+                if self.recurse(rest) {
+                    return true;
                 }
-                order_by_slack_desc(&mut scored);
-                for (slack, cand) in scored {
-                    // Pre-filtered to stable candidates; no re-check.
-                    if !slack_admits(slack) {
-                        continue;
-                    }
-                    if self.stats.checks >= self.max_checks {
-                        self.truncated = true;
-                        return false;
-                    }
-                    if self.descend(remaining_mask, cand) {
-                        return true;
-                    }
-                    if self.truncated {
-                        return false;
-                    }
+                if self.truncated {
+                    return false;
                 }
+                self.stats.backtracks += 1;
+                self.bottom_up.pop();
+            }
+        }
+        // Nothing placed yet: the root set, which is visited only once.
+        if !self.bottom_up.is_empty() {
+            if self.failed.len() >= FAILED_SETS_CAP {
+                self.failed.clear();
+            }
+            let cost = (
+                self.stats.checks - checks_before,
+                self.stats.backtracks - backtracks_before,
+            );
+            self.failed.insert(mask, cost);
+        }
+        false
+    }
+
+    /// One level of the [`CandidateOrder::MaxSlackFirst`] search: score
+    /// every remaining task, then descend into the stable ones, largest
+    /// slack first.
+    fn slack_level(&mut self, remaining_mask: u64) -> bool {
+        let mut scored: Vec<(f64, usize)> = Vec::with_capacity(self.remaining.len());
+        for idx in 0..self.remaining.len() {
+            let cand = self.remaining[idx];
+            self.stats.checks += 1;
+            let slack = self
+                .checker
+                .check_mask(cand, remaining_mask & !(1u64 << cand))
+                .slack;
+            scored.push((slack, cand));
+        }
+        order_by_slack_desc(&mut scored);
+        for (slack, cand) in scored {
+            // Pre-filtered to stable candidates; no re-check.
+            if !slack_admits(slack) {
+                continue;
+            }
+            if self.stats.checks >= self.max_checks {
+                self.truncated = true;
+                return false;
+            }
+            if self.descend(remaining_mask, cand) {
+                return true;
+            }
+            if self.truncated {
+                return false;
             }
         }
         false
@@ -668,9 +754,7 @@ pub mod reference {
         tasks: &[ControlTask],
         order: CandidateOrder,
     ) -> AssignmentOutcome {
-        let (outcome, truncated) = backtracking_with_budget(tasks, order, u64::MAX);
-        debug_assert!(!truncated, "unbounded search cannot be truncated");
-        outcome
+        backtracking_with_budget(tasks, order, u64::MAX).0
     }
 
     /// Reference [`crate::backtracking_with_budget`].

@@ -136,10 +136,13 @@ impl PortfolioOutcome {
 pub const SLACK_PROBE_FACTOR: u64 = 8;
 
 /// [`portfolio_with_budget`] without a budget: the complete anytime
-/// ladder. Never truncated — the final restart is the paper's complete
-/// Algorithm 1 — so its feasibility verdict always agrees with
+/// ladder. The final restart is the paper's complete Algorithm 1, so
+/// the feasibility verdict always agrees with
 /// [`backtracking`](crate::backtracking) (the `csa-core` property tests
-/// pin this).
+/// pin this). Like it, the ladder stops only when its stages have made
+/// `u64::MAX` logical checks in total — an edge the input restart's
+/// failed-set memo can reach on deep, infeasible sets — and then
+/// reports `truncated` with `stats.checks == u64::MAX`.
 ///
 /// # Examples
 ///
@@ -179,7 +182,8 @@ pub fn portfolio(tasks: &[ControlTask]) -> PortfolioOutcome {
 /// using [`CandidateOrder::MaxSlackFirst`] may overshoot its slice by
 /// at most one candidate-scoring pass (< n checks) — the documented
 /// slop of the underlying budgeted search — so the total spend is
-/// `< max_checks + n`.
+/// `< max_checks + n`. An unbounded run still stops at `u64::MAX`
+/// checks in total and reports truncation there.
 ///
 /// Sets wider than [`MEMO_MAX_TASKS`] cannot key the bitmask memo; they
 /// fall back to a single budgeted input-order reference backtracking
@@ -251,6 +255,7 @@ pub fn portfolio_on_checker(
         n <= MEMO_MAX_TASKS,
         "memo sharing requires a set of at most {MEMO_MAX_TASKS} tasks"
     );
+    let unbounded = max_checks == u64::MAX;
     let mut run = PortfolioRun {
         checker,
         remaining: max_checks,
@@ -276,7 +281,7 @@ pub fn portfolio_on_checker(
 
     // Stage 3: budgeted slack-order backtracking restart.
     if run.remaining > 0 {
-        let slice = if run.remaining == u64::MAX {
+        let slice = if unbounded {
             SLACK_PROBE_FACTOR * (n as u64) * (n as u64)
         } else {
             run.remaining / 2
@@ -320,7 +325,8 @@ struct PortfolioRun<'c, 'a> {
 
 impl PortfolioRun<'_, '_> {
     /// Records a finished stage and deducts its spend from the shared
-    /// budget.
+    /// budget — an unbounded one too, so the stages together never make
+    /// more than `u64::MAX` checks on the shared checker.
     fn absorb(&mut self, stage: PortfolioStage, stats: &AssignmentStats, truncated: bool) {
         self.stages.push(StageReport {
             stage,
@@ -328,12 +334,10 @@ impl PortfolioRun<'_, '_> {
             cache_hits: stats.cache_hits,
             truncated,
         });
-        self.stats.checks += stats.checks;
-        self.stats.backtracks += stats.backtracks;
-        self.stats.cache_hits += stats.cache_hits;
-        if self.remaining != u64::MAX {
-            self.remaining = self.remaining.saturating_sub(stats.checks);
-        }
+        self.stats.checks = self.stats.checks.saturating_add(stats.checks);
+        self.stats.backtracks = self.stats.backtracks.saturating_add(stats.backtracks);
+        self.stats.cache_hits = self.stats.cache_hits.saturating_add(stats.cache_hits);
+        self.remaining = self.remaining.saturating_sub(stats.checks);
     }
 
     fn finish(

@@ -132,10 +132,11 @@ pub fn run_fig5(config: &Fig5Config) -> Vec<Fig5Point> {
                 let t1 = Instant::now();
                 let uq = unsafe_quadratic(tasks);
                 uq_time += t1.elapsed().as_secs_f64();
-                search_checks += out.stats.checks;
-                search_hits += out.stats.cache_hits;
+                // A search may report u64::MAX checks (DESIGN.md §7).
+                search_checks = search_checks.saturating_add(out.stats.checks);
+                search_hits = search_hits.saturating_add(out.stats.cache_hits);
                 uq_checks += uq.stats.checks;
-                backtracks += out.stats.backtracks;
+                backtracks = backtracks.saturating_add(out.stats.backtracks);
                 truncated += u64::from(out.stats.truncated);
             }
             let k = config.benchmarks as f64;

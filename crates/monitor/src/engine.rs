@@ -299,6 +299,7 @@ impl MonitorEngine {
     /// each assessed request counts its classification's checks plus its
     /// `n` slack checks, whether classified or served from the bank
     /// (sets wider than [`csa_core::MEMO_MAX_TASKS`] count none).
+    /// Saturates at `u64::MAX`.
     pub fn logical_checks(&self) -> u64 {
         self.logical_checks
     }
@@ -378,8 +379,10 @@ impl MonitorEngine {
             match result {
                 Ok(banked) => {
                     // Every request spends the logical checks; only a
-                    // miss computed any, once for its whole group.
-                    self.logical_checks += group.positions.len() as u64 * banked.logical;
+                    // miss computed any, once for its whole group. One
+                    // search may make u64::MAX checks, so saturate.
+                    let spent = (group.positions.len() as u64).saturating_mul(banked.logical);
+                    self.logical_checks = self.logical_checks.saturating_add(spent);
                     if hit.is_none() {
                         self.computed_checks += banked.computed;
                     }

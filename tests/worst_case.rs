@@ -2,7 +2,19 @@
 //! Algorithm 1 is quadratic *on average* (Fig. 5) but exponential in the
 //! worst case — and a check budget tames the pathology.
 
-use csa_core::{backtracking_with_budget, CandidateOrder, ControlTask};
+use csa_core::CandidateOrder::{Input, MaxSlackFirst};
+use csa_core::{
+    backtracking, backtracking_on_checker, backtracking_with_budget, portfolio, reference,
+    AssignmentOutcome, AssignmentStats, CandidateOrder, ControlTask, PortfolioStage,
+    StabilityChecker,
+};
+use csa_experiments::artifact::Fnv64;
+use csa_experiments::{
+    classify_instance, generate_benchmark, instance_seed, BenchmarkConfig, PeriodModel,
+    SearchConfig,
+};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// A factorial blow-up instance: `n - 2` interchangeable "flexible"
 /// tasks (stable anywhere) plus two "top-only" tasks that are stable
@@ -80,4 +92,182 @@ fn budget_does_not_disturb_easy_instances() {
     let unbounded = csa_core::backtracking(&tasks);
     assert_eq!(bounded.assignment, unbounded.assignment);
     assert_eq!(bounded.stats, unbounded.stats);
+}
+
+/// `layers` layers of `width` interchangeable tasks plus two top-only
+/// tasks. Every period dwarfs the total demand, so each higher-priority
+/// task interferes exactly once, and `a = 1` makes `L + aJ` the
+/// worst-case response time. A layer-`j` task's bound admits exactly
+/// the demand of layers `>= j` plus the tops, with half a tick to
+/// spare, and one task of a layer outweighs everything above it: each
+/// layer must sit below the next, in any order within it, and both
+/// top-only tasks need the top level. The instance is infeasible, and
+/// plain backtracking learns it once per each of the `(width!)^layers`
+/// layer orderings.
+fn layered_instance(layers: usize, width: usize) -> Vec<ControlTask> {
+    const PERIOD: u64 = 1_000_000_000;
+    const TOP: u64 = 1;
+    let width_u = width as u64;
+    // Execution time per layer, the bottom layer first.
+    let mut c = vec![0u64; layers];
+    let mut above = 2 * TOP;
+    for j in (0..layers).rev() {
+        c[j] = above + 1;
+        above += width_u * c[j];
+    }
+    assert!(above < PERIOD, "every task must interfere exactly once");
+    let mut tasks = Vec::with_capacity(layers * width + 2);
+    // Demand of layers `>= j` plus the tops.
+    let mut admitted = above;
+    for &cj in &c {
+        for _ in 0..width {
+            let id = tasks.len() as u32;
+            let b = (admitted as f64 + 0.5) * 1e-9;
+            tasks.push(ControlTask::from_parts(id, cj, cj, PERIOD, 1.0, b).unwrap());
+        }
+        admitted -= width_u * cj;
+    }
+    for _ in 0..2 {
+        let id = tasks.len() as u32;
+        let b = (TOP as f64 + 0.5) * 1e-9;
+        tasks.push(ControlTask::from_parts(id, TOP, TOP, PERIOD, 1.0, b).unwrap());
+    }
+    tasks
+}
+
+/// Folds one search's counters into `h`.
+fn digest_stats(h: &mut Fnv64, stats: &AssignmentStats) {
+    for v in [stats.checks, stats.backtracks, stats.cache_hits] {
+        h.write_u64(v);
+    }
+    h.write_u64(u64::from(stats.truncated));
+}
+
+/// Folds a checker's totals into `h`.
+fn digest_checker(h: &mut Fnv64, checker: &StabilityChecker<'_>) {
+    h.write_u64(checker.logical_checks());
+    h.write_u64(checker.computed_checks());
+}
+
+#[test]
+fn every_truncation_point_matches_the_reference() {
+    // Every cap from 0 to each instance's full cost + 2, plus u64::MAX:
+    // assignment, checks, backtracks and the truncation flag must equal
+    // the unmemoized reference. The digest pins what the reference
+    // cannot (it never caches): the hit counts of a cold search, and the
+    // counts and checker totals of a slack-order slice followed by an
+    // input-order search on one warm checker, as the portfolio runs
+    // them. It was recorded before the failed-set memo existed.
+    let mut instances: Vec<Vec<ControlTask>> = (4..=8).map(factorial_instance).collect();
+    instances.extend([(2, 2), (2, 3), (3, 3)].map(|(l, w)| layered_instance(l, w)));
+    let mut h = Fnv64::default();
+    let mut runs = 0u64;
+    for tasks in &instances {
+        let (full, _) = reference::backtracking_with_budget(tasks, Input, u64::MAX);
+        assert!(full.assignment.is_none(), "every member is infeasible");
+        for cap in (0..=full.stats.checks + 2).chain([u64::MAX]) {
+            let (fast, fast_truncated) = backtracking_with_budget(tasks, Input, cap);
+            let (naive, naive_truncated) = reference::backtracking_with_budget(tasks, Input, cap);
+            let ctx = format!("n = {}, cap {cap}", tasks.len());
+            assert_eq!(fast.assignment, naive.assignment, "{ctx}");
+            assert_eq!(fast.stats.checks, naive.stats.checks, "{ctx}");
+            assert_eq!(fast.stats.backtracks, naive.stats.backtracks, "{ctx}");
+            assert_eq!(fast_truncated, naive_truncated, "{ctx}");
+            assert_eq!(fast.stats.truncated, fast_truncated, "{ctx}");
+            assert_eq!(naive.stats.truncated, naive_truncated, "{ctx}");
+
+            h.write_u64(cap);
+            digest_stats(&mut h, &fast.stats);
+            let mut checker = StabilityChecker::new(tasks);
+            let (slack, _) = backtracking_on_checker(&mut checker, MaxSlackFirst, cap / 2);
+            digest_stats(&mut h, &slack.stats);
+            digest_checker(&mut h, &checker);
+            let (warm, _) = backtracking_on_checker(&mut checker, Input, cap);
+            digest_stats(&mut h, &warm.stats);
+            digest_checker(&mut h, &checker);
+            runs += 1;
+        }
+    }
+    // 7 122 runs on the factorial family, 2 580 on the layered one.
+    assert_eq!(runs, 9_702);
+    assert_eq!(format!("{:016x}", h.finish()), "2f61da0476ecfaf4");
+}
+
+/// Runs input-order backtracking on a fresh checker and returns its
+/// outcome with the checker's computed-check count.
+fn fresh_search(tasks: &[ControlTask], max_checks: u64) -> (AssignmentOutcome, u64) {
+    let mut checker = StabilityChecker::new(tasks);
+    let (outcome, truncated) = backtracking_on_checker(&mut checker, Input, max_checks);
+    assert_eq!(outcome.stats.truncated, truncated);
+    assert_eq!(checker.logical_checks(), outcome.stats.checks);
+    (outcome, checker.computed_checks())
+}
+
+#[test]
+fn table1_tail_instance_keeps_every_count() {
+    // The slowest instance of paper-scale Table I: grid-snapped, seed
+    // 2017, n = 20, index 4349. Infeasible, and plain backtracking
+    // walks the same failed remaining sets millions of times.
+    let config = BenchmarkConfig::with_model(20, PeriodModel::GridSnapped);
+    let mut rng = StdRng::seed_from_u64(instance_seed(2017, 20, 4349));
+    let tasks = generate_benchmark(&config, &mut rng);
+
+    let (outcome, computed) = fresh_search(&tasks, u64::MAX);
+    assert!(outcome.assignment.is_none(), "infeasible");
+    let stats = outcome.stats;
+    assert!(!stats.truncated, "unbudgeted, the search decides");
+    assert_eq!(stats.checks, 615_534_043);
+    assert_eq!(stats.backtracks, 76_932_365);
+    assert_eq!(stats.cache_hits, 615_517_664);
+    assert_eq!(computed, 16_379);
+
+    // perfbench's table1-budget cap.
+    let (outcome, computed) = fresh_search(&tasks, 10_000_000);
+    assert!(outcome.assignment.is_none());
+    let stats = outcome.stats;
+    assert!(stats.truncated);
+    assert_eq!(stats.checks, 10_000_000);
+    assert_eq!(stats.backtracks, 1_249_960);
+    assert_eq!(stats.cache_hits, 9_991_422);
+    assert_eq!(computed, 8_578);
+}
+
+#[test]
+fn a_search_reaching_u64_max_checks_reports_truncation() {
+    // Five layers of eight plus the two tops: (8!)^5 > 2^64 layer
+    // orderings end in the same dead end, so the logical check count
+    // passes u64::MAX long before the search could decide. Every entry
+    // point must stop there and say so, without a panic or a wrap.
+    let tasks = layered_instance(5, 8);
+    assert_eq!(tasks.len(), 42);
+
+    let (outcome, computed) = fresh_search(&tasks, u64::MAX);
+    assert!(outcome.assignment.is_none());
+    assert!(outcome.stats.truncated);
+    assert_eq!(outcome.stats.checks, u64::MAX);
+    assert_eq!(outcome.stats.cache_hits, u64::MAX - computed);
+    assert_eq!(backtracking_with_budget(&tasks, Input, u64::MAX).0, outcome);
+    assert_eq!(backtracking(&tasks), outcome);
+
+    let out = portfolio(&tasks);
+    assert!(out.assignment.is_none());
+    assert_eq!(out.winner, None);
+    assert!(out.truncated());
+    assert_eq!(out.stats.checks, u64::MAX);
+    let last = out.stages.last().expect("the input restart ran");
+    assert_eq!(last.stage, PortfolioStage::InputRestart);
+    assert!(last.truncated);
+    let total = out
+        .stages
+        .iter()
+        .try_fold(0u64, |sum, stage| sum.checked_add(stage.checks));
+    assert_eq!(total, Some(u64::MAX), "the stages spend exactly u64::MAX");
+
+    // The census classification (which the monitor runs too) keeps
+    // checking on the same checker after such a search: its logical
+    // counter must saturate rather than overflow.
+    let class = classify_instance(&tasks, &SearchConfig::default());
+    assert!(!class.solvable());
+    assert!(class.truncated());
+    assert_eq!(class.outcome.stats.checks, u64::MAX);
 }
