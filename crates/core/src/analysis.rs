@@ -2,7 +2,7 @@
 
 use crate::fxhash::FxBuildHasher;
 use crate::stability::ControlTask;
-use csa_rta::{ResponseBounds, RtaScratch};
+use csa_rta::{ResponseBounds, RtaScratch, MAX_TASKS};
 // The verdict memo below is keyed lookup only — it is never iterated,
 // so its nondeterministic order cannot leak into results.
 use std::collections::HashMap; // csa-lint: allow(D001) probed by key only, never iterated
@@ -150,7 +150,7 @@ pub(crate) fn verdict_from(task: &ControlTask, rb: Option<ResponseBounds>) -> Ta
 ///
 /// One-shot convenience; repeated checks over the same task slice should
 /// go through a [`StabilityChecker`], which reuses its scratch buffers
-/// (and, for sets of up to 64 tasks, memoizes verdicts).
+/// and memoizes verdicts.
 pub fn check_task(tasks: &[ControlTask], i: usize, hp_idx: &[usize]) -> TaskVerdict {
     let mut scratch = RtaScratch::with_capacity(hp_idx.len());
     let rb = scratch.response_bounds(tasks[i].task(), hp_idx.iter().map(|&j| tasks[j].task()));
@@ -176,11 +176,6 @@ pub fn analyze(tasks: &[ControlTask], assignment: &PriorityAssignment) -> Vec<Ta
         .collect()
 }
 
-/// Largest task-set size for which [`StabilityChecker`] memoizes
-/// verdicts (the remaining-set bitmask must fit in a `u64`); larger sets
-/// still get the zero-allocation scratch path, just uncached.
-pub const MEMO_MAX_TASKS: usize = 64;
-
 /// Ascending iterator over set bit positions.
 pub(crate) struct BitIter(pub(crate) u64);
 
@@ -204,12 +199,11 @@ impl Iterator for BitIter {
 /// * **Zero-allocation**: response-time fixed points run on an internal
 ///   [`RtaScratch`], so a check performs no heap allocation once the
 ///   buffers are warm.
-/// * **Memoized** exactly when `len() <= MEMO_MAX_TASKS`: verdicts are
-///   cached under the key `(candidate, higher-priority bitmask)`.
-///   A backtracking search that revisits the same `(task, remaining
-///   set)` state never recomputes the fixed points; the checker tracks
-///   both the *logical* number of checks requested and the *computed*
-///   number that actually ran.
+/// * **Memoized**: verdicts are cached under the key `(candidate,
+///   higher-priority bitmask)`. A backtracking search that revisits the
+///   same `(task, remaining set)` state never recomputes the fixed
+///   points; the checker tracks both the *logical* number of checks
+///   requested and the *computed* number that actually ran.
 ///
 /// # Examples
 ///
@@ -235,21 +229,31 @@ pub struct StabilityChecker<'a> {
     tasks: &'a [ControlTask],
     scratch: RtaScratch,
     // csa-lint: allow(D001) probed by key only, never iterated
-    memo: Option<HashMap<(u32, u64), TaskVerdict, FxBuildHasher>>,
+    memo: HashMap<(u32, u64), TaskVerdict, FxBuildHasher>,
     logical: u64,
     computed: u64,
 }
 
 impl<'a> StabilityChecker<'a> {
-    /// Creates a checker over `tasks`, memoized when the set has at most
-    /// [`MEMO_MAX_TASKS`] tasks.
+    /// Creates a checker over `tasks`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set has more than [`MAX_TASKS`] tasks, one bit each
+    /// in the memo's higher-priority mask. Every assignment algorithm,
+    /// anomaly detector and portfolio stage runs on a checker, so this is
+    /// their limit too.
     pub fn new(tasks: &'a [ControlTask]) -> StabilityChecker<'a> {
-        // csa-lint: allow(D001) probed by key only, never iterated
-        let memo = (tasks.len() <= MEMO_MAX_TASKS).then(HashMap::default);
+        assert!(
+            tasks.len() <= MAX_TASKS,
+            "a stability checker takes at most {MAX_TASKS} tasks, got {}",
+            tasks.len()
+        );
         StabilityChecker {
             tasks,
             scratch: RtaScratch::with_capacity(tasks.len()),
-            memo,
+            // csa-lint: allow(D001) probed by key only, never iterated
+            memo: HashMap::default(),
             logical: 0,
             computed: 0,
         }
@@ -270,47 +274,19 @@ impl<'a> StabilityChecker<'a> {
         self.tasks.is_empty()
     }
 
-    /// `true` when verdicts are being memoized: exactly when
-    /// `len() <= MEMO_MAX_TASKS` (the set fits in the bitmask).
-    pub fn memoized(&self) -> bool {
-        self.memo.is_some()
-    }
-
     /// Bitmask selecting every task of the set (for [`Self::check_mask`]
     /// callers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the set has more than [`MEMO_MAX_TASKS`] tasks.
     pub fn full_mask(&self) -> u64 {
-        let n = self.tasks.len();
-        assert!(
-            n <= MEMO_MAX_TASKS,
-            "bitmasks require a set of at most {MEMO_MAX_TASKS} tasks"
-        );
-        if n == 64 {
-            u64::MAX
-        } else {
-            (1u64 << n) - 1
-        }
+        let n = self.tasks.len() as u32;
+        u64::MAX.checked_shr(u64::BITS - n).unwrap_or(0)
     }
 
     /// Checks task `i` against the higher-priority index set `hp_idx`
-    /// (set semantics: order and duplicates are irrelevant to the
-    /// verdict; duplicates would corrupt the memo key, so pass sets).
+    /// (set semantics: the indices fold into a bitmask, so order and
+    /// duplicates are irrelevant to the verdict).
     pub fn check(&mut self, i: usize, hp_idx: &[usize]) -> TaskVerdict {
-        if self.memo.is_some() {
-            let mask = hp_idx.iter().fold(0u64, |m, &j| m | (1u64 << j));
-            self.check_mask(i, mask)
-        } else {
-            self.logical = self.logical.saturating_add(1);
-            self.computed += 1;
-            let tasks = self.tasks;
-            let rb = self
-                .scratch
-                .response_bounds(tasks[i].task(), hp_idx.iter().map(|&j| tasks[j].task()));
-            verdict_from(&tasks[i], rb)
-        }
+        let mask = hp_idx.iter().fold(0u64, |m, &j| m | (1u64 << j));
+        self.check_mask(i, mask)
     }
 
     /// Checks task `i` against the higher-priority set given as a
@@ -318,24 +294,16 @@ impl<'a> StabilityChecker<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the set has more than [`MEMO_MAX_TASKS`] tasks (bitmask
-    /// checks are only available on memo-capable sets) or if the mask
-    /// selects bit `i` itself.
+    /// Panics if the mask selects bit `i` itself.
     pub fn check_mask(&mut self, i: usize, hp_mask: u64) -> TaskVerdict {
-        assert!(
-            self.tasks.len() <= MEMO_MAX_TASKS,
-            "bitmask checks require a set of at most {MEMO_MAX_TASKS} tasks"
-        );
         assert!(
             hp_mask & (1u64 << i) == 0,
             "task {i} cannot be in its own higher-priority set"
         );
         self.logical = self.logical.saturating_add(1);
         let key = (i as u32, hp_mask);
-        if let Some(memo) = self.memo.as_ref() {
-            if let Some(&v) = memo.get(&key) {
-                return v;
-            }
+        if let Some(&v) = self.memo.get(&key) {
+            return v;
         }
         self.computed += 1;
         let tasks = self.tasks;
@@ -343,9 +311,7 @@ impl<'a> StabilityChecker<'a> {
             .scratch
             .response_bounds(tasks[i].task(), BitIter(hp_mask).map(|j| tasks[j].task()));
         let v = verdict_from(&tasks[i], rb);
-        if let Some(memo) = self.memo.as_mut() {
-            memo.insert(key, v);
-        }
+        self.memo.insert(key, v);
         v
     }
 
@@ -354,7 +320,6 @@ impl<'a> StabilityChecker<'a> {
     /// every verdict is already memoized, which the caller skips (the
     /// failed-set memo of the input-order backtracking search).
     pub(crate) fn credit_hits(&mut self, checks: u64) {
-        debug_assert!(self.memo.is_some(), "only a memoized checker has hits");
         self.logical = self.logical.saturating_add(checks);
     }
 
@@ -464,6 +429,15 @@ mod tests {
         let v_both = check_task(&tasks, 2, &[0, 1]);
         assert_eq!(v_both.bounds.unwrap().wcrt.get(), 10);
         assert!(v_both.slack <= v_alone.slack);
+    }
+
+    #[test]
+    #[should_panic(expected = "a stability checker takes at most 64 tasks, got 65")]
+    fn checker_refuses_sets_above_the_ceiling() {
+        let tasks: Vec<ControlTask> = (0..=MAX_TASKS as u32)
+            .map(|i| ControlTask::from_parts(i, 1, 1, 100_000, 1.0, 1.0).unwrap())
+            .collect();
+        let _ = StabilityChecker::new(&tasks);
     }
 
     #[test]

@@ -22,10 +22,11 @@
 //! # Execution engine
 //!
 //! All four run on a [`StabilityChecker`]: response-time fixed points on
-//! a reusable scratch (zero heap allocation per check) and, for sets of
-//! up to [`MEMO_MAX_TASKS`](crate::MEMO_MAX_TASKS) tasks, a memo table
+//! a reusable scratch (zero heap allocation per check) and a memo table
 //! keyed by `(candidate, remaining-set bitmask)` so a stability check
-//! revisited across backtracks is never recomputed. The memo changes
+//! revisited across backtracks is never recomputed. The bitmask is why
+//! every entry point takes at most [`MAX_TASKS`](crate::MAX_TASKS)
+//! tasks (see [`StabilityChecker::new`]). The memo changes
 //! *nothing observable* except wall-clock time and
 //! [`AssignmentStats::cache_hits`]: [`AssignmentStats::checks`] keeps
 //! counting *logical* checks exactly as the unmemoized search would (the
@@ -44,9 +45,10 @@
 //! done is at most one expansion per subset instead of one per ordering
 //! (DESIGN.md §7).
 
-use crate::analysis::{check_task, BitIter, PriorityAssignment, StabilityChecker, MEMO_MAX_TASKS};
+use crate::analysis::{check_task, BitIter, PriorityAssignment, StabilityChecker};
 use crate::fxhash::FxBuildHasher;
 use crate::stability::ControlTask;
+use csa_rta::MAX_TASKS;
 // The failed-set memo below is keyed lookup only — it is never
 // iterated, so its nondeterministic order cannot leak into results.
 use std::collections::HashMap; // csa-lint: allow(D001) probed by key only, never iterated
@@ -63,7 +65,7 @@ pub struct AssignmentStats {
     pub backtracks: u64,
     /// Logical checks answered from the memo table instead of rerunning
     /// the response-time fixed points (0 for the [`mod@reference`]
-    /// implementations and for sets too large to memoize).
+    /// implementations).
     pub cache_hits: u64,
     /// Whether the search was cut short by a check budget before it
     /// could decide. A truncated run returning no assignment means
@@ -201,11 +203,6 @@ pub fn backtracking_with_budget(
     order: CandidateOrder,
     max_checks: u64,
 ) -> (AssignmentOutcome, bool) {
-    if tasks.len() > MEMO_MAX_TASKS {
-        // The remaining-set bitmask no longer fits: run the uncached
-        // reference search (identical semantics, per-check allocation).
-        return reference::backtracking_with_budget(tasks, order, max_checks);
-    }
     let mut checker = StabilityChecker::new(tasks);
     backtracking_on_checker(&mut checker, order, max_checks)
 }
@@ -216,13 +213,6 @@ pub fn backtracking_with_budget(
 /// count only this run's checks; `cache_hits` is the delta accrued
 /// here, so sharing a checker changes nothing observable but wall-clock
 /// time and hit counts.
-///
-/// # Panics
-///
-/// Panics (inside the checker's bitmask path) if the set has more than
-/// [`MEMO_MAX_TASKS`] tasks; wide sets go through
-/// [`backtracking_with_budget`], which falls back to the reference
-/// search.
 pub fn backtracking_on_checker(
     checker: &mut StabilityChecker<'_>,
     order: CandidateOrder,
@@ -461,9 +451,6 @@ impl BacktrackSearch<'_, '_> {
 /// [`crate::is_valid_assignment`]; Table I counts how often verification
 /// fails.
 pub fn unsafe_quadratic(tasks: &[ControlTask]) -> AssignmentOutcome {
-    if tasks.len() > MEMO_MAX_TASKS {
-        return reference::unsafe_quadratic(tasks);
-    }
     let mut checker = StabilityChecker::new(tasks);
     unsafe_quadratic_on(&mut checker)
 }
@@ -471,12 +458,6 @@ pub fn unsafe_quadratic(tasks: &[ControlTask]) -> AssignmentOutcome {
 /// [`unsafe_quadratic`] over an existing checker (see
 /// [`backtracking_on_checker`] for the sharing contract): identical
 /// outcome, with `cache_hits` the delta accrued here.
-///
-/// # Panics
-///
-/// Panics (inside the checker's bitmask path) if the set has more than
-/// [`MEMO_MAX_TASKS`] tasks; wide sets go through [`unsafe_quadratic`],
-/// which falls back to the reference implementation.
 pub fn unsafe_quadratic_on(checker: &mut StabilityChecker<'_>) -> AssignmentOutcome {
     let n = checker.len();
     let hits_before = checker.cache_hits();
@@ -503,7 +484,7 @@ pub fn unsafe_quadratic_on(checker: &mut StabilityChecker<'_>) -> AssignmentOutc
     }
     let assignment = PriorityAssignment::from_lowest_first(&bottom_up);
     // Final higher-priority mask of each task: everything placed above it.
-    let mut hp_of = [0u64; MEMO_MAX_TASKS];
+    let mut hp_of = [0u64; MAX_TASKS];
     let mut mask_above = 0u64;
     for &i in bottom_up.iter().rev() {
         hp_of[i] = mask_above;
@@ -553,9 +534,6 @@ pub fn audsley_opa_with_budget(
     tasks: &[ControlTask],
     max_checks: u64,
 ) -> (AssignmentOutcome, bool) {
-    if tasks.len() > MEMO_MAX_TASKS {
-        return reference::audsley_opa_with_budget(tasks, max_checks);
-    }
     let mut checker = StabilityChecker::new(tasks);
     opa_on_checker(&mut checker, max_checks)
 }
@@ -565,13 +543,6 @@ pub fn audsley_opa_with_budget(
 /// run gave up mid-level for lack of budget, not because a level was
 /// unfillable — its `None` means "unknown", exactly like a truncated
 /// backtracking run's.
-///
-/// # Panics
-///
-/// Panics (inside the checker's bitmask path) if the set has more than
-/// [`MEMO_MAX_TASKS`] tasks; wide sets go through
-/// [`audsley_opa_with_budget`], which falls back to the reference
-/// search.
 pub fn opa_on_checker(
     checker: &mut StabilityChecker<'_>,
     max_checks: u64,
@@ -722,19 +693,11 @@ pub fn count_valid_assignments(tasks: &[ControlTask]) -> u64 {
 
 pub mod reference {
     //! Unmemoized reference implementations of the assignment
-    //! algorithms — the pre-optimization code paths, retained verbatim.
-    //!
-    //! Two jobs:
-    //!
-    //! 1. **Differential testing.** The memoized, zero-allocation
-    //!    searches in the parent module must return bit-identical
-    //!    results (assignment, feasibility, logical check and backtrack
-    //!    counts) to these; the `csa-core` property tests assert it on
-    //!    random task sets.
-    //! 2. **Large-set fallback.** Sets beyond
-    //!    [`MEMO_MAX_TASKS`](crate::MEMO_MAX_TASKS) tasks cannot key a
-    //!    64-bit remaining-set bitmask; the parent entry points delegate
-    //!    here.
+    //! algorithms — the pre-optimization code paths, retained verbatim
+    //! as the test oracle: the memoized, zero-allocation searches in the
+    //! parent module must return bit-identical results (assignment,
+    //! feasibility, logical check and backtrack counts) to these, which
+    //! the `csa-core` property tests assert on random task sets.
     //!
     //! Every function matches its parent-module namesake's contract;
     //! [`AssignmentStats::cache_hits`] is always 0 here.

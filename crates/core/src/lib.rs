@@ -54,7 +54,6 @@ mod stability;
 
 pub use analysis::{
     analyze, check_task, is_valid_assignment, PriorityAssignment, StabilityChecker, TaskVerdict,
-    MEMO_MAX_TASKS,
 };
 pub use anomaly::{
     find_interference_removal_anomaly, find_interference_removal_anomaly_on,
@@ -68,6 +67,7 @@ pub use assignment::{
     opa_on_checker, unsafe_quadratic, unsafe_quadratic_on, AssignmentOutcome, AssignmentStats,
     CandidateOrder, EXHAUSTIVE_MAX_TASKS,
 };
+pub use csa_rta::MAX_TASKS;
 pub use portfolio::{
     portfolio, portfolio_on_checker, portfolio_with_budget, PortfolioOutcome, PortfolioStage,
     StageReport, SLACK_PROBE_FACTOR,

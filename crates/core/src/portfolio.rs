@@ -31,10 +31,9 @@
 //! valid. Feasibility verdicts are decisive only from an un-truncated
 //! restart stage; see [`PortfolioOutcome`] for the truncation contract.
 
-use crate::analysis::{PriorityAssignment, StabilityChecker, TaskVerdict, MEMO_MAX_TASKS};
+use crate::analysis::{PriorityAssignment, StabilityChecker, TaskVerdict};
 use crate::assignment::{
-    backtracking_on_checker, criticality_order, opa_on_checker, reference, AssignmentStats,
-    CandidateOrder,
+    backtracking_on_checker, criticality_order, opa_on_checker, AssignmentStats, CandidateOrder,
 };
 use crate::stability::ControlTask;
 
@@ -185,11 +184,6 @@ pub fn portfolio(tasks: &[ControlTask]) -> PortfolioOutcome {
 /// `< max_checks + n`. An unbounded run still stops at `u64::MAX`
 /// checks in total and reports truncation there.
 ///
-/// Sets wider than [`MEMO_MAX_TASKS`] cannot key the bitmask memo; they
-/// fall back to a single budgeted input-order reference backtracking
-/// run (reported as an [`InputRestart`](PortfolioStage::InputRestart)
-/// stage), keeping the truncation contract intact.
-///
 /// # Examples
 ///
 /// A tiny budget cannot decide a 3-task set and must say so honestly:
@@ -210,24 +204,6 @@ pub fn portfolio(tasks: &[ControlTask]) -> PortfolioOutcome {
 /// # }
 /// ```
 pub fn portfolio_with_budget(tasks: &[ControlTask], max_checks: u64) -> PortfolioOutcome {
-    let n = tasks.len();
-    if n > MEMO_MAX_TASKS {
-        let (outcome, truncated) =
-            reference::backtracking_with_budget(tasks, CandidateOrder::Input, max_checks);
-        let won = outcome.assignment.is_some();
-        return PortfolioOutcome {
-            assignment: outcome.assignment,
-            winner: won.then_some(PortfolioStage::InputRestart),
-            stages: vec![StageReport {
-                stage: PortfolioStage::InputRestart,
-                checks: outcome.stats.checks,
-                cache_hits: 0,
-                truncated,
-            }],
-            stats: outcome.stats,
-        };
-    }
-
     let mut checker = StabilityChecker::new(tasks);
     portfolio_on_checker(&mut checker, max_checks)
 }
@@ -239,22 +215,11 @@ pub fn portfolio_with_budget(tasks: &[ControlTask], max_checks: u64) -> Portfoli
 /// fresh-checker run on the same slice: memo warmth changes only
 /// `cache_hits`, never verdicts, logical check counts, or the
 /// truncation point.
-///
-/// # Panics
-///
-/// Panics if the checker's set has more than [`MEMO_MAX_TASKS`] tasks
-/// (wide sets cannot share the bitmask memo; use
-/// [`portfolio_with_budget`], which falls back to the reference
-/// search).
 pub fn portfolio_on_checker(
     checker: &mut StabilityChecker<'_>,
     max_checks: u64,
 ) -> PortfolioOutcome {
     let n = checker.len();
-    assert!(
-        n <= MEMO_MAX_TASKS,
-        "memo sharing requires a set of at most {MEMO_MAX_TASKS} tasks"
-    );
     let unbounded = max_checks == u64::MAX;
     let mut run = PortfolioRun {
         checker,
@@ -570,21 +535,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn wide_sets_fall_back_to_reference_backtracking() {
-        // Beyond MEMO_MAX_TASKS the bitmask memo cannot run; the
-        // portfolio degrades to one budgeted input-order restart.
-        let tasks: Vec<ControlTask> = (0..70)
-            .map(|i| ControlTask::from_parts(i, 1, 1, 100_000, 1.0, 1.0).unwrap())
-            .collect();
-        let out = portfolio(&tasks);
-        assert_eq!(out.winner, Some(PortfolioStage::InputRestart));
-        assert!(!out.truncated());
-        assert!(is_valid_assignment(&tasks, &out.assignment.unwrap()));
-        let capped = portfolio_with_budget(&tasks, 3);
-        assert!(capped.truncated());
-        assert!(capped.assignment.is_none());
     }
 }

@@ -13,6 +13,7 @@
 //! read a value as another type than the one the parser accepted.
 
 use crate::{available_threads, OrchestratorConfig, PeriodModel, SearchConfig, SearchMode};
+use csa_core::MAX_TASKS;
 use std::ffi::OsString;
 use std::path::PathBuf;
 
@@ -120,11 +121,12 @@ pub const THREADS: Flag<usize> = Flag::count("--threads");
 pub const PROFILE: Flag<PeriodModel> = Flag::new("--profile", "NAME", |v| {
     PeriodModel::parse(v).ok_or_else(|| one_of(&PeriodModel::ALL.map(PeriodModel::name)))
 });
-/// `--n LIST`: the task-count sweep, e.g. `4,8,12`.
+/// `--n LIST`: the task-count sweep, e.g. `4,8,12`; each count from 1
+/// to [`MAX_TASKS`].
 pub const TASK_COUNTS: Flag<Vec<usize>> = Flag::new("--n", "LIST", |v| {
     let counts: Option<Vec<usize>> = v.split(',').map(|n| n.trim().parse().ok()).collect();
-    let counts = counts.filter(|c| c.iter().all(|&n| n > 0));
-    counts.ok_or_else(|| "positive counts like 4,8,12".into())
+    let counts = counts.filter(|c| c.iter().all(|&n| (1..=MAX_TASKS).contains(&n)));
+    counts.ok_or_else(|| format!("task counts from 1 to {MAX_TASKS} like 4,8,12"))
 });
 /// `--search NAME`: the assignment [`SearchMode`].
 pub const SEARCH: Flag<SearchMode> = Flag::new("--search", "NAME", |v| {
@@ -270,6 +272,9 @@ mod tests {
             "--n=4,8,12 => n Some([4, 8, 12]);",
             "--n soup => error bad --n value \"soup\"",
             "--n 0 => error bad --n value \"0\"",
+            "--n 64 => n Some([64]);",
+            "--n 65 => error bad --n value \"65\"; expected task counts from 1 to 64",
+            "--n 4,65 => error bad --n value \"4,65\"; expected task counts from 1 to 64",
             "--n => error --n needs a value",
             "--profile continuous => profile continuous;",
             "--profile=margin-tight --quick => profile margin-tight;",

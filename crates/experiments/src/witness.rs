@@ -22,7 +22,7 @@
 use crate::artifact::{hex, parse_hex, write_atomic, Lines};
 use crate::benchgen::PeriodModel;
 use crate::report::RESULTS_DIR;
-use csa_core::{ControlTask, StabilityBound};
+use csa_core::{ControlTask, StabilityBound, MAX_TASKS};
 use csa_rta::{Task, TaskId, Ticks};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -198,9 +198,14 @@ pub fn format_task_list(tasks: &[ControlTask]) -> String {
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed entry.
+/// Returns a description of the first malformed entry, or of a list of
+/// more than [`MAX_TASKS`] tasks.
 pub fn parse_task_list(s: &str) -> Result<Vec<ControlTask>, String> {
-    let mut tasks = Vec::new();
+    let count = s.split(';').count();
+    if count > MAX_TASKS {
+        return Err(format!("{count} tasks exceed the limit of {MAX_TASKS}"));
+    }
+    let mut tasks = Vec::with_capacity(count);
     for (i, ts) in s.split(';').enumerate() {
         tasks.push(parse_task(ts, i)?);
     }
@@ -339,6 +344,13 @@ mod tests {
             (
                 "csaw1|unsafe-invalid|continuous|1|1|0|x:1:1",
                 "expected 6 fields",
+            ),
+            (
+                &format!(
+                    "csaw1|unsafe-invalid|continuous|1|65|0|{}",
+                    ["x:1:1:4:3ff0000000000000:3ff0000000000000"; 65].join(";")
+                ),
+                "65 tasks exceed the limit of 64",
             ),
         ] {
             let err = Witness::parse(line).expect_err(line);

@@ -29,8 +29,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use csa_core::{ControlTask, StabilityChecker};
 use csa_experiments::artifact::{hex, Fnv64};
 use csa_experiments::{
-    classify_instance, classify_instance_on, generate_benchmark, instance_seed,
-    parallel_map_catching, BenchmarkConfig, SearchConfig, WitnessKind,
+    classify_instance_on, generate_benchmark, instance_seed, parallel_map_catching,
+    BenchmarkConfig, SearchConfig, WitnessKind,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -297,8 +297,7 @@ impl MonitorEngine {
 
     /// Logical exact stability checks spent so far (memo-invariant):
     /// each assessed request counts its classification's checks plus its
-    /// `n` slack checks, whether classified or served from the bank
-    /// (sets wider than [`csa_core::MEMO_MAX_TASKS`] count none).
+    /// `n` slack checks, whether classified or served from the bank.
     /// Saturates at `u64::MAX`.
     pub fn logical_checks(&self) -> u64 {
         self.logical_checks
@@ -668,17 +667,12 @@ fn group_batch(materialized: &[Result<Vec<ControlTask>, String>]) -> Vec<Group> 
     groups
 }
 
-/// Classifies one task set on a fresh checker. A narrow set's `n` slack
-/// checks run on the classification's checker, so they count as logical;
-/// a wide set (`n > MEMO_MAX_TASKS`) takes the reference classification
-/// and counts no checks. Everything in the assessment is memo-invariant.
+/// Classifies one task set on a fresh checker. The `n` slack checks of
+/// the found assignment run on the classification's checker, so they
+/// count as logical. Everything in the assessment is memo-invariant.
 fn assess(tasks: &[ControlTask], search: &SearchConfig) -> Banked {
     let mut checker = StabilityChecker::new(tasks);
-    let c = if checker.memoized() {
-        classify_instance_on(&mut checker, search)
-    } else {
-        classify_instance(tasks, search)
-    };
+    let c = classify_instance_on(&mut checker, search);
     let verdict = if c.solvable() {
         Verdict::Admit
     } else if c.truncated() {
@@ -696,11 +690,6 @@ fn assess(tasks: &[ControlTask], search: &SearchConfig) -> Banked {
             norm_slack = lower(norm_slack, s / task.bound().b());
         }
     }
-    let (logical, computed) = if checker.memoized() {
-        (checker.logical_checks(), checker.computed_checks())
-    } else {
-        (0, 0)
-    };
     Banked {
         assessment: Assessment {
             verdict,
@@ -710,8 +699,8 @@ fn assess(tasks: &[ControlTask], search: &SearchConfig) -> Banked {
             norm_slack,
             anomalies: c.kinds(),
         },
-        logical,
-        computed,
+        logical: checker.logical_checks(),
+        computed: checker.computed_checks(),
     }
 }
 
@@ -730,6 +719,39 @@ mod tests {
                 index,
             },
         }
+    }
+
+    #[test]
+    fn sets_at_the_task_ceiling_run_every_entry_point() {
+        use csa_core::{
+            audsley_opa, backtracking, is_valid_assignment, portfolio, unsafe_quadratic,
+            PortfolioStage, MAX_TASKS,
+        };
+        let tasks: Vec<ControlTask> = (0..MAX_TASKS as u32)
+            .map(|i| ControlTask::from_parts(i, 1, 1, 100_000, 1.0, 1.0).unwrap())
+            .collect();
+        let n = MAX_TASKS as u64;
+        assert_eq!(StabilityChecker::new(&tasks).full_mask(), u64::MAX);
+        for out in [
+            backtracking(&tasks),
+            unsafe_quadratic(&tasks),
+            audsley_opa(&tasks),
+        ] {
+            assert!(is_valid_assignment(&tasks, &out.assignment.unwrap()));
+            assert_eq!(out.stats.checks, n);
+        }
+        let out = portfolio(&tasks);
+        assert_eq!(out.winner, Some(PortfolioStage::Opa));
+        assert_eq!(out.stats.checks, n);
+        assert!(!out.truncated());
+        let search = SearchConfig::default();
+        let c = csa_experiments::classify_instance(&tasks, &search);
+        assert!(c.solvable() && c.kinds().is_empty());
+        let banked = assess(&tasks, &search);
+        assert_eq!(banked.assessment.verdict, Verdict::Admit);
+        // The classification's checks plus the n slack checks.
+        assert!(banked.logical > banked.assessment.checks + n);
+        assert!(banked.computed > 0);
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 use std::collections::BTreeMap;
 
+use csa_core::MAX_TASKS;
 use csa_experiments::{parse_task_list, PeriodModel};
 
 use crate::request::{AnomalyEvent, Payload, Request, Response};
@@ -161,7 +162,8 @@ fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<
 
 /// Parses one request line. Generated payloads carry `profile`, `seed`,
 /// `n` and `index`; inline payloads carry `tasks` in the witness
-/// task-list syntax.
+/// task-list syntax. Either way a request names 1 to [`MAX_TASKS`]
+/// tasks.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let obj = parse_object(line)?;
     let num = |key: &str| -> Result<u64, String> {
@@ -189,16 +191,18 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         Some(_) => return Err("field \"profile\" must be a string".to_string()),
         None => return Err("request needs either \"tasks\" or \"profile\"".to_string()),
     };
-    let n = num("n")? as usize;
-    if n == 0 {
-        return Err("field \"n\" must be positive".to_string());
+    let n = num("n")?;
+    if !(1..=MAX_TASKS as u64).contains(&n) {
+        return Err(format!(
+            "field \"n\" must be a positive task count of at most {MAX_TASKS}"
+        ));
     }
     Ok(Request {
         id,
         payload: Payload::Generated {
             profile,
             seed: num("seed")?,
-            n,
+            n: n as usize,
             index: num("index")? as usize,
         },
     })
@@ -331,6 +335,17 @@ mod tests {
             (
                 "{\"id\":1,\"profile\":\"continuous\",\"seed\":1,\"n\":0,\"index\":0}",
                 "positive",
+            ),
+            (
+                "{\"id\":1,\"profile\":\"continuous\",\"seed\":1,\"n\":65,\"index\":0}",
+                "positive task count of at most 64",
+            ),
+            (
+                &format!(
+                    "{{\"id\":1,\"tasks\":\"{}\"}}",
+                    ["t:1:1:4:3ff0000000000000:3ff0000000000000"; 65].join(";")
+                ),
+                "malformed inline task list: 65 tasks exceed the limit of 64",
             ),
             ("{\"id\":1,\"tasks\":\"garbage\"}", "malformed inline"),
             (

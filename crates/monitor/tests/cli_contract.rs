@@ -1,8 +1,10 @@
 //! `monitor` and `monitor_stream` refuse a malformed command line with
 //! exit 2, `<bin>: <reason>` and a usage line, before writing anything,
-//! and read `--flag=VALUE` exactly as `--flag VALUE`.
+//! and read `--flag=VALUE` exactly as `--flag VALUE`; `monitor` stops
+//! with exit 2 at a request line it cannot read.
 
-use std::process::Command;
+use std::io::Write;
+use std::process::{Command, Stdio};
 
 #[test]
 fn command_lines_are_read_strictly() {
@@ -21,6 +23,8 @@ fn command_lines_are_read_strictly() {
         "monitor_stream --count 1 --count=2 => --count given twice",
         "monitor_stream --seed => --seed needs a value",
         "monitor_stream stray => unknown argument \"stray\"",
+        "monitor_stream --n 65 => bad --n value \"65\"; expected task counts from 1 to 64",
+        "monitor_stream --n 4,65 => bad --n value \"4,65\"; expected task counts from 1 to 64",
     ] {
         let (command, reason) = case.split_once(" => ").unwrap();
         let (bin, args) = command.split_once(' ').unwrap();
@@ -47,6 +51,25 @@ fn command_lines_are_read_strictly() {
     let named =
         String::from_utf8_lossy(&out.stderr).starts_with("monitor: argument \"\\xFF\" is not");
     assert!(out.status.code() == Some(2) && named);
+
+    // A request above the task ceiling stops the stream with exit 2 and
+    // its line number, before any request is assessed.
+    let mut child = Command::new(monitor)
+        .stdin(Stdio::piped())
+        .stderr(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn monitor");
+    let lines = "{\"id\":1,\"profile\":\"continuous\",\"seed\":1,\"n\":4,\"index\":0}\n\
+                 {\"id\":2,\"profile\":\"continuous\",\"seed\":1,\"n\":65,\"index\":0}\n";
+    let mut stdin = child.stdin.take().expect("stdin");
+    stdin.write_all(lines.as_bytes()).expect("write requests");
+    drop(stdin);
+    let out = child.wait_with_output().expect("wait");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let named = stderr.starts_with("monitor: malformed request on line 2: field \"n\" must be");
+    let stopped = out.status.code() == Some(2) && out.stdout.is_empty();
+    assert!(stopped && named, "{stderr}");
 
     // `--flag=VALUE` reads as `--flag VALUE`: 5 requests, not the default 200.
     let stream = |args: &[&str]| {

@@ -14,9 +14,10 @@ use crate::task::Task;
 use crate::time::Ticks;
 
 /// Largest higher-priority set for which the slice-based entry points run
-/// entirely on a stack-allocated scratch buffer (larger sets fall back to
-/// one heap allocation per call; use [`crate::RtaScratch`] to amortize it).
-const STACK_WINDOWS: usize = 64;
+/// entirely on a stack-allocated scratch buffer: every set within
+/// [`crate::MAX_TASKS`]. A longer caller slice falls back to one heap
+/// allocation per call; use [`crate::RtaScratch`] to amortize it.
+const STACK_WINDOWS: usize = crate::MAX_TASKS;
 
 /// Cached release window of one interfering task.
 ///

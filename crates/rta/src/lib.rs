@@ -49,5 +49,5 @@ pub use bounds::{
 };
 pub use generate::{generate_task_set, random_period, uunifast, TaskSetConfig};
 pub use scratch::RtaScratch;
-pub use task::{hyperperiod, utilization, InvalidTask, Task, TaskId};
+pub use task::{hyperperiod, utilization, InvalidTask, Task, TaskId, MAX_TASKS};
 pub use time::{Ticks, TICKS_PER_SECOND};

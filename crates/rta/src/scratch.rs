@@ -12,10 +12,10 @@
 //!
 //! The slice-based free functions ([`crate::wcrt`],
 //! [`crate::bcrt_from`], [`crate::response_bounds`]) remain the kernels;
-//! they run on a stack buffer for up to 64 interfering tasks and are the
-//! right entry points for one-shot calls. The division-caching release
-//! windows the scratch reuses between the WCRT and BCRT passes are
-//! described in DESIGN.md §7.
+//! they run on a stack buffer for up to [`crate::MAX_TASKS`] interfering
+//! tasks and are the right entry points for one-shot calls. The
+//! division-caching release windows the scratch reuses between the WCRT
+//! and BCRT passes are described in DESIGN.md §7.
 
 use crate::analysis::{
     bcrt_cached, response_bounds_cached, wcrt_cached, ReleaseWindow, ResponseBounds,

@@ -199,6 +199,14 @@ pub fn utilization(tasks: &[Task]) -> f64 {
     tasks.iter().map(Task::utilization).sum()
 }
 
+/// Largest task set the workspace takes: one bit per task in a `u64`.
+/// `csa-core`'s stability checker keys its verdict memo by such a mask
+/// of higher-priority tasks and `csa-sim` keeps its ready set in one,
+/// so both refuse wider sets, and every reader of a task count (the
+/// experiment binaries' `--n`, monitor requests, witness lines) rejects
+/// one above it with a reason naming this limit.
+pub const MAX_TASKS: usize = 64;
+
 /// Least common multiple of all task periods, or `None` on overflow.
 pub fn hyperperiod(tasks: &[Task]) -> Option<Ticks> {
     let mut acc = Ticks::new(1);

@@ -13,11 +13,11 @@
 //!    the earliest pending release in the same pass. Completions and
 //!    preemption cuts touch no release state at all; and
 //! 2. a **ready index**: tasks keyed by priority *rank* in a `u64` bitmap
-//!    for n ≤ 64 (highest ready rank via `leading_zeros`, O(1)) falling
-//!    back to an ordered set beyond that. A ready task holds its front
-//!    (oldest) job inline; later jobs wait in a per-task backlog that only
-//!    an overrunning task touches (jobs of one task complete in release
-//!    order).
+//!    (highest ready rank via `leading_zeros`, O(1); [`Simulator::new`]
+//!    admits at most [`csa_rta::MAX_TASKS`] ranks). A ready task holds
+//!    its front (oldest) job inline; later jobs wait in a per-task
+//!    backlog that only an overrunning task touches (jobs of one task
+//!    complete in release order).
 //!
 //! Completions need no queued events at all: the running job is always
 //! the front job of the highest-ranked ready task, so its finish time is
@@ -31,79 +31,39 @@
 use crate::policy::ExecutionPolicy;
 use crate::simulator::{finalize_stats, init_stats, SimOutcome, Simulator, TraceEvent};
 use csa_rta::Ticks;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Next-release time of a task with no release left before the horizon.
 /// No real release equals it: every release lies below the horizon,
 /// which is at most `Ticks::MAX`.
 const NEVER: Ticks = Ticks::MAX;
 
-/// Set of tasks with at least one pending job, keyed by priority rank
-/// (`n - 1` = highest priority).
-#[derive(Debug)]
-enum ReadyIndex {
-    /// One bit per rank; the running task is the highest set bit.
-    Bitmap(u64),
-    /// Fallback for n > 64 ranks.
-    Tree(BTreeSet<usize>),
-}
+/// Set of tasks with at least one pending job: one bit per priority rank
+/// (`n - 1` = highest priority); the running task is the highest set bit.
+#[derive(Debug, Default)]
+struct ReadyIndex(u64);
 
 impl ReadyIndex {
-    fn new(n: usize) -> Self {
-        if n <= 64 {
-            ReadyIndex::Bitmap(0)
-        } else {
-            ReadyIndex::Tree(BTreeSet::new())
-        }
-    }
-
     #[inline]
     fn contains(&self, rank: usize) -> bool {
-        match self {
-            ReadyIndex::Bitmap(bits) => bits & (1u64 << rank) != 0,
-            ReadyIndex::Tree(set) => set.contains(&rank),
-        }
+        self.0 & (1u64 << rank) != 0
     }
 
     #[inline]
     fn insert(&mut self, rank: usize) {
-        match self {
-            ReadyIndex::Bitmap(bits) => *bits |= 1u64 << rank,
-            ReadyIndex::Tree(set) => tree_insert(set, rank),
-        }
+        self.0 |= 1u64 << rank;
     }
 
     #[inline]
     fn remove(&mut self, rank: usize) {
-        match self {
-            ReadyIndex::Bitmap(bits) => *bits &= !(1u64 << rank),
-            ReadyIndex::Tree(set) => tree_remove(set, rank),
-        }
+        self.0 &= !(1u64 << rank);
     }
 
     /// Highest ready rank, if any.
     #[inline]
     fn highest(&self) -> Option<usize> {
-        match self {
-            ReadyIndex::Bitmap(bits) => bits.checked_ilog2().map(|b| b as usize),
-            ReadyIndex::Tree(set) => set.last().copied(),
-        }
+        self.0.checked_ilog2().map(|b| b as usize)
     }
-}
-
-// The B-tree updates stay out of line so that the bitmap arms of
-// `insert` and `remove` inline into the event loop. Compiled as one
-// function, each bitmap update was a call that saved and restored six
-// registers for a single `or` or `and`, once per release and once per
-// completion (DESIGN.md §12).
-#[inline(never)]
-fn tree_insert(set: &mut BTreeSet<usize>, rank: usize) {
-    set.insert(rank);
-}
-
-#[inline(never)]
-fn tree_remove(set: &mut BTreeSet<usize>, rank: usize) {
-    set.remove(&rank);
 }
 
 /// A pending job of one task (the task index is the slot it sits in).
@@ -130,7 +90,7 @@ pub(crate) fn run<P: ExecutionPolicy + ?Sized>(
     // jobs released behind it, oldest first.
     let mut front = vec![Job::default(); n];
     let mut backlog: Vec<VecDeque<Job>> = vec![VecDeque::new(); n];
-    let mut ready = ReadyIndex::new(n);
+    let mut ready = ReadyIndex::default();
     // Releases at or past the horizon never happen (the reference
     // sweep's `next_release[i] < horizon` guard).
     let mut next_release: Vec<Ticks> = sim
@@ -247,7 +207,7 @@ mod tests {
 
     #[test]
     fn bitmap_index_tracks_highest_rank() {
-        let mut idx = ReadyIndex::new(8);
+        let mut idx = ReadyIndex::default();
         assert_eq!(idx.highest(), None);
         idx.insert(3);
         idx.insert(5);
@@ -262,25 +222,10 @@ mod tests {
         idx.remove(0);
         assert_eq!(idx.highest(), None);
         // Top bit of the 64-rank bitmap.
-        let mut full = ReadyIndex::new(64);
+        let mut full = ReadyIndex::default();
         full.insert(63);
         full.insert(62);
         assert_eq!(full.highest(), Some(63));
         assert!(full.contains(63));
-    }
-
-    #[test]
-    fn tree_fallback_matches_bitmap_semantics() {
-        let mut idx = ReadyIndex::new(100);
-        assert!(matches!(idx, ReadyIndex::Tree(_)));
-        assert_eq!(idx.highest(), None);
-        idx.insert(70);
-        idx.insert(99);
-        idx.insert(70);
-        assert_eq!(idx.highest(), Some(99));
-        assert!(idx.contains(70) && !idx.contains(71));
-        idx.remove(99);
-        assert_eq!(idx.highest(), Some(70));
-        assert!(!idx.contains(99));
     }
 }

@@ -15,7 +15,7 @@
 //! differential proptest suite (`tests/differential.rs`).
 
 use crate::policy::ExecutionPolicy;
-use csa_rta::{Task, TaskId, Ticks};
+use csa_rta::{Task, TaskId, Ticks, MAX_TASKS};
 
 /// A task plus its fixed priority. Larger [`SimTask::priority`] values
 /// preempt smaller ones, matching the paper's `rho_i > rho_j` convention.
@@ -151,6 +151,12 @@ impl SimOutcome {
 pub enum SimError {
     /// The task set was empty.
     EmptyTaskSet,
+    /// The task set has more than [`MAX_TASKS`] tasks, one bit each in
+    /// the event core's ready set.
+    TooManyTasks {
+        /// How many tasks were given.
+        count: usize,
+    },
     /// Two tasks share a priority, making the schedule ambiguous.
     DuplicatePriority {
         /// The shared priority value.
@@ -166,6 +172,9 @@ impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
             SimError::EmptyTaskSet => write!(f, "need at least one task"),
+            SimError::TooManyTasks { count } => {
+                write!(f, "at most {MAX_TASKS} tasks can be simulated, got {count}")
+            }
             SimError::DuplicatePriority {
                 priority,
                 first,
@@ -286,16 +295,20 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::EmptyTaskSet`] for an empty slice and
+    /// Returns [`SimError::EmptyTaskSet`] for an empty slice,
+    /// [`SimError::TooManyTasks`] for more than [`MAX_TASKS`] tasks, and
     /// [`SimError::DuplicatePriority`] when two tasks share a priority
     /// (the schedule would be ambiguous). Detection sorts the priorities
     /// once — O(n log n) instead of the earlier all-pairs scan — and the
     /// same sorted order seeds the event core's priority ranks.
     pub fn new(tasks: Vec<SimTask>) -> Result<Self, SimError> {
-        if tasks.is_empty() {
+        let n = tasks.len();
+        if n == 0 {
             return Err(SimError::EmptyTaskSet);
         }
-        let n = tasks.len();
+        if n > MAX_TASKS {
+            return Err(SimError::TooManyTasks { count: n });
+        }
         let mut task_at_rank: Vec<usize> = (0..n).collect();
         // Stable by priority; ties would be adjacent after the sort.
         task_at_rank.sort_by_key(|&i| tasks[i].priority);
@@ -559,6 +572,15 @@ mod tests {
     #[test]
     fn empty_task_set_is_rejected() {
         assert_eq!(Simulator::new(vec![]).unwrap_err(), SimError::EmptyTaskSet);
+    }
+
+    #[test]
+    fn task_sets_above_the_ceiling_are_rejected() {
+        let tasks = |n: u32| (0..n).map(|i| SimTask::new(t(i, 1, 1000), i)).collect();
+        assert!(Simulator::new(tasks(MAX_TASKS as u32)).is_ok());
+        let err = Simulator::new(tasks(MAX_TASKS as u32 + 1)).unwrap_err();
+        assert_eq!(err, SimError::TooManyTasks { count: 65 });
+        assert_eq!(err.to_string(), "at most 64 tasks can be simulated, got 65");
     }
 
     #[test]
