@@ -75,15 +75,6 @@ pub fn lightly_damped_oscillator() -> Result<StateSpace> {
     oscillator(10.0, 0.001)
 }
 
-/// An open-loop unstable first-order plant `2/(s - 1)`.
-///
-/// # Errors
-///
-/// See [`dc_servo`].
-pub fn unstable_first_order() -> Result<StateSpace> {
-    TransferFunction::new(vec![2.0], vec![1.0, -1.0])?.to_state_space()
-}
-
 /// An inverted-pendulum-like plant `1/(s^2 - 1)` (unstable pole at +1).
 ///
 /// # Errors
@@ -187,7 +178,6 @@ mod tests {
         assert!(is_hurwitz_stable(first_order_lag().unwrap().a()).unwrap());
         assert!(is_hurwitz_stable(second_order_lag().unwrap().a()).unwrap());
         assert!(!is_hurwitz_stable(pendulum().unwrap().a()).unwrap());
-        assert!(!is_hurwitz_stable(unstable_first_order().unwrap().a()).unwrap());
         // Servo and integrators are marginally stable (pole at origin).
         assert!(!is_hurwitz_stable(dc_servo().unwrap().a()).unwrap());
     }

@@ -107,13 +107,6 @@ impl Cplx {
         }
     }
 
-    /// Multiplicative inverse, using Smith's algorithm to avoid overflow.
-    ///
-    /// Returns infinities if `self` is zero, mirroring `1.0 / 0.0` for reals.
-    pub fn recip(self) -> Self {
-        Cplx::ONE / self
-    }
-
     /// Returns `true` if both parts are finite.
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -297,7 +290,6 @@ mod tests {
         assert_eq!(z + Cplx::ZERO, z);
         assert_eq!(z * Cplx::ONE, z);
         assert_eq!(z - z, Cplx::ZERO);
-        assert!(close(z * z.recip(), Cplx::ONE, 1e-15));
     }
 
     #[test]

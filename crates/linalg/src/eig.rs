@@ -287,15 +287,6 @@ impl EigScratch {
             .iter()
             .fold(0.0f64, |m, l| m.max(l.abs())))
     }
-
-    /// Schur stability test, bit-identical to [`is_schur_stable`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`is_schur_stable`].
-    pub fn is_schur_stable_in(&mut self, a: &Mat) -> Result<bool> {
-        Ok(self.spectral_radius_in(a)? < 1.0)
-    }
 }
 
 impl Default for EigScratch {

@@ -1,4 +1,4 @@
-//! Controllability/observability Gramians and reachability measures.
+//! The discrete reachability Gramian and reachability measures.
 //!
 //! The paper's Fig. 2 pathological sampling periods are exactly the
 //! points where the sampled pair `(Phi, Gamma)` loses reachability
@@ -8,7 +8,6 @@
 
 use crate::eig::eigenvalues;
 use crate::error::Result;
-use crate::lyap::dlyap;
 use crate::mat::Mat;
 
 /// Finite-horizon discrete reachability Gramian
@@ -44,23 +43,6 @@ pub fn reachability_gramian(a: &Mat, b: &Mat, horizon: usize) -> Mat {
     }
     w.symmetrize();
     w
-}
-
-/// Infinite-horizon reachability Gramian, the solution of
-/// `W = A W A^T + B B^T` (requires Schur-stable `A`).
-///
-/// # Errors
-///
-/// [`crate::Error::NotStable`] / [`crate::Error::NoConvergence`] if `A`
-/// is not Schur stable.
-pub fn reachability_gramian_inf(a: &Mat, b: &Mat) -> Result<Mat> {
-    dlyap(a, &(b * &b.transpose()))
-}
-
-/// Observability Gramian over `horizon` steps: the reachability Gramian
-/// of the dual pair `(A^T, C^T)`.
-pub fn observability_gramian(a: &Mat, c: &Mat, horizon: usize) -> Mat {
-    reachability_gramian(&a.transpose(), &c.transpose(), horizon)
 }
 
 /// The smallest eigenvalue of the `n`-step reachability Gramian — a
@@ -154,6 +136,7 @@ fn rank(m: &Mat) -> usize {
 mod tests {
     use super::*;
     use crate::expm::zoh;
+    use crate::lyap::dlyap;
 
     #[test]
     fn double_integrator_is_reachable() {
@@ -191,18 +174,9 @@ mod tests {
     fn finite_gramian_matches_lyapunov_for_stable_a() {
         let a = Mat::from_rows(&[&[0.5, 0.1], &[0.0, 0.4]]);
         let b = Mat::col_vec(&[1.0, 0.5]);
-        let w_inf = reachability_gramian_inf(&a, &b).unwrap();
+        let w_inf = dlyap(&a, &(&b * &b.transpose())).unwrap();
         let w_100 = reachability_gramian(&a, &b, 100);
         assert!(w_inf.max_abs_diff(&w_100) < 1e-10);
-    }
-
-    #[test]
-    fn observability_is_dual() {
-        let a = Mat::from_rows(&[&[0.9, 0.1], &[0.0, 0.7]]);
-        let c = Mat::row_vec(&[1.0, 0.0]);
-        let wo = observability_gramian(&a, &c, 2);
-        let wr = reachability_gramian(&a.transpose(), &c.transpose(), 2);
-        assert!(wo.max_abs_diff(&wr) < 1e-15);
     }
 
     #[test]

@@ -19,6 +19,9 @@
 //! * [`expm`], [`zoh`], [`van_loan_gramian`], [`noise_covariance`] — matrix
 //!   exponential and Van Loan discretization integrals.
 //! * [`dlyap`], [`dlyap_kron`] — discrete Lyapunov (Stein) equations.
+//! * [`reachability_gramian`], [`reachability_measure`],
+//!   [`reachability_rank`] — the reachability loss behind the paper's
+//!   pathological sampling periods (Fig. 2).
 //! * [`solve_dare`], [`solve_dare_fixed_point`] — discrete algebraic
 //!   Riccati equations with cross weights.
 //! * [`LuScratch`], [`EigScratch`], [`DareScratch`] — re-entrant
@@ -54,7 +57,6 @@ mod gram;
 mod lu;
 mod lyap;
 mod mat;
-mod qr;
 
 pub use cmat::CMat;
 pub use cplx::{Cplx, SmithDivisor};
@@ -66,11 +68,7 @@ pub use eig::{
 };
 pub use error::{Error, Result};
 pub use expm::{expm, nested_gramian, noise_covariance, van_loan_gramian, zoh, ZohPair};
-pub use gram::{
-    observability_gramian, reachability_gramian, reachability_gramian_inf, reachability_measure,
-    reachability_rank,
-};
+pub use gram::{reachability_gramian, reachability_measure, reachability_rank};
 pub use lu::{Lu, LuScratch};
 pub use lyap::{dlyap, dlyap_kron, dlyap_residual};
 pub use mat::Mat;
-pub use qr::{lstsq, qr};

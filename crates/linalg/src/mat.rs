@@ -262,32 +262,6 @@ impl Mat {
         }
     }
 
-    /// Horizontal concatenation `[self, right]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if row counts differ.
-    pub fn hstack(&self, right: &Mat) -> Mat {
-        assert_eq!(self.rows, right.rows, "hstack requires equal row counts");
-        let mut m = Mat::zeros(self.rows, self.cols + right.cols);
-        m.set_block(0, 0, self);
-        m.set_block(0, self.cols, right);
-        m
-    }
-
-    /// Vertical concatenation `[self; below]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if column counts differ.
-    pub fn vstack(&self, below: &Mat) -> Mat {
-        assert_eq!(self.cols, below.cols, "vstack requires equal column counts");
-        let mut m = Mat::zeros(self.rows + below.rows, self.cols);
-        m.set_block(0, 0, self);
-        m.set_block(self.rows, 0, below);
-        m
-    }
-
     /// Kronecker product `self (x) other`.
     pub fn kron(&self, other: &Mat) -> Mat {
         let mut m = Mat::zeros(self.rows * other.rows, self.cols * other.cols);
@@ -643,22 +617,6 @@ mod tests {
         let d = Mat::from_diag(&[1.0, 2.0, 3.0]);
         assert_eq!(d.trace(), 6.0);
         assert_eq!(d[(0, 1)], 0.0);
-    }
-
-    #[test]
-    fn blocks_and_stacking() {
-        let a = Mat::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Mat::from_rows(&[&[5.0], &[6.0]]);
-        let ab = a.hstack(&b);
-        assert_eq!(ab.shape(), (2, 3));
-        assert_eq!(ab[(1, 2)], 6.0);
-        assert_eq!(ab.block(0, 0, 2, 2), a);
-        assert_eq!(ab.block(0, 2, 2, 1), b);
-
-        let c = Mat::row_vec(&[7.0, 8.0]);
-        let ac = a.vstack(&c);
-        assert_eq!(ac.shape(), (3, 2));
-        assert_eq!(ac[(2, 1)], 8.0);
     }
 
     #[test]

@@ -16,7 +16,8 @@ use crate::time::Ticks;
 /// Largest higher-priority set for which the slice-based entry points run
 /// entirely on a stack-allocated scratch buffer: every set within
 /// [`crate::MAX_TASKS`]. A longer caller slice falls back to one heap
-/// allocation per call; use [`crate::RtaScratch`] to amortize it.
+/// allocation per call; [`crate::RtaScratch`] amortizes it for
+/// [`response_bounds`] only.
 const STACK_WINDOWS: usize = crate::MAX_TASKS;
 
 /// Cached release window of one interfering task.

@@ -1,12 +1,10 @@
-//! Random task-set generation for the paper's experiments (§V).
+//! Random utilizations for the paper's experiments (§V).
 //!
 //! The paper draws benchmark sets with the UUniFast algorithm (Bini &
 //! Buttazzo 2005): `n` task utilizations that sum to a target `U`, sampled
 //! uniformly from the simplex. Periods and best/worst execution-time
-//! ratios come from configurable ranges.
+//! ratios are drawn by the benchmark generator of `csa-experiments`.
 
-use crate::task::{Task, TaskId};
-use crate::time::Ticks;
 use rand::Rng;
 
 /// Generates `n` utilizations summing to `u_total` with the UUniFast
@@ -44,88 +42,9 @@ pub fn uunifast<R: Rng + ?Sized>(n: usize, u_total: f64, rng: &mut R) -> Vec<f64
     utils
 }
 
-/// Configuration for random task-set generation.
-#[derive(Debug, Clone)]
-pub struct TaskSetConfig {
-    /// Number of tasks.
-    pub n: usize,
-    /// Total worst-case utilization target.
-    pub total_utilization: f64,
-    /// Periods are drawn log-uniformly from this range (inclusive bounds).
-    pub period_range: (Ticks, Ticks),
-    /// Best-case execution time as a fraction of the worst case is drawn
-    /// uniformly from this range (e.g. `(0.5, 1.0)`).
-    pub bcet_ratio_range: (f64, f64),
-}
-
-impl TaskSetConfig {
-    /// A configuration mirroring the paper's benchmarks: periods 10–1000 ms,
-    /// best-case ratio 0.5–1.0.
-    pub fn new(n: usize, total_utilization: f64) -> Self {
-        TaskSetConfig {
-            n,
-            total_utilization,
-            period_range: (Ticks::from_millis(10), Ticks::from_secs(1)),
-            bcet_ratio_range: (0.5, 1.0),
-        }
-    }
-}
-
-/// Draws a period log-uniformly from `range`.
-pub fn random_period<R: Rng + ?Sized>(range: (Ticks, Ticks), rng: &mut R) -> Ticks {
-    let (lo, hi) = (range.0.get().max(1) as f64, range.1.get().max(1) as f64);
-    assert!(hi >= lo, "period range must be non-empty");
-    let t = (lo.ln() + rng.gen::<f64>() * (hi.ln() - lo.ln())).exp();
-    Ticks::new(t.round() as u64)
-}
-
-/// Generates a random task set according to `config`.
-///
-/// Utilizations come from [`uunifast`]; each task's worst-case execution
-/// time is `u_i * h_i` (clamped to at least one tick), and its best case is
-/// a random fraction of the worst case.
-///
-/// Tasks whose computed execution time would be zero are bumped to one
-/// tick, so the realized utilization can exceed the target marginally for
-/// extreme inputs.
-///
-/// # Examples
-///
-/// ```
-/// use csa_rta::{generate_task_set, utilization, TaskSetConfig};
-/// use rand::{rngs::StdRng, SeedableRng};
-///
-/// let mut rng = StdRng::seed_from_u64(42);
-/// let ts = generate_task_set(&TaskSetConfig::new(6, 0.7), &mut rng);
-/// assert_eq!(ts.len(), 6);
-/// assert!((utilization(&ts) - 0.7).abs() < 0.01);
-/// ```
-pub fn generate_task_set<R: Rng + ?Sized>(config: &TaskSetConfig, rng: &mut R) -> Vec<Task> {
-    let utils = uunifast(config.n, config.total_utilization, rng);
-    let (r_lo, r_hi) = config.bcet_ratio_range;
-    assert!(
-        (0.0..=1.0).contains(&r_lo) && r_lo <= r_hi && r_hi <= 1.0,
-        "best-case ratio range must satisfy 0 <= lo <= hi <= 1"
-    );
-    utils
-        .into_iter()
-        .enumerate()
-        .map(|(i, u)| {
-            let period = random_period(config.period_range, rng);
-            let c_worst = Ticks::new(((u * period.get() as f64).round() as u64).max(1)).min(period);
-            let ratio = rng.gen_range(r_lo..=r_hi);
-            let c_best =
-                Ticks::new(((ratio * c_worst.get() as f64).round() as u64).max(1)).min(c_worst);
-            Task::new(TaskId::new(i as u32), c_best, c_worst, period)
-                .expect("generated task must satisfy the model invariants")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::utilization;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -146,51 +65,5 @@ mod tests {
     fn uunifast_single_task_gets_everything() {
         let mut rng = StdRng::seed_from_u64(2);
         assert_eq!(uunifast(1, 0.6, &mut rng), vec![0.6]);
-    }
-
-    #[test]
-    fn generated_sets_respect_invariants() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let cfg = TaskSetConfig::new(10, 0.8);
-        for _ in 0..50 {
-            let ts = generate_task_set(&cfg, &mut rng);
-            assert_eq!(ts.len(), 10);
-            for t in &ts {
-                assert!(t.c_best() >= Ticks::new(1));
-                assert!(t.c_best() <= t.c_worst());
-                assert!(t.c_worst() <= t.period());
-                assert!(t.period() >= cfg.period_range.0);
-                assert!(t.period() <= cfg.period_range.1 + Ticks::new(1));
-            }
-            let u = utilization(&ts);
-            assert!((u - 0.8).abs() < 0.05, "utilization {u} far from target");
-        }
-    }
-
-    #[test]
-    fn periods_spread_across_range() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let range = (Ticks::from_millis(10), Ticks::from_secs(1));
-        let mut saw_low = false;
-        let mut saw_high = false;
-        for _ in 0..500 {
-            let p = random_period(range, &mut rng);
-            assert!(p >= range.0 && p <= range.1 + Ticks::new(1));
-            if p < Ticks::from_millis(50) {
-                saw_low = true;
-            }
-            if p > Ticks::from_millis(500) {
-                saw_high = true;
-            }
-        }
-        assert!(saw_low && saw_high, "log-uniform should cover the range");
-    }
-
-    #[test]
-    fn deterministic_with_same_seed() {
-        let cfg = TaskSetConfig::new(5, 0.6);
-        let a = generate_task_set(&cfg, &mut StdRng::seed_from_u64(99));
-        let b = generate_task_set(&cfg, &mut StdRng::seed_from_u64(99));
-        assert_eq!(a, b);
     }
 }

@@ -10,8 +10,7 @@
 //! * the exact best-case response time of Redell & Sanfridson
 //!   ([`bcrt_from`], Eq. 4);
 //! * the latency/jitter pair of Eq. 2 ([`ResponseBounds`]);
-//! * UUniFast task-set generation for the experiments ([`uunifast`],
-//!   [`generate_task_set`]).
+//! * UUniFast utilization sampling for the experiments ([`uunifast`]).
 //!
 //! All analysis runs on exact integer [`Ticks`] — the fixed points are
 //! computed without floating-point ceilings, so anomaly detection in
@@ -36,18 +35,13 @@
 #![forbid(unsafe_code)]
 
 mod analysis;
-mod bounds;
 mod generate;
 mod scratch;
 mod task;
 mod time;
 
 pub use analysis::{bcrt_from, response_bounds, wcrt, wcrt_with_limit, ResponseBounds};
-pub use bounds::{
-    critical_scaling_factor, liu_layland_bound, schedulable_hyperbolic, schedulable_liu_layland,
-    wcrt_with_release_jitter,
-};
-pub use generate::{generate_task_set, random_period, uunifast, TaskSetConfig};
+pub use generate::uunifast;
 pub use scratch::RtaScratch;
 pub use task::{hyperperiod, utilization, InvalidTask, Task, TaskId, MAX_TASKS};
 pub use time::{Ticks, TICKS_PER_SECOND};

@@ -82,15 +82,6 @@ impl ResponseStats {
     pub fn observed_jitter(&self) -> Ticks {
         self.max - self.min
     }
-
-    /// Mean response time in seconds.
-    pub fn mean_secs(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            self.total.as_secs_f64() / self.completed as f64
-        }
-    }
 }
 
 /// One entry of a recorded schedule trace.
