@@ -1,5 +1,5 @@
 //! The one artifact layer under the persisted line formats (DESIGN.md
-//! §10.1): `csamt1` margin tables, `csacp1` sweep journals and `csaq1`
+//! §10.1): `csamt1` margin tables, `csacp2` sweep journals and `csaq2`
 //! quarantine lists, `csaw1` witnesses, and `csamon1` monitor snapshots.
 //!
 //! Every format decision they share is made here, once: the

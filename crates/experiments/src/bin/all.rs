@@ -10,9 +10,8 @@
 
 use csa_experiments::cli::{Args, PROFILE, QUICK, SCALE, SWEEP, TASK_COUNTS};
 use csa_experiments::{
-    format_census, format_table1, run_census_with_threads, run_fig2_with_threads, run_fig4,
-    run_fig5, run_table1_with_threads, warm_cached_tables, CensusConfig, Fig2Config, Fig4Config,
-    Fig5Config, Table1Config,
+    format_census, format_table1, run_census, run_fig2_with_threads, run_fig4, run_fig5,
+    run_table1, warm_cached_tables, CensusConfig, Fig2Config, Fig4Config, Fig5Config, Table1Config,
 };
 
 fn main() {
@@ -81,7 +80,7 @@ fn main() {
     if let Some(counts) = &task_counts {
         t1_cfg.task_counts = counts.clone();
     }
-    let t1 = run_table1_with_threads(&t1_cfg, threads);
+    let (t1, _) = run_table1(&t1_cfg, threads);
     println!("== Table I ==");
     println!("{}", format_table1(&t1));
 
@@ -117,7 +116,7 @@ fn main() {
     if let Some(counts) = &task_counts {
         census_cfg.task_counts = counts.clone();
     }
-    let census = run_census_with_threads(&census_cfg, threads);
+    let (census, _) = run_census(&census_cfg, threads);
     println!("== Census ==");
     println!("{}", format_census(&census));
 }

@@ -3,16 +3,15 @@
 //!
 //! ```text
 //! census [--quick] [--threads N] [--profile NAME] [--n LIST] [--search NAME] [--budget N]
-//!        [--checkpoint-dir PATH] [--resume] [--shard-size N] [--instance-timeout N]
-//!        [--reservoir N]
+//!        [--checkpoint-dir PATH] [--resume] [--shard-size N]
 //! ```
 //!
 //! README.md's flag table explains each flag; `--search` selects the
 //! solver behind the solvable column. Results are identical at any
 //! `--threads`. Crash safety (DESIGN.md §11): with `--checkpoint-dir`,
-//! `--resume` restarts a killed run to bit-identical output, and
-//! overlong (`--instance-timeout` ms) or panicking instances are
-//! quarantined with their replayable seed instead of stalling the run.
+//! `--resume` restarts a killed run to bit-identical output, and a
+//! panicking instance is quarantined with its replayable seed instead
+//! of aborting the run.
 
 use csa_experiments::cli::{Args, ORCHESTRATION, PROFILE, QUICK, SCALE, SWEEP, TASK_COUNTS};
 use csa_experiments::{

@@ -15,7 +15,7 @@
 
 use csa_experiments::cli::{Args, Flag, PROFILE, QUICK, SCALE, TASK_COUNTS};
 use csa_experiments::{
-    run_census_collecting, warm_cached_tables, write_witness_file, CensusConfig, SearchConfig,
+    run_census, warm_cached_tables, write_witness_file, CensusConfig, SearchConfig,
 };
 
 const BENCHMARKS: Flag<usize> = Flag::count("--benchmarks");
@@ -51,7 +51,7 @@ fn main() -> std::io::Result<()> {
         config.task_counts
     );
     warm_cached_tables(threads);
-    let (rows, witnesses) = run_census_collecting(&config, threads);
+    let (rows, witnesses) = run_census(&config, threads);
     for r in &rows {
         eprintln!(
             "n = {}: {} certificate lies, {} unsafe-invalid, {} interference anomalies, {} priority-raise, {} opa-incomplete",

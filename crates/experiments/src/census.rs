@@ -107,8 +107,8 @@ pub struct CensusRow {
     /// without deciding (counted as unsolvable but reported apart:
     /// "unknown", not "infeasible"; always 0 for unbudgeted searches).
     pub truncated: usize,
-    /// Benchmarks quarantined by the orchestrator (panic or timeout;
-    /// see DESIGN.md §11) and excluded from every other counter.
+    /// Benchmarks quarantined by the orchestrator (a caught panic; see
+    /// DESIGN.md §11) and excluded from every other counter.
     pub quarantined: usize,
 }
 
@@ -338,35 +338,22 @@ fn agg_to_census_row(agg: AggRow) -> CensusRow {
     }
 }
 
-/// Runs the census single-threaded (see [`run_census_with_threads`]).
-pub fn run_census(config: &CensusConfig) -> Vec<CensusRow> {
-    run_census_with_threads(config, 1)
-}
-
 /// Runs the census sharded across `threads` workers (0 = available
-/// parallelism); per-instance seeds make the rows bit-identical at any
-/// thread count.
-pub fn run_census_with_threads(config: &CensusConfig, threads: usize) -> Vec<CensusRow> {
-    run_census_collecting(config, threads).0
-}
-
-/// [`run_census_with_threads`], additionally returning a replayable
-/// [`Witness`] for every anomalous event found, ordered by `(n, index)`
-/// and by [`WitnessKind`] within one instance.
+/// parallelism), returning the rows and a replayable [`Witness`] for
+/// every anomalous event found, ordered by `(n, index)` and by
+/// [`WitnessKind`] within one instance. Per-instance seeds make the
+/// output bit-identical at any thread count.
 ///
 /// Streams through the sharded orchestrator with checkpointing disabled
 /// — only one shard of per-instance results is ever in memory.
-pub fn run_census_collecting(
-    config: &CensusConfig,
-    threads: usize,
-) -> (Vec<CensusRow>, Vec<Witness>) {
+pub fn run_census(config: &CensusConfig, threads: usize) -> (Vec<CensusRow>, Vec<Witness>) {
     let run = run_census_orchestrated(config, &OrchestratorConfig::in_memory(), threads)
         .expect("in-memory sweep performs no I/O");
     (run.rows, run.witnesses)
 }
 
 /// Runs the census under full orchestration: streaming shards, optional
-/// checkpoint/resume, and panic/timeout quarantine (see
+/// checkpoint/resume, and panic quarantine (see
 /// [`run_sharded_sweep`] and DESIGN.md §11). With a checkpoint
 /// directory and `resume`, a killed run continues where it stopped and
 /// the final rows and witnesses are bit-identical to an uninterrupted
@@ -442,13 +429,16 @@ mod tests {
 
     #[test]
     fn census_counts_are_consistent() {
-        let rows = run_census(&CensusConfig {
-            task_counts: vec![4],
-            benchmarks: 150,
-            seed: 5,
-            profile: PeriodModel::GridSnapped,
-            search: SearchConfig::default(),
-        });
+        let (rows, _) = run_census(
+            &CensusConfig {
+                task_counts: vec![4],
+                benchmarks: 150,
+                seed: 5,
+                profile: PeriodModel::GridSnapped,
+                search: SearchConfig::default(),
+            },
+            1,
+        );
         let r = &rows[0];
         assert!(r.solvable <= r.benchmarks);
         assert!(r.interference_anomalies <= r.solvable);
@@ -466,13 +456,16 @@ mod tests {
     #[test]
     fn sets_at_the_task_ceiling_run() {
         // n = csa_core::MAX_TASKS fills every bit of the checker's mask.
-        let rows = run_census(&CensusConfig {
-            task_counts: vec![csa_core::MAX_TASKS],
-            benchmarks: 2,
-            seed: 5,
-            profile: PeriodModel::GridSnapped,
-            search: SearchConfig::default(),
-        });
+        let (rows, _) = run_census(
+            &CensusConfig {
+                task_counts: vec![csa_core::MAX_TASKS],
+                benchmarks: 2,
+                seed: 5,
+                profile: PeriodModel::GridSnapped,
+                search: SearchConfig::default(),
+            },
+            1,
+        );
         assert_eq!(rows[0].n, 64);
         assert_eq!(rows[0].quarantined, 0);
         assert!(rows[0].solvable <= 2);
@@ -487,9 +480,9 @@ mod tests {
             profile: PeriodModel::Continuous,
             search: SearchConfig::default(),
         };
-        let (serial, serial_wits) = run_census_collecting(&cfg, 1);
+        let (serial, serial_wits) = run_census(&cfg, 1);
         for threads in [2, 4] {
-            let (rows, wits) = run_census_collecting(&cfg, threads);
+            let (rows, wits) = run_census(&cfg, threads);
             assert_eq!(serial, rows, "census diverged at {threads} threads");
             assert_eq!(serial_wits, wits, "witnesses diverged at {threads} threads");
         }
@@ -504,7 +497,7 @@ mod tests {
             profile: PeriodModel::MarginTight,
             search: SearchConfig::default(),
         };
-        let (rows, wits) = run_census_collecting(&cfg, 0);
+        let (rows, wits) = run_census(&cfg, 0);
         let count = |kind| wits.iter().filter(|w| w.kind == kind).count();
         assert_eq!(count(WitnessKind::UnsafeInvalid), rows[0].unsafe_invalid);
         assert_eq!(

@@ -2,24 +2,22 @@
 //!
 //! A large sweep (DESIGN.md §11) is split into deterministic shards of
 //! consecutive instance indices; as each shard completes, its aggregate
-//! counter row, its (bounded) witness sample, and its quarantined
-//! instances are appended to a plain-text *journal* under the checkpoint
-//! directory. The journal is always rewritten through
-//! [`crate::write_atomic`] (write `.tmp`, fsync, rename), so a crash at
-//! any instant — including SIGKILL mid-write — leaves either the
-//! previous complete journal or the new complete journal on disk, never
-//! a torn file.
+//! counter row, its witnesses, and its quarantined instances are
+//! appended to a plain-text *journal* under the checkpoint directory.
+//! The journal is always rewritten through [`crate::write_atomic`]
+//! (write `.tmp`, fsync, rename), so a crash at any instant — including
+//! SIGKILL mid-write — leaves either the previous complete journal or
+//! the new complete journal on disk, never a torn file.
 //!
 //! The first content line is a *fingerprint header* assembled by the
 //! orchestrator from everything the shard results are a function of:
 //! sweep name, base seed, instance counts, column layout, shard size,
-//! reservoir capacity, instance timeout, the margin-kernel revision and
-//! plant-pool fingerprint (reusing the staleness-guard discipline of
-//! [`crate::margin_cache`]), and the sweep-specific configuration
-//! (profile, search mode, budget). A resume checks the header with the
-//! one [`Header`] policy; any mismatch is a [`Stale`] naming the field
-//! and the sweep recomputes from scratch with a warning — a stale or
-//! corrupt journal is **never** silently merged.
+//! the margin-kernel revision and plant-pool fingerprint (reusing the
+//! staleness-guard discipline of [`crate::margin_cache`]), and the
+//! sweep-specific configuration (profile, search mode, budget). A resume
+//! checks the header with the one [`Header`] policy; any mismatch is a
+//! [`Stale`] naming the field and the sweep recomputes from scratch with
+//! a warning — a stale or corrupt journal is **never** silently merged.
 //!
 //! Record grammar (after the header; blank lines and `#` comments are
 //! skipped, as in every format of [`crate::artifact`]):
@@ -27,61 +25,29 @@
 //! ```text
 //! s|<n>|<start>|<len>|<c0,c1,...>|<witness count>|<quarantine count>
 //! w|<witness line in the csaw1 format of witness.rs>
-//! q|<index>|<rng seed as 16-hex-digit>|panic|<sanitized message>
-//! q|<index>|<rng seed as 16-hex-digit>|timeout|<elapsed ms>
+//! q|<index>|<rng seed as 16-hex-digit>|<sanitized panic message>
 //! ```
+//!
+//! The writer ends every line with `\n`, so a journal whose text does
+//! not is one cut inside a line, and is [`Stale::Malformed`]. A cut at a
+//! line boundary either leaves an `s` record's witness or quarantine
+//! count unmet (also `Malformed`) or is an exact prefix of the shards.
 
 use crate::artifact::{self, hex, write_atomic, Header, Lines, Stale};
 use crate::report::RESULTS_DIR;
 use crate::witness::Witness;
-use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Version tag of the checkpoint-journal format; first header field.
-pub const CHECKPOINT_TAG: &str = "csacp1";
+pub(crate) const CHECKPOINT_TAG: &str = "csacp2";
 
 /// File-name extension of journals inside the checkpoint directory.
 const JOURNAL_EXT: &str = "csacp";
 
-/// Why an instance was quarantined instead of aggregated.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum QuarantineReason {
-    /// The worker panicked while evaluating the instance; carries the
-    /// sanitized panic message.
-    Panic(String),
-    /// Evaluation finished but exceeded the configured per-instance
-    /// timeout; carries the measured wall-clock milliseconds.
-    Timeout {
-        /// Measured evaluation time in milliseconds.
-        elapsed_ms: u64,
-    },
-}
-
-impl QuarantineReason {
-    /// The `kind|detail` fields shared by journal `q` records and
-    /// `csaq1` lines.
-    fn fields(&self) -> String {
-        match self {
-            QuarantineReason::Panic(msg) => format!("panic|{}", sanitize_message(msg)),
-            QuarantineReason::Timeout { elapsed_ms } => format!("timeout|{elapsed_ms}"),
-        }
-    }
-}
-
-impl fmt::Display for QuarantineReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            QuarantineReason::Panic(msg) => write!(f, "panic: {msg}"),
-            QuarantineReason::Timeout { elapsed_ms } => {
-                write!(f, "timeout: evaluation took {elapsed_ms} ms")
-            }
-        }
-    }
-}
-
-/// One quarantined instance: its sweep coordinates, the exact RNG seed
-/// ([`crate::instance_seed`]`(seed, n, index)`) to replay it offline,
-/// and the reason it was excluded from the aggregates.
+/// One quarantined instance: a worker panicked while evaluating it. It
+/// carries its sweep coordinates, the exact RNG seed
+/// ([`crate::instance_seed`]`(seed, n, index)`) to replay it offline, and
+/// the panic message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuarantinedInstance {
     /// Task count of the sweep row.
@@ -91,12 +57,23 @@ pub struct QuarantinedInstance {
     /// The instance's derived RNG seed — `StdRng::seed_from_u64(seed)`
     /// regenerates the exact benchmark for offline replay.
     pub rng_seed: u64,
-    /// Why the instance was quarantined.
-    pub reason: QuarantineReason,
+    /// The worker's panic message.
+    pub panic: String,
+}
+
+impl QuarantinedInstance {
+    /// The `index|rng seed|message` fields shared by journal `q` records
+    /// and `csaq2` lines.
+    fn fields(&self) -> String {
+        let (seed, msg) = (hex(self.rng_seed), sanitize_message(&self.panic));
+        format!("{}|{seed}|{msg}", self.index)
+    }
 }
 
 /// Replaces journal-hostile characters (`|`, newlines, controls) and
-/// truncates, so a panic message can ride in one journal field.
+/// truncates, so a panic message can ride in one journal field. Trailing
+/// whitespace goes too: [`Lines`] trims every line, so a resumed sweep
+/// would read the message back without it.
 pub(crate) fn sanitize_message(msg: &str) -> String {
     let mut out: String = msg
         .chars()
@@ -106,12 +83,12 @@ pub(crate) fn sanitize_message(msg: &str) -> String {
     if msg.chars().count() > 160 {
         out.push('…');
     }
-    out
+    out.trim_end().to_string()
 }
 
 /// One completed shard: the half-open instance range `start..start+len`
 /// of the `n`-task row, its aggregate counters (one per sweep column),
-/// its witness sample, and its quarantined instances.
+/// its witnesses, and its quarantined instances.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardRecord {
     /// Task count of the sweep row this shard belongs to.
@@ -122,7 +99,7 @@ pub struct ShardRecord {
     pub len: usize,
     /// Aggregate counters in the sweep's column order.
     pub counts: Vec<u64>,
-    /// Witness sample (bounded by the orchestrator's reservoir).
+    /// Witnesses the shard's instances produced, in index order.
     pub witnesses: Vec<Witness>,
     /// Instances excluded from `counts` (each also absent from
     /// `witnesses`).
@@ -147,8 +124,7 @@ impl ShardRecord {
             let _ = writeln!(out, "w|{}", w.to_line());
         }
         for q in &self.quarantined {
-            let seed = hex(q.rng_seed);
-            let _ = writeln!(out, "q|{}|{seed}|{}", q.index, q.reason.fields());
+            let _ = writeln!(out, "q|{}", q.fields());
         }
     }
 }
@@ -188,14 +164,20 @@ pub(crate) fn save_journal(
 /// # Errors
 ///
 /// [`Stale`] when the file is absent, fingerprints differ, or the body
-/// is corrupt. Callers must recompute every shard in every error case
-/// (warn-and-recompute; never merge a stale journal).
+/// is corrupt or cut inside a line. Callers must recompute every shard
+/// in every error case (warn-and-recompute; never merge a stale
+/// journal).
 pub(crate) fn load_journal(
     path: &Path,
     expected: &Header,
     columns: usize,
 ) -> Result<Vec<ShardRecord>, Stale> {
     let text = artifact::read(path)?;
+    if !text.ends_with('\n') {
+        return Err(Stale::Malformed(
+            "the last line has no newline; the journal was cut inside it".into(),
+        ));
+    }
     let mut lines = Lines::new(&text);
     expected.check(lines.require("header")?.text)?;
 
@@ -234,19 +216,12 @@ pub(crate) fn load_journal(
                 .push(Witness::parse(w.payload()).map_err(|e| w.malformed(e))?);
         }
         for _ in 0..s.num::<usize>(5, "quarantine count")? {
-            let q = lines.record("q", 4)?;
-            let reason = match q.str(2)? {
-                "panic" => QuarantineReason::Panic(q.str(3)?.to_string()),
-                "timeout" => QuarantineReason::Timeout {
-                    elapsed_ms: q.num(3, "timeout ms")?,
-                },
-                other => return Err(q.malformed(format!("unknown quarantine kind {other:?}"))),
-            };
+            let q = lines.record("q", 3)?;
             record.quarantined.push(QuarantinedInstance {
                 n: record.n,
                 index: q.num(0, "index")?,
                 rng_seed: q.hex(1, "rng seed")?,
-                reason,
+                panic: q.str(2)?.to_string(),
             });
         }
         records.push(record);
@@ -255,7 +230,7 @@ pub(crate) fn load_journal(
 }
 
 /// Writes quarantined instances to `results/<file_name>` for offline
-/// replay (one line each: `csaq1|n|index|rng_seed_hex|reason|detail`)
+/// replay (one line each: `csaq2|n|index|rng_seed_hex|message`)
 /// and returns the full path. Atomic like every artifact writer.
 ///
 /// # Errors
@@ -272,8 +247,7 @@ pub fn write_quarantine_file(
         quarantined.len()
     );
     for q in quarantined {
-        let (seed, fields) = (hex(q.rng_seed), q.reason.fields());
-        let _ = writeln!(content, "csaq1|{}|{}|{seed}|{fields}", q.n, q.index);
+        let _ = writeln!(content, "csaq2|{}|{}", q.n, q.fields());
     }
     write_atomic(&path, &content)?;
     Ok(path)
@@ -314,13 +288,13 @@ mod tests {
                         n,
                         index: 5,
                         rng_seed: instance_seed(seed, n, 5),
-                        reason: QuarantineReason::Panic("boom at 5".to_string()),
+                        panic: "boom at 5".to_string(),
                     },
                     QuarantinedInstance {
                         n,
                         index: 7,
                         rng_seed: instance_seed(seed, n, 7),
-                        reason: QuarantineReason::Timeout { elapsed_ms: 1234 },
+                        panic: "boom at 7".to_string(),
                     },
                 ],
             },
@@ -357,22 +331,22 @@ mod tests {
         std::fs::remove_file(path).unwrap();
     }
 
-    /// The `csacp1` bytes of [`sample_records`]: a witness, a panic and a
-    /// timeout quarantine record. Round-trip tests alone cannot catch a
+    /// The `csacp2` bytes of [`sample_records`]: a witness and two
+    /// quarantine records. Round-trip tests alone cannot catch a
     /// self-consistent format change.
     const PINNED_JOURNAL: &str = "\
 # Sweep checkpoint journal: one `s` record per completed shard with its\n\
 # witness sample (`w`) and quarantined instances (`q`). Rewritten\n\
 # atomically after every shard; stale headers are recomputed, never merged.\n\
-csacp1|sweep=test|seed=2017|cols=a,b,c\n\
+csacp2|sweep=test|seed=2017|cols=a,b,c\n\
 s|4|0|8|5,0,3|1|2\n\
 w|csaw1|certificate-lie|continuous|2017|4|3|\
 pendulum:2970167:4483394:15445140:3ff41e5054c58df1:3fae8c08e353150d;\
 double_integrator:471119:612402:12950863:3ff4466116ad4930:3fa07290c85d801b;\
 dc_servo:478893:660138:3592086:4000309925faa5d5:3f85fe98cd7cd985;\
 pendulum:1062970:1141322:5236784:3ff3f6c93730ae6a:3fb03b441ecc40ac\n\
-q|5|04cfe3ec9acb4c60|panic|boom at 5\n\
-q|7|84ec18e381dca8f8|timeout|1234\n\
+q|5|04cfe3ec9acb4c60|boom at 5\n\
+q|7|84ec18e381dca8f8|boom at 7\n\
 s|4|8|8|8,1,0|0|0\n";
 
     #[test]
@@ -381,6 +355,30 @@ s|4|8|8|8,1,0|0|0\n";
         save_journal(&path, &test_header(), &sample_records()).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text, PINNED_JOURNAL);
+        std::fs::remove_file(path).unwrap();
+    }
+
+    /// A crash leaves a whole journal (the writes are atomic), but a
+    /// copy or a full disk can cut one anywhere: every byte prefix must
+    /// be rejected or load as a prefix of the saved shards, never as a
+    /// record the journal did not hold.
+    #[test]
+    fn every_cut_is_rejected_or_a_shard_prefix() {
+        let (header, records) = (test_header(), sample_records());
+        let path = temp_path("cut.csacp");
+        save_journal(&path, &header, &records).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        for cut in 0..=bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            match load_journal(&path, &header, 3) {
+                Ok(loaded) => assert!(records.starts_with(&loaded), "cut at byte {cut}"),
+                Err(err) => assert!(
+                    matches!(err, Stale::Malformed(_) | Stale::Mismatch { .. }),
+                    "cut at byte {cut}: {err:?}"
+                ),
+            }
+        }
+        assert_eq!(load_journal(&path, &header, 3), Ok(records));
         std::fs::remove_file(path).unwrap();
     }
 
@@ -414,11 +412,12 @@ s|4|8|8|8,1,0|0|0\n";
         for (body, needle) in [
             ("s|4|0|8|1,2|0|0\n", "counters"),
             ("s|4|0|8|1|1|0\n", "end of file"),
-            ("s|4|0|8|1|0|1\nq|5|zz|panic|x\n", "bad rng seed"),
+            ("s|4|0|8|1|0|1\nq|5|zz|x\n", "bad rng seed"),
             (
-                "s|4|0|8|1|0|1\nq|5|00000000000000aa|soup|x\n",
-                "unknown quarantine kind",
+                "s|4|0|8|1|0|1\nq|5|00000000000000aa|panic|x\n",
+                "expected `q` record with 3 fields",
             ),
+            ("s|4|0|8|1|0|0", "no newline"),
             ("w|csaw1|whatever\n", "expected `s`"),
         ] {
             std::fs::write(&path, format!("{}\n{body}", header.line())).unwrap();
@@ -434,6 +433,7 @@ s|4|8|8|8,1,0|0|0\n";
     #[test]
     fn messages_are_sanitized_for_the_journal() {
         assert_eq!(sanitize_message("a|b\nc"), "a b c");
+        assert_eq!(sanitize_message("boom at 5\n"), "boom at 5");
         let long = "x".repeat(400);
         let s = sanitize_message(&long);
         assert!(s.chars().count() <= 161 && s.ends_with('…'));
@@ -441,8 +441,8 @@ s|4|8|8|8,1,0|0|0\n";
 
     const PINNED_QUARANTINE: &str = "\
 # 2 quarantined instance(s); replay with StdRng::seed_from_u64(0x<rng_seed>)\n\
-csaq1|4|5|04cfe3ec9acb4c60|panic|boom at 5\n\
-csaq1|4|7|84ec18e381dca8f8|timeout|1234\n";
+csaq2|4|5|04cfe3ec9acb4c60|boom at 5\n\
+csaq2|4|7|84ec18e381dca8f8|boom at 7\n";
 
     #[test]
     fn quarantine_file_lists_replay_seeds() {
@@ -451,8 +451,8 @@ csaq1|4|7|84ec18e381dca8f8|timeout|1234\n";
             .unwrap();
         let content = std::fs::read_to_string(&path).unwrap();
         let seed5 = instance_seed(2017, 4, 5);
-        assert!(content.contains(&format!("csaq1|4|5|{seed5:016x}|panic|boom at 5")));
-        assert_eq!(content, PINNED_QUARANTINE, "csaq1 bytes");
+        assert!(content.contains(&format!("csaq2|4|5|{seed5:016x}|boom at 5")));
+        assert_eq!(content, PINNED_QUARANTINE, "csaq2 bytes");
         std::fs::remove_file(path).unwrap();
     }
 }

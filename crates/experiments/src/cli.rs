@@ -137,8 +137,6 @@ pub const BUDGET: Flag<u64> = Flag::positive("--budget");
 const CHECKPOINT_DIR: Flag<PathBuf> = Flag::path("--checkpoint-dir");
 const RESUME: Flag<bool> = Flag::switch("--resume", Some("--checkpoint-dir"));
 const SHARD_SIZE: Flag<usize> = Flag::positive("--shard-size");
-const TIMEOUT: Flag<u64> = Flag::positive("--instance-timeout");
-const RESERVOIR: Flag<usize> = Flag::count("--reservoir");
 
 /// A list of flags; a binary accepts those of the groups it passes to
 /// [`Args::parse`].
@@ -147,10 +145,9 @@ pub type Group = &'static [&'static dyn Declared];
 pub const SCALE: Group = &[&QUICK, &THREADS];
 /// [`PROFILE`], [`TASK_COUNTS`], [`SEARCH`] and [`BUDGET`].
 pub const SWEEP: Group = &[&PROFILE, &TASK_COUNTS, &SEARCH, &BUDGET];
-/// `--checkpoint-dir PATH`, `--resume` (needs `--checkpoint-dir`),
-/// `--shard-size N`, `--instance-timeout MS` and `--reservoir N`; see
-/// [`Args::orchestrator`].
-pub const ORCHESTRATION: Group = &[&CHECKPOINT_DIR, &RESUME, &SHARD_SIZE, &TIMEOUT, &RESERVOIR];
+/// `--checkpoint-dir PATH`, `--resume` (needs `--checkpoint-dir`) and
+/// `--shard-size N`; see [`Args::orchestrator`].
+pub const ORCHESTRATION: Group = &[&CHECKPOINT_DIR, &RESUME, &SHARD_SIZE];
 
 /// One binary's command line, checked against its flag list.
 #[derive(Debug)]
@@ -244,8 +241,6 @@ impl Args {
             checkpoint_dir: self.get(&CHECKPOINT_DIR),
             resume: self.get(&RESUME).is_some(),
             shard_size: self.get(&SHARD_SIZE).unwrap_or(default.shard_size),
-            reservoir: self.get(&RESERVOIR).unwrap_or(default.reservoir),
-            instance_timeout_ms: self.get(&TIMEOUT),
         }
     }
 }
@@ -264,7 +259,7 @@ mod tests {
             "--threads 3 => threads 3;",
             "--threads=7 --quick => threads 7;",
             "=> threads auto; n None; profile grid-snapped; search backtracking; budget max;",
-            "=> orch (None, false, 1024, max) None;",
+            "=> orch (None, false, 1024);",
             "--threads 0 => threads auto;",
             "--threads soup => error bad --threads value \"soup\"; expected an unsigned",
             "--threads => error --threads needs a value",
@@ -291,16 +286,14 @@ mod tests {
             "--budget 0 => error bad --budget value \"0\"; expected a positive integer",
             "--budget soup => error bad --budget value \"soup\"",
             "--budget => error --budget needs a value",
-            "--reservoir 0 => orch (None, false, 1024, 0) None;",
-            "--checkpoint-dir=c --resume --shard-size 9 => orch (Some(\"c\"), true, 9, max) None;",
-            "--instance-timeout 500 --reservoir=16 => orch (None, false, 1024, 16) Some(500);",
+            "--shard-size 9 --reservoir=16 => error unknown argument \"--reservoir=16\"",
+            "--checkpoint-dir=c --resume --shard-size 9 => orch (Some(\"c\"), true, 9);",
+            "--instance-timeout 500 => error unknown argument \"--instance-timeout\"",
             "--resume => error --resume requires --checkpoint-dir",
             "--checkpoint-dir => error --checkpoint-dir needs a value",
             "--checkpoint-dir --resume => error --checkpoint-dir needs a value",
             "--shard-size 0 => error bad --shard-size value \"0\"",
             "--shard-size soup => error bad --shard-size value \"soup\"",
-            "--instance-timeout 0 => error bad --instance-timeout value \"0\"",
-            "--reservoir soup => error bad --reservoir value \"soup\"",
             "--thread 4 => error unknown argument \"--thread\"",
             "--threads 2 --threads=4 => error --threads given twice",
             "--quick=1 => error --quick takes no value",
@@ -313,11 +306,10 @@ mod tests {
                 Ok(a) => {
                     let (s, o) = (a.search(), a.orchestrator());
                     let (n, p) = (a.get(&TASK_COUNTS), a.get(&PROFILE).unwrap_or_default());
-                    let t = o.instance_timeout_ms;
-                    let o = (o.checkpoint_dir, o.resume, o.shard_size, o.reservoir);
+                    let o = (o.checkpoint_dir, o.resume, o.shard_size);
                     let (threads, mode, budget) = (a.threads(), s.mode, s.budget);
                     let sweep = format!("n {n:?}; profile {p}; search {mode}; budget {budget};");
-                    format!("threads {threads}; {sweep} orch {o:?} {t:?};")
+                    format!("threads {threads}; {sweep} orch {o:?};")
                 }
             };
             let want = want.replace("auto", &available_threads().to_string());

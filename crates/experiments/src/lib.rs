@@ -36,8 +36,8 @@
 //! * [`run_sharded_sweep`] — crash-safe streaming orchestration of the
 //!   benchmark sweeps (DESIGN.md §11): shard-granular checkpoint
 //!   journals with resume (`--checkpoint-dir` / `--resume`), and
-//!   panic/timeout quarantine recording each pathological instance
-//!   with its replayable seed instead of aborting the run.
+//!   panic quarantine recording each panicking instance with its
+//!   replayable seed instead of aborting the run.
 //! * [`SearchConfig`] — the assignment search behind each sweep's
 //!   feasibility verdicts: complete backtracking (default), the
 //!   anytime [`portfolio`](csa_core::portfolio) (DESIGN.md §8), or
@@ -106,12 +106,10 @@ pub use artifact::write_atomic;
 pub use benchgen::{generate_benchmark, BenchmarkConfig, PeriodModel};
 pub use census::{
     classify_instance, classify_instance_on, format_census, has_certificate_lie,
-    has_certificate_lie_on, run_census, run_census_collecting, run_census_orchestrated,
-    run_census_with_threads, CensusConfig, CensusRow, InstanceClassification,
+    has_certificate_lie_on, run_census, run_census_orchestrated, CensusConfig, CensusRow,
+    InstanceClassification,
 };
-pub use checkpoint::{
-    journal_path, write_quarantine_file, QuarantineReason, QuarantinedInstance, CHECKPOINT_TAG,
-};
+pub use checkpoint::{journal_path, write_quarantine_file, QuarantinedInstance};
 pub use crossval::{
     find_unknown_instances, quantize_replica, quantize_task, run_crossval, snap_period_pow2,
     CrossvalConfig, CrossvalInstance, CrossvalReport, CrossvalRow, CrossvalSource, Replica,
@@ -131,7 +129,6 @@ pub use margins::{
 };
 pub use orchestrate::{
     run_sharded_sweep, AggRow, InstanceOutput, OrchestratedRun, OrchestratorConfig, SweepSpec,
-    DEFAULT_SHARD_SIZE,
 };
 pub use parallel::{available_threads, instance_seed, parallel_map, parallel_map_catching};
 pub use period_opt::{
@@ -140,10 +137,7 @@ pub use period_opt::{
 };
 pub use report::{csv_file_name, write_csv, RESULTS_DIR};
 pub use search::{SearchConfig, SearchMode};
-pub use table1::{
-    format_table1, run_table1, run_table1_collecting, run_table1_orchestrated,
-    run_table1_with_threads, Table1Config, Table1Row,
-};
+pub use table1::{format_table1, run_table1, run_table1_orchestrated, Table1Config, Table1Row};
 pub use witness::{
     format_task_list, parse_task_list, parse_witness_corpus, write_witness_file, Witness,
     WitnessKind,

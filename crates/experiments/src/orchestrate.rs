@@ -8,9 +8,9 @@
 //! drives them through three robustness layers (DESIGN.md §11):
 //!
 //! 1. **Streaming aggregation.** Only one shard's per-instance results
-//!    are ever in memory; each shard folds into `u64` counter rows and a
-//!    bounded witness sample before the next shard starts, so memory
-//!    stays flat at 100× the paper's instance counts.
+//!    are ever in memory; each shard folds into `u64` counter rows and
+//!    its witnesses before the next shard starts, so memory stays flat
+//!    at 100× the paper's instance counts.
 //! 2. **Checkpoint/resume.** With a checkpoint directory configured,
 //!    each completed shard is appended to an atomically rewritten
 //!    journal ([`crate::checkpoint`]). A `--resume` run replays the
@@ -20,42 +20,29 @@
 //!    silently merged.
 //! 3. **Quarantine.** A panicking worker is caught per instance
 //!    ([`crate::parallel_map_catching`]) and recorded as a
-//!    [`QuarantinedInstance`] with its replayable RNG seed; with a
-//!    configured per-instance timeout, overlong instances are likewise
-//!    quarantined after the fact. Neither aborts the sweep.
+//!    [`QuarantinedInstance`] with its replayable RNG seed instead of
+//!    aborting the sweep.
 //!
-//! Determinism caveat, stated honestly: the instance *timeout* is
-//! wall-clock and therefore not deterministic across independent runs —
-//! two fresh runs under heavy load could quarantine different instances.
-//! Within one checkpointed sweep (initial run plus any number of
-//! resumes) determinism still holds, because completed shards are
-//! replayed from the journal, never re-decided. Runs without a timeout
-//! (the default) are bit-deterministic unconditionally, panics included
-//! (a panic is a pure function of the instance).
+//! A panic is a pure function of the instance, so every sweep is a pure
+//! function of its configuration: bit-identical at any thread count,
+//! shard size or kill point, quarantines included. A long search is
+//! bounded by a check budget (`--budget`), never by a clock.
 
 use crate::artifact::{hex, Header, Stale};
-use crate::checkpoint::{self, QuarantineReason, QuarantinedInstance, ShardRecord};
+use crate::checkpoint::{self, QuarantinedInstance, ShardRecord};
 use crate::margin_cache;
 use crate::parallel::{instance_seed, parallel_map_catching};
 use crate::witness::Witness;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::time::Instant;
 
 /// Default instances per shard: small enough that a crash loses little
 /// work and memory stays bounded, large enough to amortize journal
 /// rewrites and keep all workers busy inside one shard.
-pub const DEFAULT_SHARD_SIZE: usize = 1024;
+pub(crate) const DEFAULT_SHARD_SIZE: usize = 1024;
 
-/// Seed salt decorrelating the witness-reservoir RNG streams from the
-/// benchmark-generator streams (both derive via [`instance_seed`]).
-const RESERVOIR_SALT: u64 = 0xC0FF_EE00_5EED_0001;
-
-/// How a sweep is sharded, checkpointed, and hardened. Built from the
-/// `--checkpoint-dir` / `--resume` / `--shard-size` /
-/// `--instance-timeout` / `--reservoir` flags by
+/// How a sweep is sharded and checkpointed. Built from the
+/// `--checkpoint-dir` / `--resume` / `--shard-size` flags by
 /// [`Args::orchestrator`](crate::cli::Args::orchestrator).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OrchestratorConfig {
@@ -68,27 +55,16 @@ pub struct OrchestratorConfig {
     pub resume: bool,
     /// Instances per shard (the checkpoint granularity).
     pub shard_size: usize,
-    /// Maximum witnesses kept per shard (deterministic reservoir
-    /// sample; `usize::MAX` keeps every witness).
-    pub reservoir: usize,
-    /// Per-instance soft timeout in milliseconds: an instance whose
-    /// evaluation took longer is quarantined *after* it finishes (the
-    /// worker is never killed mid-computation) and excluded from the
-    /// aggregates. `None` disables the check. See the module docs for
-    /// the determinism caveat.
-    pub instance_timeout_ms: Option<u64>,
 }
 
 impl OrchestratorConfig {
-    /// No checkpointing, unbounded witness collection, no timeout — the
-    /// configuration backing the plain in-memory sweep APIs.
+    /// No checkpointing — the configuration backing the plain in-memory
+    /// sweep APIs.
     pub fn in_memory() -> Self {
         OrchestratorConfig {
             checkpoint_dir: None,
             resume: false,
             shard_size: DEFAULT_SHARD_SIZE,
-            reservoir: usize::MAX,
-            instance_timeout_ms: None,
         }
     }
 
@@ -100,12 +76,6 @@ impl OrchestratorConfig {
             resume: true,
             ..OrchestratorConfig::in_memory()
         }
-    }
-}
-
-impl Default for OrchestratorConfig {
-    fn default() -> Self {
-        OrchestratorConfig::in_memory()
     }
 }
 
@@ -138,13 +108,6 @@ impl SweepSpec {
     /// exactly as it invalidates the margin artifact).
     pub fn header(&self, orch: &OrchestratorConfig) -> Header {
         let ns: Vec<String> = self.task_counts.iter().map(usize::to_string).collect();
-        let reservoir = match orch.reservoir {
-            usize::MAX => "max".to_string(),
-            cap => cap.to_string(),
-        };
-        let timeout = orch
-            .instance_timeout_ms
-            .map_or("none".to_string(), |ms| format!("{ms}ms"));
         let mut header = Header::new(checkpoint::CHECKPOINT_TAG)
             .field("sweep", self.name)
             .field("kernel", margin_cache::KERNEL_REVISION)
@@ -153,9 +116,7 @@ impl SweepSpec {
             .field("benchmarks", self.benchmarks)
             .field("ns", ns.join(","))
             .field("cols", self.columns.join(","))
-            .field("shard", orch.shard_size)
-            .field("reservoir", reservoir)
-            .field("timeout", timeout);
+            .field("shard", orch.shard_size);
         for (key, value) in &self.config {
             header = header.field(key, value);
         }
@@ -169,8 +130,7 @@ impl SweepSpec {
 pub struct InstanceOutput {
     /// Counter increments, one per [`SweepSpec::columns`] entry.
     pub counts: Vec<u64>,
-    /// Witnesses the instance produced (subject to the per-shard
-    /// reservoir).
+    /// Witnesses the instance produced.
     pub witnesses: Vec<Witness>,
 }
 
@@ -193,8 +153,7 @@ pub struct AggRow {
 pub struct OrchestratedRun<R = AggRow> {
     /// Aggregate rows, one per task count in sweep order.
     pub rows: Vec<R>,
-    /// Witness sample, in `(n, index)` order (bounded per shard by the
-    /// reservoir).
+    /// Every witness, in `(n, index)` order.
     pub witnesses: Vec<Witness>,
     /// Every quarantined instance with its replayable seed.
     pub quarantined: Vec<QuarantinedInstance>,
@@ -218,38 +177,11 @@ impl<R> OrchestratedRun<R> {
     }
 }
 
-/// Deterministic reservoir sample (Algorithm R) preserving input order;
-/// the RNG stream is a pure function of `rng_seed`, so the kept sample
-/// is identical at any thread count and across resumes.
-fn reservoir_sample(items: Vec<Witness>, cap: usize, rng_seed: u64) -> Vec<Witness> {
-    if items.len() <= cap {
-        return items;
-    }
-    if cap == 0 {
-        return Vec::new();
-    }
-    let mut rng = StdRng::seed_from_u64(rng_seed);
-    let mut chosen: Vec<usize> = (0..cap).collect();
-    for t in cap..items.len() {
-        let j = rng.gen_range(0..=(t as u64)) as usize;
-        if j < cap {
-            chosen[j] = t;
-        }
-    }
-    chosen.sort_unstable();
-    let mut keep: Vec<Option<Witness>> = items.into_iter().map(Some).collect();
-    chosen
-        .into_iter()
-        .map(|i| keep[i].take().expect("reservoir indices are distinct"))
-        .collect()
-}
-
 /// Evaluates one shard: every instance through the panic-isolating
-/// parallel driver, folded in index order into counters, the witness
-/// reservoir, and the quarantine list.
+/// parallel driver, folded in index order into counters, witnesses, and
+/// the quarantine list.
 fn compute_shard<F>(
     spec: &SweepSpec,
-    orch: &OrchestratorConfig,
     threads: usize,
     eval: &F,
     n: usize,
@@ -259,15 +191,11 @@ fn compute_shard<F>(
 where
     F: Fn(usize, usize, u64) -> InstanceOutput + Sync,
 {
-    let statuses = parallel_map_catching(len, threads, |i| {
+    let outputs = parallel_map_catching(len, threads, |i| {
         let k = start + i;
         #[cfg(feature = "faultinject")]
         csa_faultinject::maybe_fault(n, k);
-        // csa-lint: allow(D002) soft --instance-timeout quarantine clock; timings feed the quarantine file, never a result column
-        let t0 = Instant::now();
-        let out = eval(n, k, instance_seed(spec.seed, n, k));
-        let elapsed_ms = t0.elapsed().as_millis().min(u128::from(u64::MAX)) as u64;
-        (out, elapsed_ms)
+        eval(n, k, instance_seed(spec.seed, n, k))
     });
     let mut record = ShardRecord {
         n,
@@ -277,54 +205,34 @@ where
         witnesses: Vec::new(),
         quarantined: Vec::new(),
     };
-    for (i, status) in statuses.into_iter().enumerate() {
+    for (i, output) in outputs.into_iter().enumerate() {
         let index = start + i;
-        let rng_seed = instance_seed(spec.seed, n, index);
-        let reason = match status {
-            Ok((out, elapsed_ms)) => match orch.instance_timeout_ms {
-                Some(limit) if elapsed_ms > limit => Some(QuarantineReason::Timeout { elapsed_ms }),
-                _ => {
-                    assert_eq!(
-                        out.counts.len(),
-                        spec.columns.len(),
-                        "instance output width must match the sweep's columns"
-                    );
-                    for (acc, c) in record.counts.iter_mut().zip(&out.counts) {
-                        *acc += c;
-                    }
-                    record.witnesses.extend(out.witnesses);
-                    None
+        match output {
+            Ok(out) => {
+                assert_eq!(
+                    out.counts.len(),
+                    spec.columns.len(),
+                    "instance output width must match the sweep's columns"
+                );
+                for (acc, c) in record.counts.iter_mut().zip(&out.counts) {
+                    *acc += c;
                 }
-            },
-            Err(msg) => Some(QuarantineReason::Panic(checkpoint::sanitize_message(&msg))),
-        };
-        if let Some(reason) = reason {
-            eprintln!("{}: quarantined n={n} index={index} ({reason})", spec.name);
-            record.quarantined.push(QuarantinedInstance {
-                n,
-                index,
-                rng_seed,
-                reason,
-            });
+                record.witnesses.extend(out.witnesses);
+            }
+            Err(msg) => {
+                let panic = checkpoint::sanitize_message(&msg);
+                eprintln!(
+                    "{}: quarantined n={n} index={index} (panic: {panic})",
+                    spec.name
+                );
+                record.quarantined.push(QuarantinedInstance {
+                    n,
+                    index,
+                    rng_seed: instance_seed(spec.seed, n, index),
+                    panic,
+                });
+            }
         }
-    }
-    let total = record.witnesses.len();
-    record.witnesses = reservoir_sample(
-        record.witnesses,
-        orch.reservoir,
-        instance_seed(
-            spec.seed ^ RESERVOIR_SALT,
-            n,
-            start / orch.shard_size.max(1),
-        ),
-    );
-    if record.witnesses.len() < total {
-        eprintln!(
-            "{}: shard n={n} [{start}..{}) witness reservoir kept {}/{total}",
-            spec.name,
-            start + len,
-            record.witnesses.len()
-        );
     }
     record
 }
@@ -418,7 +326,7 @@ where
                 // journal (shard size is in the header): recompute.
                 _ => {
                     run.shards_computed += 1;
-                    let r = compute_shard(spec, orch, threads, &eval, n, start, len);
+                    let r = compute_shard(spec, threads, &eval, n, start, len);
                     (r, true)
                 }
             };
@@ -528,10 +436,7 @@ mod tests {
         let q = &run.quarantined[0];
         assert_eq!((q.n, q.index), (3, 7));
         assert_eq!(q.rng_seed, instance_seed(5, 3, 7));
-        assert_eq!(
-            q.reason,
-            QuarantineReason::Panic("pathological instance".into())
-        );
+        assert_eq!(q.panic, "pathological instance");
         // The n = 3 row is short exactly the quarantined instance.
         assert_eq!(run.rows[1].quarantined, 1);
         let clean =
@@ -542,52 +447,6 @@ mod tests {
             clean.rows[1].counts[1] - 1,
             "index 7 is odd and must be missing"
         );
-    }
-
-    #[test]
-    fn overlong_instances_are_quarantined_by_the_soft_timeout() {
-        let spec = test_spec("timeout", 5, 6);
-        let orch = OrchestratorConfig {
-            instance_timeout_ms: Some(20),
-            ..OrchestratorConfig::in_memory()
-        };
-        let eval = |n: usize, k: usize, seed: u64| {
-            if n == 2 && k == 3 {
-                std::thread::sleep(std::time::Duration::from_millis(120));
-            }
-            test_eval(n, k, seed)
-        };
-        let run = run_sharded_sweep(&spec, &orch, 2, eval).unwrap();
-        assert_eq!(run.quarantined.len(), 1);
-        assert_eq!((run.quarantined[0].n, run.quarantined[0].index), (2, 3));
-        assert!(matches!(
-            run.quarantined[0].reason,
-            QuarantineReason::Timeout { elapsed_ms } if elapsed_ms >= 100
-        ));
-    }
-
-    #[test]
-    fn reservoir_bounds_witnesses_deterministically() {
-        let spec = test_spec("reservoir", 13, 40);
-        let orch = OrchestratorConfig {
-            shard_size: 40,
-            reservoir: 3,
-            ..OrchestratorConfig::in_memory()
-        };
-        let a = run_sharded_sweep(&spec, &orch, 1, test_eval).unwrap();
-        let b = run_sharded_sweep(&spec, &orch, 4, test_eval).unwrap();
-        assert_eq!(a.witnesses, b.witnesses);
-        assert_eq!(a.witnesses.len(), 6, "3 kept per (n-row) shard");
-        // Order within the sample is preserved.
-        for pair in a.witnesses.windows(2) {
-            if pair[0].n == pair[1].n {
-                assert!(pair[0].index < pair[1].index);
-            }
-        }
-        // Counters are unaffected by the witness cap.
-        let unbounded =
-            run_sharded_sweep(&spec, &OrchestratorConfig::in_memory(), 1, test_eval).unwrap();
-        assert_eq!(a.rows, unbounded.rows);
     }
 
     #[test]
@@ -660,6 +519,6 @@ mod tests {
         assert_ne!(a, b, "shard size must be fingerprinted");
         assert!(a.contains("|sweep=hdr|"));
         assert!(a.contains("|profile=test"));
-        assert!(a.contains("|reservoir=max|timeout=none"));
+        assert!(a.contains("|shard=1024|profile=test"));
     }
 }

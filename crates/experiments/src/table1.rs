@@ -98,8 +98,8 @@ pub struct Table1Row {
     /// The configured search exhausted its budget without deciding
     /// (always 0 for unbudgeted searches; "unknown", not "infeasible").
     pub truncated: usize,
-    /// Benchmarks quarantined by the orchestrator (panic or timeout;
-    /// see DESIGN.md §11) and excluded from every other counter.
+    /// Benchmarks quarantined by the orchestrator (a caught panic; see
+    /// DESIGN.md §11) and excluded from every other counter.
     pub quarantined: usize,
 }
 
@@ -182,57 +182,42 @@ fn agg_to_table1_row(agg: AggRow) -> Table1Row {
     }
 }
 
-/// Runs the Table I experiment single-threaded (see
-/// [`run_table1_with_threads`]; the output is identical at every thread
-/// count).
+/// Runs the Table I experiment sharded across `threads` workers
+/// (0 = available parallelism), returning the rows and a replayable
+/// [`Witness`] for every invalid instance found, ordered by
+/// `(n, index)`.
+///
+/// Every benchmark instance draws its generator from
+/// [`instance_seed`](crate::instance_seed)`(config.seed, n, index)`,
+/// so the output is **bit-identical at any thread count** — the sweep
+/// is a pure function of the configuration. It streams through the
+/// sharded orchestrator with checkpointing disabled, so only one shard
+/// of per-instance results is ever in memory.
 ///
 /// # Examples
 ///
 /// ```
 /// use csa_experiments::{run_table1, PeriodModel, SearchConfig, Table1Config};
 ///
-/// let rows = run_table1(&Table1Config {
+/// let config = Table1Config {
 ///     task_counts: vec![4],
 ///     benchmarks: 50,
 ///     seed: 1,
 ///     profile: PeriodModel::GridSnapped,
 ///     search: SearchConfig::default(),
-/// });
+/// };
+/// let (rows, _witnesses) = run_table1(&config, 1);
 /// assert_eq!(rows.len(), 1);
 /// assert!(rows[0].invalid_pct() < 100.0);
 /// ```
-pub fn run_table1(config: &Table1Config) -> Vec<Table1Row> {
-    run_table1_with_threads(config, 1)
-}
-
-/// Runs the Table I experiment sharded across `threads` workers
-/// (0 = available parallelism).
-///
-/// Every benchmark instance draws its generator from
-/// [`instance_seed`](crate::instance_seed)`(config.seed, n, index)`,
-/// so the rows are
-/// **bit-identical at any thread count** — the sweep is a pure function
-/// of the configuration.
-pub fn run_table1_with_threads(config: &Table1Config, threads: usize) -> Vec<Table1Row> {
-    run_table1_collecting(config, threads).0
-}
-
-/// [`run_table1_with_threads`], additionally returning a replayable
-/// [`Witness`] for every invalid instance found, ordered by `(n, index)`.
-///
-/// Streams through the sharded orchestrator with checkpointing disabled
-/// — only one shard of per-instance results is ever in memory.
-pub fn run_table1_collecting(
-    config: &Table1Config,
-    threads: usize,
-) -> (Vec<Table1Row>, Vec<Witness>) {
+pub fn run_table1(config: &Table1Config, threads: usize) -> (Vec<Table1Row>, Vec<Witness>) {
     let run = run_table1_orchestrated(config, &OrchestratorConfig::in_memory(), threads)
         .expect("in-memory sweep performs no I/O");
     (run.rows, run.witnesses)
 }
 
 /// Runs the Table I sweep under full orchestration: streaming shards,
-/// optional checkpoint/resume, and panic/timeout quarantine (see
+/// optional checkpoint/resume, and panic quarantine (see
 /// [`run_sharded_sweep`] and DESIGN.md §11). With a checkpoint
 /// directory and `resume`, a killed run continues where it stopped and
 /// the final rows and witnesses are bit-identical to an uninterrupted
@@ -327,7 +312,7 @@ mod tests {
     fn small_run_is_consistent() {
         for profile in PeriodModel::ALL {
             let cfg = base_cfg().with_profile(profile);
-            let rows = run_table1(&cfg);
+            let (rows, _) = run_table1(&cfg, 1);
             assert_eq!(rows.len(), 2);
             for r in &rows {
                 assert!(r.invalid + r.no_solution <= r.benchmarks);
@@ -367,7 +352,7 @@ mod tests {
             profile: PeriodModel::MarginTight,
             search: SearchConfig::default(),
         };
-        let (rows, witnesses) = run_table1_collecting(&cfg, 0);
+        let (rows, witnesses) = run_table1(&cfg, 0);
         assert_eq!(rows[0].invalid, witnesses.len(), "one witness per invalid");
         for w in &witnesses {
             assert_eq!(w.kind, WitnessKind::UnsafeInvalid);
@@ -414,7 +399,7 @@ mod tests {
             profile: PeriodModel::Continuous,
             search: SearchConfig::default(),
         };
-        assert_eq!(run_table1(&cfg), run_table1(&cfg));
+        assert_eq!(run_table1(&cfg, 1), run_table1(&cfg, 1));
     }
 
     #[test]
@@ -433,9 +418,9 @@ mod tests {
         let via_portfolio = base
             .clone()
             .with_search(SearchConfig::new(SearchMode::Portfolio, u64::MAX));
-        let expect = run_table1(&base);
-        assert_eq!(expect, run_table1(&via_portfolio));
-        assert_eq!(expect, run_table1_with_threads(&via_portfolio, 4));
+        let (expect, _) = run_table1(&base, 1);
+        assert_eq!(expect, run_table1(&via_portfolio, 1).0);
+        assert_eq!(expect, run_table1(&via_portfolio, 4).0);
         for r in &expect {
             assert_eq!(r.truncated, 0);
         }
@@ -454,10 +439,10 @@ mod tests {
             profile: PeriodModel::Continuous,
             search: SearchConfig::new(SearchMode::Portfolio, 2),
         };
-        let rows = run_table1(&cfg);
+        let (rows, _) = run_table1(&cfg, 1);
         assert_eq!(rows[0].solved, 0);
         assert_eq!(rows[0].truncated, rows[0].benchmarks);
-        assert_eq!(rows, run_table1_with_threads(&cfg, 3));
+        assert_eq!(rows, run_table1(&cfg, 3).0);
     }
 
     #[test]
@@ -474,7 +459,7 @@ mod tests {
         };
         let first = run_table1_orchestrated(&cfg, &orch, 2).unwrap();
         assert_eq!(first.shards_computed, 6); // ceil(120/50) per task count
-        let (rows, wits) = run_table1_collecting(&cfg, 1);
+        let (rows, wits) = run_table1(&cfg, 1);
         assert_eq!(first.rows, rows);
         assert_eq!(first.witnesses, wits);
         let resumed = run_table1_orchestrated(&cfg, &orch, 4).unwrap();
@@ -497,10 +482,9 @@ mod tests {
             profile: PeriodModel::Continuous,
             search: SearchConfig::default(),
         };
-        let (serial_rows, serial_wits) = run_table1_collecting(&cfg, 1);
-        assert_eq!(serial_rows, run_table1(&cfg));
+        let (serial_rows, serial_wits) = run_table1(&cfg, 1);
         for threads in [2, 4, 0] {
-            let (rows, wits) = run_table1_collecting(&cfg, threads);
+            let (rows, wits) = run_table1(&cfg, threads);
             assert_eq!(serial_rows, rows, "rows diverged at {threads} threads");
             assert_eq!(serial_wits, wits, "witnesses diverged at {threads} threads");
         }

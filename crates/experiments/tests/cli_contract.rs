@@ -1,6 +1,8 @@
 //! The eight experiment binaries refuse a malformed command line with
 //! exit 2, `<bin>: <reason>` and a usage line, before writing anything;
-//! the six that take `--n` refuse a task count above the 64-task limit.
+//! the six that take `--n` refuse a task count above the 64-task limit,
+//! and none takes a sweep clock or witness cap (`--instance-timeout`,
+//! `--reservoir`).
 
 use std::process::Command;
 
@@ -18,6 +20,8 @@ fn malformed_command_lines_exit_2_before_any_work() {
             "--quick stray => unknown argument \"stray\"",
             "--n 65 => bad --n value \"65\"; expected task counts from 1 to 64",
             "--n 4,65 => bad --n value \"4,65\"; expected task counts from 1 to 64",
+            "--instance-timeout 5 => unknown argument \"--instance-timeout\"",
+            "--reservoir=3 => unknown argument \"--reservoir=3\"",
         ] {
             let (args, reason) = case.split_once(" => ").unwrap();
             if bin == "fig4" && args.contains("--threads") {

@@ -9,13 +9,14 @@ use csa_experiments::{
 
 #[test]
 fn table1_invalid_solutions_are_rare() {
-    let rows = run_table1(&Table1Config {
+    let config = Table1Config {
         task_counts: vec![4, 8],
         benchmarks: 400,
         seed: 2017,
         profile: PeriodModel::GridSnapped,
         search: SearchConfig::default(),
-    });
+    };
+    let (rows, _) = run_table1(&config, 1);
     for r in &rows {
         // The paper's headline: anomalies are extremely rare, so the
         // unsafe algorithm's invalid rate is a fraction of a percent
@@ -85,13 +86,14 @@ fn fig5_runtimes_grow_polynomially_and_stay_close() {
 
 #[test]
 fn census_confirms_rarity_and_decreasing_anomaly_trend() {
-    let rows = run_census(&CensusConfig {
+    let config = CensusConfig {
         task_counts: vec![4, 8],
         benchmarks: 400,
         seed: 77,
         profile: PeriodModel::GridSnapped,
         search: SearchConfig::default(),
-    });
+    };
+    let (rows, _) = run_census(&config, 1);
     for r in &rows {
         // Anomaly rates are tiny fractions of solvable benchmarks.
         assert!(r.interference_anomalies * 20 <= r.solvable.max(20));
