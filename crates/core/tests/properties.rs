@@ -12,11 +12,13 @@
 //!   validly.
 
 use csa_core::{
-    audsley_opa, backtracking, backtracking_with_budget, backtracking_with_order,
-    count_valid_assignments, exhaustive, is_valid_assignment, portfolio, portfolio_with_budget,
-    reference, unsafe_quadratic, CandidateOrder, ControlTask, PortfolioStage,
+    audsley_opa, backtracking, backtracking_on_checker, backtracking_with_budget,
+    backtracking_with_order, count_valid_assignments, exhaustive, is_valid_assignment, portfolio,
+    portfolio_with_budget, reference, unsafe_quadratic, unsafe_quadratic_on, CandidateOrder,
+    ControlTask, PortfolioStage, PriorityAssignment, StabilityChecker,
 };
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Strategy: a small control task set with calibrated-ish bounds.
 fn task_set() -> impl Strategy<Value = Vec<ControlTask>> {
@@ -34,6 +36,59 @@ fn task_set() -> impl Strategy<Value = Vec<ControlTask>> {
                 })
                 .collect()
         })
+}
+
+/// Strategy: a task set and a uniformly random priority order over it
+/// (the tasks sorted by a random key each).
+fn task_set_and_order() -> impl Strategy<Value = (Vec<ControlTask>, PriorityAssignment)> {
+    task_set()
+        .prop_flat_map(|tasks| {
+            let n = tasks.len();
+            (Just(tasks), proptest::collection::vec(any::<u64>(), n))
+        })
+        .prop_map(|(tasks, keys)| {
+            let mut order: Vec<usize> = (0..tasks.len()).collect();
+            order.sort_by_key(|&i| keys[i]);
+            (tasks, PriorityAssignment::from_highest_first(&order))
+        })
+}
+
+/// Invalid and valid verdicts (in that order) seen by
+/// `checker_validity_cases`.
+static VALIDITY_OUTCOMES: [AtomicU32; 2] = [AtomicU32::new(0), AtomicU32::new(0)];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Not a test of its own: `checker_validity_walk_matches_analysis`
+    // runs it and then checks that both verdicts came up.
+    fn checker_validity_cases(case in task_set_and_order()) {
+        let (tasks, pa) = case;
+        let expect = is_valid_assignment(&tasks, &pa);
+        prop_assert_eq!(StabilityChecker::new(&tasks).is_valid(&pa), expect);
+        // A memo warmed by the Table I steps answers the same.
+        let mut warm = StabilityChecker::new(&tasks);
+        let uq = unsafe_quadratic_on(&mut warm).assignment;
+        let _ = backtracking_on_checker(&mut warm, CandidateOrder::Input, u64::MAX);
+        prop_assert_eq!(warm.is_valid(&pa), expect);
+        if let Some(uq) = uq {
+            prop_assert_eq!(warm.is_valid(&uq), is_valid_assignment(&tasks, &uq));
+        }
+        VALIDITY_OUTCOMES[usize::from(expect)].fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+#[test]
+fn checker_validity_walk_matches_analysis() {
+    checker_validity_cases();
+    // Random orders, not Unsafe Quadratic's output, supply the invalid
+    // side: its output is valid in every case drawn here, as in the
+    // zero invalid rate EXPERIMENTS.md explains.
+    let [invalid, valid] = [0, 1].map(|v| VALIDITY_OUTCOMES[v].load(Ordering::Relaxed));
+    assert!(
+        invalid > 0 && valid > 0,
+        "{invalid} invalid and {valid} valid orders: both verdicts must be exercised"
+    );
 }
 
 proptest! {

@@ -255,12 +255,10 @@ pub fn classify_instance_on(
         }
         None => (false, false, false),
     };
+    // Validity through the shared checker: the verdict of
+    // `is_valid_assignment`, warmed for the next request.
     let unsafe_invalid = match unsafe_quadratic_on(checker).assignment {
-        Some(pa) => {
-            // Validity through the shared checker: same verdicts as
-            // `is_valid_assignment`, warmed for the next request.
-            !(0..checker.len()).all(|i| checker.check(i, &pa.hp_indices(i)).stable)
-        }
+        Some(pa) => !checker.is_valid(&pa),
         None => false,
     };
     InstanceClassification {

@@ -305,7 +305,8 @@ where
         shards_computed: 0,
     };
     // Records in deterministic shard order (resumed and fresh alike);
-    // this is what each journal rewrite publishes.
+    // this is what each journal rewrite publishes. Kept only when there
+    // is a journal to rewrite.
     let mut journal: Vec<ShardRecord> = Vec::new();
     for &n in &spec.task_counts {
         let mut row = AggRow {
@@ -334,12 +335,19 @@ where
                 *acc += c;
             }
             row.quarantined += record.quarantined.len() as u64;
-            run.witnesses.extend(record.witnesses.iter().cloned());
-            run.quarantined.extend(record.quarantined.iter().cloned());
-            journal.push(record);
-            if fresh {
-                if let Some(path) = &journal_path {
-                    checkpoint::save_journal(path, &header, &journal)?;
+            match &journal_path {
+                Some(path) => {
+                    run.witnesses.extend(record.witnesses.iter().cloned());
+                    run.quarantined.extend(record.quarantined.iter().cloned());
+                    journal.push(record);
+                    if fresh {
+                        checkpoint::save_journal(path, &header, &journal)?;
+                    }
+                }
+                // Nothing to publish: the run takes the only copy.
+                None => {
+                    run.witnesses.extend(record.witnesses);
+                    run.quarantined.extend(record.quarantined);
                 }
             }
             start += len;

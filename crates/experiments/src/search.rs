@@ -120,10 +120,10 @@ impl SearchConfig {
 
     /// [`Self::solve`] over an existing (possibly warm)
     /// [`StabilityChecker`] — the memo-sharing entry point used by the
-    /// streaming census and the `csa-monitor` service. The outcome is
-    /// identical to [`Self::solve`] on the same task slice: memo warmth
-    /// changes only cache-hit telemetry, never the assignment, the
-    /// logical check count, or the truncation point.
+    /// Table I sweep, the census and the `csa-monitor` service. The
+    /// outcome is identical to [`Self::solve`] on the same task slice:
+    /// memo warmth changes only cache-hit telemetry, never the
+    /// assignment, the logical check count, or the truncation point.
     pub fn solve_on(&self, checker: &mut StabilityChecker<'_>) -> AssignmentOutcome {
         match self.mode {
             SearchMode::Backtracking => {
@@ -146,7 +146,7 @@ mod tests {
     use super::*;
     use crate::benchgen::{generate_benchmark, BenchmarkConfig, PeriodModel};
     use crate::parallel::instance_seed;
-    use csa_core::{backtracking, is_valid_assignment};
+    use csa_core::{backtracking, is_valid_assignment, unsafe_quadratic_on};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -194,6 +194,43 @@ mod tests {
                     // OPA may miss feasible sets but never invents one.
                     SearchMode::Opa => {
                         assert!(out.assignment.is_none() || feasible);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn warm_checker_matches_a_fresh_one_at_every_cap() {
+        // The exactness the one-checker Table I instance rests on: after
+        // Unsafe Quadratic and its validity check have warmed the memo,
+        // every search must return the assignment, logical checks,
+        // backtracks and truncation flag of a fresh-checker run, at
+        // every cap from 0 to one past the cold run's spend. Only the
+        // hit count may differ. The 40 sets per profile and size include
+        // backtracking ones (up to 166 checks and 37 backtracks).
+        for profile in PeriodModel::ALL {
+            for n in [4, 6, 8] {
+                let cfg = BenchmarkConfig::with_model(n, profile);
+                for k in 0..40 {
+                    let mut rng = StdRng::seed_from_u64(instance_seed(2017, n, k));
+                    let tasks = generate_benchmark(&cfg, &mut rng);
+                    for mode in SearchMode::ALL {
+                        let cold = SearchConfig::new(mode, u64::MAX).solve(&tasks);
+                        for cap in 0..=cold.stats.checks + 1 {
+                            let search = SearchConfig::new(mode, cap);
+                            let fresh = search.solve(&tasks);
+                            let mut checker = StabilityChecker::new(&tasks);
+                            if let Some(pa) = unsafe_quadratic_on(&mut checker).assignment {
+                                let _ = checker.is_valid(&pa);
+                            }
+                            let warm = search.solve_on(&mut checker);
+                            let at = format!("{profile} n={n} k={k} {mode} cap={cap}");
+                            assert_eq!(warm.assignment, fresh.assignment, "{at}");
+                            assert_eq!(warm.stats.checks, fresh.stats.checks, "{at}");
+                            assert_eq!(warm.stats.backtracks, fresh.stats.backtracks, "{at}");
+                            assert_eq!(warm.stats.truncated, fresh.stats.truncated, "{at}");
+                        }
                     }
                 }
             }

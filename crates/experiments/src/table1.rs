@@ -23,7 +23,7 @@ use crate::orchestrate::{
 };
 use crate::search::SearchConfig;
 use crate::witness::{Witness, WitnessKind};
-use csa_core::{is_valid_assignment, unsafe_quadratic};
+use csa_core::{unsafe_quadratic_on, StabilityChecker};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -120,16 +120,22 @@ impl Table1Row {
 /// Counter columns of the Table I sweep, in journal/CSV order.
 const TABLE1_COLUMNS: &[&str] = &["invalid", "no_solution", "solved", "truncated"];
 
-/// Evaluates one benchmark instance of the Table I sweep.
+/// Evaluates one benchmark instance of the Table I sweep: Unsafe
+/// Quadratic, the exact validity check of its output, and the
+/// configured search, all on one memoizing checker. A verdict depends
+/// only on its `(task, higher-priority set)` key, so each later step
+/// reuses the fixed points of the earlier ones and every count is that
+/// of three separate analyses.
 fn table1_instance(config: &Table1Config, n: usize, k: usize, rng_seed: u64) -> InstanceOutput {
     let bench_cfg = BenchmarkConfig::with_model(n, config.profile);
     let mut rng = StdRng::seed_from_u64(rng_seed);
     let tasks = generate_benchmark(&bench_cfg, &mut rng);
-    let (invalid, no_solution) = match unsafe_quadratic(&tasks).assignment {
-        Some(pa) => (!is_valid_assignment(&tasks, &pa), false),
+    let mut checker = StabilityChecker::new(&tasks);
+    let (invalid, no_solution) = match unsafe_quadratic_on(&mut checker).assignment {
+        Some(pa) => (!checker.is_valid(&pa), false),
         None => (false, true),
     };
-    let search = config.search.solve(&tasks);
+    let search = config.search.solve_on(&mut checker);
     let witnesses = if invalid {
         vec![Witness {
             kind: WitnessKind::UnsafeInvalid,
@@ -297,6 +303,9 @@ pub fn format_table1(rows: &[Table1Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instance_seed;
+    use crate::search::SearchMode;
+    use csa_core::{is_valid_assignment, unsafe_quadratic};
 
     fn base_cfg() -> Table1Config {
         Table1Config {
@@ -331,6 +340,51 @@ mod tests {
                 // unsafe algorithm validly solves.
                 let valid_unsafe = r.benchmarks - r.no_solution - r.invalid;
                 assert!(r.solved >= valid_unsafe);
+            }
+        }
+    }
+
+    #[test]
+    fn shared_checker_counts_match_three_fresh_analyses() {
+        // Instance by instance, the one-checker evaluation must count
+        // what Unsafe Quadratic, a fresh validity analysis and a fresh
+        // search count, at budgets that truncate everything, some
+        // instances, or nothing.
+        for profile in PeriodModel::ALL {
+            for n in [4, 6] {
+                let bench_cfg = BenchmarkConfig::with_model(n, profile);
+                for k in 0..30 {
+                    let rng_seed = instance_seed(2017, n, k);
+                    let tasks =
+                        generate_benchmark(&bench_cfg, &mut StdRng::seed_from_u64(rng_seed));
+                    let (invalid, no_solution) = match unsafe_quadratic(&tasks).assignment {
+                        Some(pa) => (!is_valid_assignment(&tasks, &pa), false),
+                        None => (false, true),
+                    };
+                    for mode in SearchMode::ALL {
+                        for budget in [0, 1, 7, 50, u64::MAX] {
+                            let cfg = Table1Config {
+                                task_counts: vec![n],
+                                benchmarks: 30,
+                                seed: 2017,
+                                profile,
+                                search: SearchConfig::new(mode, budget),
+                            };
+                            let search = cfg.search.solve(&tasks);
+                            let expect = [
+                                invalid,
+                                no_solution,
+                                search.assignment.is_some(),
+                                search.stats.truncated,
+                            ]
+                            .map(u64::from);
+                            let out = table1_instance(&cfg, n, k, rng_seed);
+                            let at = format!("{profile} n={n} k={k} {mode} budget={budget}");
+                            assert_eq!(out.counts, expect, "{at}");
+                            assert_eq!(out.witnesses.len(), usize::from(invalid), "{at}");
+                        }
+                    }
+                }
             }
         }
     }
@@ -407,7 +461,6 @@ mod tests {
         // Differential pin: with no budget to hit, the portfolio is a
         // complete search, so every row of the sweep must be identical
         // to the historical backtracking rows — at any thread count.
-        use crate::search::SearchMode;
         let base = Table1Config {
             task_counts: vec![4, 6],
             benchmarks: 150,
@@ -431,7 +484,6 @@ mod tests {
         // An absurdly tiny budget cannot decide any instance: every
         // benchmark must land in `truncated`, none in `solved` — and
         // the sweep must stay thread-count invariant.
-        use crate::search::SearchMode;
         let cfg = Table1Config {
             task_counts: vec![4],
             benchmarks: 60,
