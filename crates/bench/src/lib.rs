@@ -22,6 +22,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use csa_core::ControlTask;
 use csa_experiments::{generate_benchmark, instance_seed, BenchmarkConfig, PeriodModel};

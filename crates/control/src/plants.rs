@@ -206,7 +206,7 @@ mod tests {
     #[test]
     fn pole_sort_survives_nan() {
         // Regression for the former `partial_cmp(..).unwrap()` pole
-        // sort (csa-lint F001, the margins.rs snap_to_series pattern):
+        // sort (clippy.toml's F001 rule, the margins.rs snap_to_series pattern):
         // a NaN real part must sort deterministically, never panic.
         let mut res = [1.0, f64::NAN, -1.0];
         res.sort_by(f64::total_cmp);

@@ -350,7 +350,7 @@ mod tests {
     #[test]
     fn pole_sort_survives_nan() {
         // Regression for the former `partial_cmp(..).unwrap()` pole
-        // sort (csa-lint F001, the margins.rs snap_to_series pattern):
+        // sort (clippy.toml's F001 rule, the margins.rs snap_to_series pattern):
         // a NaN pole must sort deterministically, never panic.
         let mut poles = [f64::NAN, 1.0, f64::NEG_INFINITY, -2.0];
         poles.sort_by(f64::total_cmp);

@@ -3,9 +3,8 @@
 use crate::fxhash::FxBuildHasher;
 use crate::stability::ControlTask;
 use csa_rta::{ResponseBounds, RtaScratch, MAX_TASKS};
-// The verdict memo below is keyed lookup only — it is never iterated,
-// so its nondeterministic order cannot leak into results.
-use std::collections::HashMap; // csa-lint: allow(D001) probed by key only, never iterated
+#[expect(clippy::disallowed_types, reason = "D001: a memo probed by key only")]
+use std::collections::HashMap;
 use std::fmt;
 
 /// A complete priority assignment over a task set, stored as priority
@@ -235,7 +234,7 @@ const MEMO_RESERVE_PER_TASK: usize = 4;
 pub struct StabilityChecker<'a> {
     tasks: &'a [ControlTask],
     scratch: RtaScratch,
-    // csa-lint: allow(D001) probed by key only, never iterated
+    #[expect(clippy::disallowed_types, reason = "D001: a memo probed by key only")]
     memo: HashMap<(u32, u64), TaskVerdict, FxBuildHasher>,
     logical: u64,
     computed: u64,
@@ -259,7 +258,7 @@ impl<'a> StabilityChecker<'a> {
         StabilityChecker {
             tasks,
             scratch: RtaScratch::with_capacity(tasks.len()),
-            // csa-lint: allow(D001) probed by key only, never iterated
+            #[expect(clippy::disallowed_types, reason = "D001: a memo probed by key only")]
             memo: HashMap::with_capacity_and_hasher(
                 MEMO_RESERVE_PER_TASK * tasks.len(),
                 FxBuildHasher::default(),

@@ -49,9 +49,8 @@ use crate::analysis::{check_task, BitIter, PriorityAssignment, StabilityChecker}
 use crate::fxhash::FxBuildHasher;
 use crate::stability::ControlTask;
 use csa_rta::MAX_TASKS;
-// The failed-set memo below is keyed lookup only — it is never
-// iterated, so its nondeterministic order cannot leak into results.
-use std::collections::HashMap; // csa-lint: allow(D001) probed by key only, never iterated
+#[expect(clippy::disallowed_types, reason = "D001: a memo probed by key only")]
+use std::collections::HashMap;
 
 /// Instrumentation counters for an assignment run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -230,7 +229,7 @@ pub fn backtracking_on_checker(
         order,
         remaining,
         bottom_up: Vec::with_capacity(n),
-        // csa-lint: allow(D001) probed by key only, never iterated
+        #[expect(clippy::disallowed_types, reason = "D001: a memo probed by key only")]
         failed: HashMap::default(),
         stats: AssignmentStats::default(),
         max_checks,
@@ -284,7 +283,7 @@ struct BacktrackSearch<'c, 'a> {
     order: CandidateOrder,
     remaining: Vec<usize>,
     bottom_up: Vec<usize>,
-    // csa-lint: allow(D001) probed by key only, never iterated
+    #[expect(clippy::disallowed_types, reason = "D001: a memo probed by key only")]
     failed: HashMap<u64, (u64, u64), FxBuildHasher>,
     stats: AssignmentStats,
     max_checks: u64,
@@ -403,6 +402,7 @@ impl BacktrackSearch<'_, '_> {
     /// Commits `cand` to the lowest open level and recurses; on failure
     /// (not truncation) restores state and counts the backtrack.
     fn descend(&mut self, remaining_mask: u64, cand: usize) -> bool {
+        #[expect(clippy::expect_used, reason = "P001: cand comes from `remaining`")]
         let pos = self
             .remaining
             .iter()
@@ -806,6 +806,7 @@ pub mod reference {
                 CandidateOrder::MaxSlackFirst => true,
             };
             if stable {
+                #[expect(clippy::expect_used, reason = "P001: cand comes from `remaining`")]
                 let pos = remaining
                     .iter()
                     .position(|&x| x == cand)

@@ -64,10 +64,12 @@ pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[expect(clippy::disallowed_types, reason = "D001: tests the map's hasher")]
     use std::collections::HashMap;
 
     #[test]
     fn deterministic_and_key_sensitive() {
+        #[expect(clippy::disallowed_types, reason = "D001: tests the map's hasher")]
         let mut map: HashMap<(u32, u64), u64, FxBuildHasher> = HashMap::default();
         for i in 0..100u32 {
             map.insert((i, u64::from(i) << 3), u64::from(i));

@@ -43,6 +43,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod analysis;
 pub mod anomaly;

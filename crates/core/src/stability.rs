@@ -139,6 +139,7 @@ impl ControlTask {
             Ticks::new(c_worst),
             Ticks::new(period),
         )?;
+        #[expect(clippy::expect_used, reason = "P001: callers pass a >= 1, b >= 0")]
         let bound = StabilityBound::new(a, b_secs)
             .expect("stability bound coefficients must satisfy a >= 1, b >= 0");
         Ok(ControlTask::new(task, bound))

@@ -167,7 +167,7 @@ pub fn write_atomic(path: &Path, content: &str) -> std::io::Result<()> {
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
     {
-        // csa-lint: allow(A001) this IS the atomic tmp+fsync+rename implementation
+        #[expect(clippy::disallowed_methods, reason = "A001: this is write_atomic")]
         let mut f = fs::File::create(&tmp)?;
         f.write_all(content.as_bytes())?;
         // Flush to stable storage before the rename publishes the file:

@@ -27,6 +27,12 @@ use rand::Rng;
 /// certificate-lie search per drawn benchmark.
 const MARGIN_TIGHT_SCAN_POINTS: usize = 48;
 
+/// Total utilization is drawn uniformly from this range.
+const UTILIZATION_RANGE: (f64, f64) = (0.5, 0.95);
+
+/// `c_b / c_w` is drawn uniformly from this range.
+const BCET_RATIO_RANGE: (f64, f64) = (0.5, 1.0);
+
 /// Harmonic multiples tried under [`PeriodModel::HarmonicStress`]:
 /// `base * 2^k` for `k` in `-HARMONIC_SPAN..=HARMONIC_SPAN`.
 const HARMONIC_SPAN: i32 = 6;
@@ -106,34 +112,26 @@ impl std::fmt::Display for PeriodModel {
     }
 }
 
-/// Configuration of the random benchmark generator.
+/// Configuration of the random benchmark generator. Every configuration
+/// draws total utilization from `[0.5, 0.95]` and `c_b/c_w` from
+/// `[0.5, 1.0]`.
 #[derive(Debug, Clone)]
 pub struct BenchmarkConfig {
     /// Number of control tasks per benchmark.
     pub n: usize,
-    /// Total utilization is drawn uniformly from this range.
-    pub utilization_range: (f64, f64),
-    /// `c_b / c_w` is drawn uniformly from this range.
-    pub bcet_ratio_range: (f64, f64),
     /// Period distribution (generator profile).
     pub period_model: PeriodModel,
 }
 
 impl BenchmarkConfig {
-    /// The paper-scale defaults: `U ~ [0.5, 0.95]`, `c_b/c_w ~ [0.5, 1.0]`,
-    /// legacy grid-snapped periods.
+    /// `n` tasks with legacy grid-snapped periods.
     pub fn new(n: usize) -> Self {
         BenchmarkConfig::with_model(n, PeriodModel::GridSnapped)
     }
 
-    /// The paper-scale defaults under an explicit [`PeriodModel`].
+    /// `n` tasks under an explicit [`PeriodModel`].
     pub fn with_model(n: usize, period_model: PeriodModel) -> Self {
-        BenchmarkConfig {
-            n,
-            utilization_range: (0.5, 0.95),
-            bcet_ratio_range: (0.5, 1.0),
-            period_model,
-        }
+        BenchmarkConfig { n, period_model }
     }
 }
 
@@ -182,10 +180,10 @@ fn generate_grid_snapped<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<ControlTask> {
     let tables = margin_tables();
-    let (u_lo, u_hi) = config.utilization_range;
+    let (u_lo, u_hi) = UTILIZATION_RANGE;
     let total_u = rng.gen_range(u_lo..=u_hi);
     let utils = uunifast(config.n, total_u, rng);
-    let (r_lo, r_hi) = config.bcet_ratio_range;
+    let (r_lo, r_hi) = BCET_RATIO_RANGE;
 
     utils
         .into_iter()
@@ -198,8 +196,10 @@ fn generate_grid_snapped<R: Rng + ?Sized>(
             let ratio = rng.gen_range(r_lo..=r_hi);
             let c_best =
                 Ticks::new(((ratio * c_worst.get() as f64).round() as u64).max(1)).min(c_worst);
+            #[expect(clippy::expect_used, reason = "P001: valid by construction")]
             let task = Task::new(TaskId::new(i as u32), c_best, c_worst, period)
                 .expect("generated task is valid by construction");
+            #[expect(clippy::expect_used, reason = "P001: tables hold a >= 1, b >= 0")]
             let bound = StabilityBound::new(entry.a, entry.b)
                 .expect("margin tables guarantee a >= 1, b >= 0");
             ControlTask::with_label(task, bound, table.name)
@@ -222,10 +222,10 @@ fn generate_interpolated<R: Rng + ?Sized>(
         .filter(|t| t.is_usable())
         .collect();
     assert!(!usable.is_empty(), "no interpolable plant in the pool");
-    let (u_lo, u_hi) = config.utilization_range;
+    let (u_lo, u_hi) = UTILIZATION_RANGE;
     let total_u = rng.gen_range(u_lo..=u_hi);
     let utils = uunifast(config.n, total_u, rng);
-    let (r_lo, r_hi) = config.bcet_ratio_range;
+    let (r_lo, r_hi) = BCET_RATIO_RANGE;
 
     // Phase 1: plant + period + margin coefficients + best-case ratio
     // per task. All models start from a continuous-family draw.
@@ -235,10 +235,7 @@ fn generate_interpolated<R: Rng + ?Sized>(
         let plant = rng.gen_range(0..usable.len());
         let interp = usable[plant];
         let entry = match model {
-            PeriodModel::Continuous => {
-                let h = interp.sample_period(rng);
-                interp.eval(h).expect("sampled period is supported")
-            }
+            PeriodModel::Continuous => interp.sample(rng),
             PeriodModel::HarmonicStress | PeriodModel::MarginTight => {
                 sample_harmonic(interp, &mut harmonic_base, rng)
             }
@@ -303,8 +300,10 @@ fn build_control_task(
     period: Ticks,
 ) -> ControlTask {
     let c_best = Ticks::new(((ratio * c_worst.get() as f64).round() as u64).max(1)).min(c_worst);
+    #[expect(clippy::expect_used, reason = "P001: valid by construction")]
     let task = Task::new(TaskId::new(i as u32), c_best, c_worst, period)
         .expect("generated task is valid by construction");
+    #[expect(clippy::expect_used, reason = "P001: interpolant has a >= 1, b > 0")]
     let bound =
         StabilityBound::new(entry.a, entry.b).expect("interpolant guarantees a >= 1, b > 0");
     ControlTask::with_label(task, bound, label)
@@ -329,21 +328,19 @@ fn sample_harmonic<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> MarginEntry {
     if base.is_nan() {
-        let h = interp.sample_period(rng);
-        *base = h;
-        return interp.eval(h).expect("sampled period is supported");
+        let entry = interp.sample(rng);
+        *base = entry.period;
+        return entry;
     }
     let jitter = 0.99 + 0.02 * rng.gen::<f64>();
-    let candidates: Vec<f64> = (-HARMONIC_SPAN..=HARMONIC_SPAN)
-        .map(|k| *base * 2f64.powi(k) * jitter)
-        .filter(|&h| interp.eval(h).is_some())
+    let candidates: Vec<MarginEntry> = (-HARMONIC_SPAN..=HARMONIC_SPAN)
+        .filter_map(|k| interp.eval(*base * 2f64.powi(k) * jitter))
         .collect();
-    let h = if candidates.is_empty() {
-        interp.sample_period(rng)
+    if candidates.is_empty() {
+        interp.sample(rng)
     } else {
         candidates[rng.gen_range(0..candidates.len())]
-    };
-    interp.eval(h).expect("candidate period is supported")
+    }
 }
 
 /// The `MarginTight` refinement: keep the harmonic-stress period stack
@@ -412,6 +409,7 @@ fn refine_margin_tight<R: Rng + ?Sized>(
     // 1 = stable (tightest worst-case slack — the co-design pressure of
     // the most performance-hungry period the schedule tolerates),
     // 0 = unstable (largest slack, preserving solvability).
+    #[expect(clippy::expect_used, reason = "P001: n >= 2 here")]
     let victim = (0..n)
         .min_by(|&x, &y| {
             draws[y]
@@ -423,6 +421,7 @@ fn refine_margin_tight<R: Rng + ?Sized>(
         .expect("set is non-empty");
     let interp_v = usable[draws[victim].plant];
     let phase = rng.gen::<f64>();
+    #[expect(clippy::expect_used, reason = "P001: usable interpolants only")]
     let (lo, hi) = interp_v
         .period_range()
         .expect("usable interpolant has a range");
@@ -476,6 +475,7 @@ fn refine_margin_tight<R: Rng + ?Sized>(
             best = Some((v.stable, v.slack, ev));
         }
     }
+    #[expect(clippy::expect_used, reason = "P001: the scan holds the drawn entry")]
     let (_, _, ev) = best.expect("at least one candidate is evaluated");
     draws[victim].entry = ev;
 }

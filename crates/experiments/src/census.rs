@@ -345,6 +345,7 @@ fn agg_to_census_row(agg: AggRow) -> CensusRow {
 /// Streams through the sharded orchestrator with checkpointing disabled
 /// — only one shard of per-instance results is ever in memory.
 pub fn run_census(config: &CensusConfig, threads: usize) -> (Vec<CensusRow>, Vec<Witness>) {
+    #[expect(clippy::expect_used, reason = "P001: an in-memory sweep does no I/O")]
     let run = run_census_orchestrated(config, &OrchestratorConfig::in_memory(), threads)
         .expect("in-memory sweep performs no I/O");
     (run.rows, run.witnesses)

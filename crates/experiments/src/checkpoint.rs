@@ -369,6 +369,7 @@ s|4|8|8|8,1,0|0|0\n";
         save_journal(&path, &header, &records).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         for cut in 0..=bytes.len() {
+            #[expect(clippy::disallowed_methods, reason = "A001: tears the journal")]
             std::fs::write(&path, &bytes[..cut]).unwrap();
             match load_journal(&path, &header, 3) {
                 Ok(loaded) => assert!(records.starts_with(&loaded), "cut at byte {cut}"),
@@ -420,6 +421,7 @@ s|4|8|8|8,1,0|0|0\n";
             ("s|4|0|8|1|0|0", "no newline"),
             ("w|csaw1|whatever\n", "expected `s`"),
         ] {
+            #[expect(clippy::disallowed_methods, reason = "A001: writes a bad journal")]
             std::fs::write(&path, format!("{}\n{body}", header.line())).unwrap();
             let err = load_journal(&path, &header, 1).unwrap_err();
             let Stale::Malformed(msg) = &err else {

@@ -85,6 +85,7 @@ pub fn quantize_task(task: &Task, mantissa_bits: u32) -> Task {
     };
     let c_worst = scale(task.c_worst()).clamp(1, period.get());
     let c_best = scale(task.c_best()).clamp(1, c_worst);
+    #[expect(clippy::expect_used, reason = "P001: clamped into a valid task")]
     Task::new(task.id(), Ticks::new(c_best), Ticks::new(c_worst), period)
         .expect("clamped quantization always yields a valid task")
 }

@@ -116,14 +116,17 @@ pub fn run_fig2_with_threads(config: &Fig2Config, threads: usize) -> Vec<CostCur
         })
         .collect();
 
+    #[expect(clippy::expect_used, reason = "P001: a fixed, valid plant")]
     let oscillator = plants::lightly_damped_oscillator().expect("valid plant");
     let osc_weights = LqgWeights::output_regulation(&oscillator, 1e-2, 1e-6);
+    #[expect(clippy::expect_used, reason = "P001: a fixed, valid plant")]
     let servo = plants::dc_servo().expect("valid plant");
     let servo_weights = LqgWeights::output_regulation(&servo, 1e-1, 1e-6);
 
     let sweep = |plant: &StateSpace, weights: &LqgWeights| -> Vec<(f64, f64)> {
         parallel_map(periods.len(), threads, |k| {
             let h = periods[k];
+            #[expect(clippy::expect_used, reason = "P001: both plants are controllable")]
             let cost = lqg_cost(plant, weights, h).expect("cost sweep must not fail structurally");
             (h, cost)
         })
@@ -145,10 +148,12 @@ pub fn run_fig2_with_threads(config: &Fig2Config, threads: usize) -> Vec<CostCur
 /// (`h = k*pi/wd`) — used by tests and EXPERIMENTS.md to document the
 /// spike locations.
 pub fn pathological_cost(k: u32) -> f64 {
+    #[expect(clippy::expect_used, reason = "P001: a fixed, valid plant")]
     let plant = plants::lightly_damped_oscillator().expect("valid plant");
     let weights = LqgWeights::output_regulation(&plant, 1e-2, 1e-6);
     let wd = 10.0 * (1.0f64 - 0.001 * 0.001).sqrt();
     let h = k as f64 * std::f64::consts::PI / wd;
+    #[expect(clippy::expect_used, reason = "P001: the plant is controllable")]
     lqg_cost(&plant, &weights, h).expect("structural failure in cost")
 }
 

@@ -126,9 +126,11 @@ pub fn run_fig5(config: &Fig5Config) -> Vec<Fig5Point> {
             let mut backtracks = 0u64;
             let mut truncated = 0u64;
             for tasks in &benchmarks {
+                #[expect(clippy::disallowed_methods, reason = "D002: timing is the output")]
                 let t0 = Instant::now();
                 let out = config.search.solve(tasks);
                 search_time += t0.elapsed().as_secs_f64();
+                #[expect(clippy::disallowed_methods, reason = "D002: timing is the output")]
                 let t1 = Instant::now();
                 let uq = unsafe_quadratic(tasks);
                 uq_time += t1.elapsed().as_secs_f64();

@@ -81,6 +81,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod artifact;
 mod benchgen;

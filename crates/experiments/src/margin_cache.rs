@@ -58,6 +58,7 @@ fn write_mat(h: &mut Fnv64, m: &Mat) {
 /// names, continuous models (bit-exact), period ranges, and LQG weights.
 /// Any pool change invalidates every margin-table artifact.
 pub fn pool_fingerprint() -> u64 {
+    #[expect(clippy::expect_used, reason = "P001: the compiled-in pool is valid")]
     let pool = plants::benchmark_pool().expect("benchmark pool must construct");
     let mut h = Fnv64::default();
     h.write_u64(pool.len() as u64);
@@ -187,6 +188,7 @@ fn pool_record(lines: &mut Lines<'_>, tag: &str, name: &str) -> Result<usize, St
 /// recompute in every error case.
 pub fn load_margin_artifact(path: &Path) -> Result<(Vec<PlantMargins>, Vec<MarginInterp>), Stale> {
     let text = artifact::read(path)?;
+    #[expect(clippy::expect_used, reason = "P001: the compiled-in pool is valid")]
     let pool = plants::benchmark_pool().expect("benchmark pool must construct");
     let mut lines = Lines::new(&text);
     header().check(lines.require("header")?.text)?;

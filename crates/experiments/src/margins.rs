@@ -72,6 +72,7 @@ pub(crate) const PERIOD_SERIES: [f64; 14] = [
 /// would panic on a NaN distance); a NaN input deterministically selects
 /// one series member instead of crashing the generator.
 fn snap_index(h: f64) -> usize {
+    #[expect(clippy::expect_used, reason = "P001: the series is non-empty")]
     (0..PERIOD_SERIES.len())
         .min_by(|&x, &y| {
             let dx = (PERIOD_SERIES[x].ln() - h.ln()).abs();
@@ -167,6 +168,7 @@ fn compute_cell_with(
 }
 
 pub(crate) fn compute_tables(threads: usize) -> Vec<PlantMargins> {
+    #[expect(clippy::expect_used, reason = "P001: the compiled-in pool is valid")]
     let pool = plants::benchmark_pool().expect("benchmark pool must construct");
     // Deduplicated snapped grid per plant. Snap to the 1-2-5 engineering
     // series: real deployments use round sampling periods, and the
@@ -360,6 +362,13 @@ impl MarginInterp {
     /// Panics when the plant has no usable run (callers filter with
     /// [`MarginInterp::is_usable`]).
     pub fn sample_period<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+        self.sample(rng).period
+    }
+
+    /// [`MarginInterp::sample_period`]'s draw with its coefficients. The
+    /// picked run contains the clamped period and runs are disjoint, so
+    /// the entry equals [`MarginInterp::eval`] at that period bit for bit.
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> MarginEntry {
         assert!(self.is_usable(), "{}: no interpolable span", self.name);
         let widths: Vec<f64> = self
             .runs
@@ -384,7 +393,7 @@ impl MarginInterp {
         // sequential width subtraction above (and `powf` itself) can
         // land an ulp outside the run, which `eval` would reject.
         let t = (pick / widths[idx]).clamp(0.0, 1.0);
-        log_period_point(lo, hi, t).clamp(lo, hi)
+        self.runs[idx].eval(log_period_point(lo, hi, t).clamp(lo, hi))
     }
 }
 
@@ -447,6 +456,7 @@ pub fn warm_interpolated_tables(threads: usize) -> &'static [MarginInterp] {
 }
 
 pub(crate) fn compute_interp_tables(threads: usize) -> Vec<MarginInterp> {
+    #[expect(clippy::expect_used, reason = "P001: the compiled-in pool is valid")]
     let pool = plants::benchmark_pool().expect("benchmark pool must construct");
     // Pass 1: dense raw grid (no snapping — the whole point is to cover
     // periods between the engineering-series members), one batched
@@ -572,6 +582,7 @@ fn build_run(span: &[MarginEntry], seg_fits: &[MarginEntry]) -> InterpSegmentRun
 /// against (used by the validation property tests; this is the expensive
 /// path the interpolant exists to avoid).
 pub fn fresh_margin_fit(plant: &str, h: f64) -> Option<MarginEntry> {
+    #[expect(clippy::expect_used, reason = "P001: the compiled-in pool is valid")]
     let pool = plants::benchmark_pool().expect("benchmark pool must construct");
     let mut batch = StabilityCurveBatch::new();
     pool.iter()

@@ -8,9 +8,9 @@
 //! deliver it:
 //!
 //! 1. [`parallel_map`] hands workers instance *indices* (dynamic
-//!    load-balancing over an atomic counter) but stores each result in
-//!    its index's slot, so the assembled output vector is the same at
-//!    any thread count — including 1, which doesn't spawn at all.
+//!    load-balancing over an atomic counter) and sorts the results by
+//!    index, so the assembled output vector is the same at any thread
+//!    count — including 1, which doesn't spawn at all.
 //! 2. [`instance_seed`] derives every instance's RNG stream from
 //!    `(base seed, task count, instance index)` instead of threading one
 //!    sequential stream through the sweep, so instance `k` generates the
@@ -19,7 +19,7 @@
 //! No external dependencies: plain `std::thread::scope`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Number of workers to use by default: the host's available
 /// parallelism, or 1 if it cannot be determined.
@@ -66,11 +66,8 @@ where
     if threads <= 1 {
         return (0..count).map(job).collect();
     }
-    // One slot per instance; each is written exactly once, so the
-    // per-slot mutexes are uncontended (and keep the code free of
-    // `unsafe`).
-    let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
+    let done: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(count));
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| loop {
@@ -79,18 +76,17 @@ where
                     break;
                 }
                 let result = job(i);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
+                // The lock is held only to push, which leaves the vector
+                // valid, so a poisoned lock still holds good results.
+                done.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push((i, result));
             });
         }
     });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every index visited exactly once")
-        })
-        .collect()
+    let mut results = done.into_inner().unwrap_or_else(PoisonError::into_inner);
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Best-effort extraction of a panic payload's message (the `&str` or

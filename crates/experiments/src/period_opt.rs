@@ -113,8 +113,10 @@ impl PeriodOptComparison {
 /// monotone-ish cost — ternary search is safe and cheap) and the lightly
 /// damped oscillator (spiky cost — ternary search can be badly wrong).
 pub fn run_period_opt(points: usize) -> Vec<PeriodOptComparison> {
+    #[expect(clippy::expect_used, reason = "P001: a fixed, valid plant")]
     let servo = csa_control::plants::dc_servo().expect("valid plant");
     let servo_w = LqgWeights::output_regulation(&servo, 1e-1, 1e-6);
+    #[expect(clippy::expect_used, reason = "P001: a fixed, valid plant")]
     let osc = csa_control::plants::lightly_damped_oscillator().expect("valid plant");
     let osc_w = LqgWeights::output_regulation(&osc, 1e-2, 1e-6);
     // Search range chosen to straddle the oscillator's first pathological

@@ -146,6 +146,7 @@ fn corrupting_each_header_field_is_detected_and_named() {
         (5, "safety=0000000000000000", "safety"),
     ];
     for (idx, replacement, want) in cases {
+        #[expect(clippy::disallowed_methods, reason = "A001: corrupts on purpose")]
         std::fs::write(&path, corrupt_field(idx, replacement)).expect("write corrupted");
         let got = load_margin_artifact(&path).expect_err("corrupt header must be rejected");
         assert!(
@@ -157,6 +158,7 @@ fn corrupting_each_header_field_is_detected_and_named() {
     // Body truncation is covered byte by byte below.
     // Restore and confirm it loads again (the guard is on content, not
     // on the path).
+    #[expect(clippy::disallowed_methods, reason = "A001: restores the file")]
     std::fs::write(&path, &original).expect("restore artifact");
     load_margin_artifact(&path).expect("restored artifact must load");
 }
@@ -190,6 +192,7 @@ fn every_truncation_is_malformed_except_the_final_newline() {
         .filter(|&cut| cut < len)
         .collect();
     for cut in cuts {
+        #[expect(clippy::disallowed_methods, reason = "A001: truncates on purpose")]
         std::fs::write(&path, &original[..cut]).expect("write truncated");
         match load_margin_artifact(&path) {
             Ok((t, i)) if cut == len - 1 => {

@@ -119,6 +119,7 @@ proptest! {
             .iter()
             .flat_map(|l| [l, "\n"])
             .collect();
+        #[expect(clippy::disallowed_methods, reason = "A001: truncates on purpose")]
         std::fs::write(&path, truncated).unwrap();
 
         let resumed = run_sharded_sweep(&sweep, &orch, 3, eval).unwrap();

@@ -3,8 +3,9 @@
 //! exhibit their recorded pathology under the exact analyses.
 //!
 //! The corpus (`tests/data/witness_corpus.txt`) was produced by the
-//! `witness_corpus` binary from a paper-scale census sweep (20 000
-//! harmonic-stress benchmarks at n = 4, seed 77); see EXPERIMENTS.md for
+//! `witness_corpus` binary from paper-scale census sweeps (20 000
+//! benchmarks at n = 4, seed 77, under each of the continuous,
+//! harmonic-stress and margin-tight profiles); see EXPERIMENTS.md for
 //! the measured rates. A rate alone is a weak regression surface — a
 //! change that silently stops *finding* the anomalies still prints a
 //! plausible percentage — so these tests pin the concrete instances.

@@ -38,6 +38,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::sync::OnceLock;
 
@@ -126,6 +127,7 @@ fn active_faults() -> &'static [FaultSpec] {
             Ok(specs) => specs,
             // A malformed spec is a loud configuration error: the test
             // that set it is counting on the fault actually firing.
+            #[expect(clippy::panic, reason = "P001: a bad fault spec must fail loudly")]
             Err(e) => panic!("{FAULT_ENV}: {e}"),
         },
         Err(_) => Vec::new(),
@@ -139,6 +141,7 @@ pub fn maybe_fault(n: usize, index: usize) {
     for f in active_faults() {
         if f.matches(n, index) {
             match f.mode {
+                #[expect(clippy::panic, reason = "P001: the injected fault is a panic")]
                 FaultMode::Panic => {
                     panic!("csa-faultinject: injected panic at instance n={n} index={index}")
                 }

@@ -434,8 +434,8 @@ mod tests {
     #[test]
     fn eig_sort_survives_nan() {
         // Regression for the former `partial_cmp(..).unwrap()` sort
-        // (the NaN-unsafe pattern fixed by hand in PR 2 and PR 4, now
-        // enforced as csa-lint F001): a NaN eigenvalue must sort
+        // (the NaN-unsafe pattern fixed by hand twice, now banned by
+        // clippy.toml's F001 rule): a NaN eigenvalue must sort
         // deterministically, never panic.
         let v = vec![
             Cplx::new(f64::NAN, 0.0),

@@ -46,6 +46,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 mod cmat;
 mod cplx;

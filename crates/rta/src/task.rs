@@ -6,6 +6,7 @@
 //! variable the paper's algorithms assign), see `csa-core`.
 
 use crate::time::Ticks;
+use std::cmp::Ordering;
 use std::error::Error as StdError;
 use std::fmt;
 
@@ -19,8 +20,24 @@ use std::fmt;
 /// let id = TaskId::new(3);
 /// assert_eq!(id.index(), 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TaskId(u32);
+
+// Written out, not derived: a derived `PartialOrd` calls the field's
+// `partial_cmp`, which the F001 rule bans (DESIGN.md §13).
+impl Ord for TaskId {
+    #[inline]
+    fn cmp(&self, o: &Self) -> Ordering {
+        self.0.cmp(&o.0)
+    }
+}
+
+impl PartialOrd for TaskId {
+    #[inline]
+    fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
+        Some(self.cmp(o))
+    }
+}
 
 impl TaskId {
     /// Creates an identifier from an index.

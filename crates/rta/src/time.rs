@@ -7,6 +7,7 @@
 //! implementations. Conversion to `f64` seconds happens only at the
 //! control-theory boundary (the `L + aJ <= b` stability check).
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Rem, Sub, SubAssign};
@@ -26,8 +27,24 @@ pub const TICKS_PER_SECOND: u64 = 1_000_000_000;
 /// assert_eq!(h + h, Ticks::from_millis(20));
 /// assert_eq!(Ticks::new(7).div_ceil(Ticks::new(2)), 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Ticks(u64);
+
+// Written out, not derived: a derived `PartialOrd` calls the field's
+// `partial_cmp`, which the F001 rule bans (DESIGN.md §13).
+impl Ord for Ticks {
+    #[inline]
+    fn cmp(&self, o: &Self) -> Ordering {
+        self.0.cmp(&o.0)
+    }
+}
+
+impl PartialOrd for Ticks {
+    #[inline]
+    fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
+        Some(self.cmp(o))
+    }
+}
 
 impl Ticks {
     /// Zero ticks.
