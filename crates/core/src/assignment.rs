@@ -35,15 +35,16 @@
 //! implementations — a property the `csa-core` test suite enforces on
 //! random task sets.
 //!
-//! On top of it, the input-order [`backtracking`] search keeps a
-//! *failed-set memo*: whether a remaining set can be ordered, and the
+//! On top of it, [`backtracking`] keeps a *failed-set memo* under both
+//! candidate orders: whether a remaining set can be ordered, and the
 //! logical checks and backtracks it takes to find out, depend on that
-//! set alone, so a set whose subtree failed once is never walked again.
-//! A revisit adds the stored counts and credits the checks to the
-//! checker as memo hits (a re-walk would answer every one from the
-//! verdict memo), so no count moves — budgets included — but the work
-//! done is at most one expansion per subset instead of one per ordering
-//! (DESIGN.md §7).
+//! set alone (each level tries candidates in ascending index order, or
+//! by slack with ties broken by ascending index), so a set whose subtree
+//! failed once is never walked again. A revisit adds the stored counts
+//! and credits the checks to the checker as memo hits (a re-walk would
+//! answer every one from the verdict memo), so no count moves — budgets
+//! included — but the work done is at most one expansion per subset
+//! instead of one per ordering (DESIGN.md §7).
 
 use crate::analysis::{check_task, BitIter, PriorityAssignment, StabilityChecker};
 use crate::fxhash::FxBuildHasher;
@@ -96,17 +97,19 @@ pub enum CandidateOrder {
     /// Try remaining tasks in input order (the paper's `for tau_i in S`).
     #[default]
     Input,
-    /// Try the task with the largest stability slack first — a greedy
-    /// heuristic that tends to reduce backtracking.
+    /// Try the task with the largest stability slack first, ties by
+    /// ascending index — a greedy heuristic that tends to reduce
+    /// backtracking.
     MaxSlackFirst,
 }
 
 /// Sorts `(slack, candidate)` pairs by slack, largest first, keeping the
-/// incoming order on ties (stable sort). NaN-safe by `f64::total_cmp`: a
-/// NaN slack orders above `+inf`, and the callers' `slack >= 0.0`
-/// stability filter then rejects it, so a NaN candidate can never be
-/// committed (and the sort itself can never panic, unlike the former
-/// `partial_cmp(..).unwrap()`).
+/// incoming order on ties (stable sort; both searches score candidates
+/// in ascending index order, so ties fall to the lower index). NaN-safe
+/// by `f64::total_cmp`: a NaN slack orders above `+inf`, and the
+/// callers' `slack >= 0.0` stability filter then rejects it, so a NaN
+/// candidate can never be committed (and the sort itself can never
+/// panic, unlike the former `partial_cmp(..).unwrap()`).
 fn order_by_slack_desc(scored: &mut [(f64, usize)]) {
     scored.sort_by(|x, y| y.0.total_cmp(&x.0));
 }
@@ -220,14 +223,9 @@ pub fn backtracking_on_checker(
     let n = checker.len();
     let full = checker.full_mask();
     let hits_before = checker.cache_hits();
-    let remaining = match order {
-        CandidateOrder::Input => Vec::new(),
-        CandidateOrder::MaxSlackFirst => (0..n).collect(),
-    };
     let mut search = BacktrackSearch {
         checker,
         order,
-        remaining,
         bottom_up: Vec::with_capacity(n),
         #[expect(clippy::disallowed_types, reason = "D001: a memo probed by key only")]
         failed: HashMap::default(),
@@ -261,27 +259,18 @@ const FAILED_SETS_CAP: usize = 1 << 18;
 
 /// State of one memoized backtracking run (Algorithm 1).
 ///
-/// Under [`CandidateOrder::Input`], whether a remaining set `S` can be
-/// ordered, and the logical checks and backtracks it takes to find out,
-/// depend on `S` alone: each level tries `S`'s tasks in ascending index
-/// order, and each verdict depends on the candidate and `S`. So `failed`
-/// maps every remaining set whose subtree failed to that subtree's
-/// `(checks, backtracks)`, and a later visit adds them without walking
-/// it again whenever the plain walk would finish within the budget (see
-/// [`Self::input_level`]). The root set is never stored: it is visited
-/// once.
-///
-/// `remaining` is kept only under [`CandidateOrder::MaxSlackFirst`]: a
-/// vector mutated exactly like the reference implementation's
-/// (swap-remove on descend, push on backtrack) because that order's
-/// stable sort breaks slack ties by the vector's incidental order — and
-/// the memoized search must replay the reference search bit for bit.
-/// That dependence on order is also why the failed-set memo is not used
-/// there.
+/// Whether a remaining set `S` can be ordered, and the logical checks
+/// and backtracks it takes to find out, depend on `S` alone: each
+/// verdict depends on the candidate and `S`, and each level tries `S`'s
+/// tasks in an order fixed by `S` (ascending index, or by slack with
+/// ties by ascending index). So `failed` maps every remaining set whose
+/// subtree failed to that subtree's `(checks, backtracks)`, and a later
+/// visit adds them without walking it again whenever the plain walk
+/// would finish within the budget (see [`Self::skip_failed`]). The root
+/// set is never stored: it is visited once.
 struct BacktrackSearch<'c, 'a> {
     checker: &'c mut StabilityChecker<'a>,
     order: CandidateOrder,
-    remaining: Vec<usize>,
     bottom_up: Vec<usize>,
     #[expect(clippy::disallowed_types, reason = "D001: a memo probed by key only")]
     failed: HashMap<u64, (u64, u64), FxBuildHasher>,
@@ -291,47 +280,75 @@ struct BacktrackSearch<'c, 'a> {
 }
 
 impl BacktrackSearch<'_, '_> {
-    fn recurse(&mut self, remaining_mask: u64) -> bool {
-        if remaining_mask == 0 {
+    fn recurse(&mut self, mask: u64) -> bool {
+        if mask == 0 {
             return true;
         }
         if self.stats.checks >= self.max_checks {
             self.truncated = true;
             return false;
         }
-        match self.order {
-            CandidateOrder::Input => self.input_level(remaining_mask),
-            CandidateOrder::MaxSlackFirst => self.slack_level(remaining_mask),
+        if self.skip_failed(mask) {
+            return false;
         }
+        let before = (self.stats.checks, self.stats.backtracks);
+        let found = match self.order {
+            CandidateOrder::Input => self.input_level(mask),
+            CandidateOrder::MaxSlackFirst => self.slack_level(mask),
+        };
+        if !found && !self.truncated {
+            self.store_failed(mask, before);
+        }
+        found
+    }
+
+    /// Skips the subtree of `mask` when the memo holds it as failed
+    /// with cost `c` and `checks + c <= max_checks`. Every truncation
+    /// test inside a failed subtree is followed by at least one check,
+    /// so the plain walk's last one would see at most `checks + c - 1`:
+    /// it would finish the subtree untruncated with exactly the stored
+    /// counts, and every check it made would be a verdict-memo hit,
+    /// which [`StabilityChecker::credit_hits`] records. Otherwise the
+    /// subtree is walked, its children's entries still apply, and
+    /// truncation lands on the same logical check as the plain search.
+    fn skip_failed(&mut self, mask: u64) -> bool {
+        let Some(&(checks, backtracks)) = self.failed.get(&mask) else {
+            return false;
+        };
+        let fits = self
+            .stats
+            .checks
+            .checked_add(checks)
+            .is_some_and(|total| total <= self.max_checks);
+        if fits {
+            self.stats.checks += checks;
+            self.stats.backtracks += backtracks;
+            self.checker.credit_hits(checks);
+        }
+        fits
+    }
+
+    /// Records that the subtree of `mask`, entered at the counts
+    /// `before`, failed without truncation.
+    fn store_failed(&mut self, mask: u64, before: (u64, u64)) {
+        // Nothing placed yet: the root set, which is visited only once.
+        if self.bottom_up.is_empty() {
+            return;
+        }
+        if self.failed.len() >= FAILED_SETS_CAP {
+            self.failed.clear();
+        }
+        let cost = (
+            self.stats.checks - before.0,
+            self.stats.backtracks - before.1,
+        );
+        self.failed.insert(mask, cost);
     }
 
     /// One level of the input-order search: the reference's sorted
     /// clone of the remaining set is the ascending bit order of its
     /// mask.
-    ///
-    /// A failed set found in the memo with cost `c` is skipped when
-    /// `checks + c <= max_checks`. The plain walk's last truncation test
-    /// inside that subtree would see at most `checks + c - 1`, so it
-    /// would finish the subtree untruncated with exactly the stored
-    /// counts; and every check it made would be a verdict-memo hit,
-    /// which [`StabilityChecker::credit_hits`] records. Otherwise the
-    /// subtree is walked, its children's entries still apply, and
-    /// truncation lands on the same logical check as the plain search.
     fn input_level(&mut self, mask: u64) -> bool {
-        if let Some(&(checks, backtracks)) = self.failed.get(&mask) {
-            if self
-                .stats
-                .checks
-                .checked_add(checks)
-                .is_some_and(|total| total <= self.max_checks)
-            {
-                self.stats.checks += checks;
-                self.stats.backtracks += backtracks;
-                self.checker.credit_hits(checks);
-                return false;
-            }
-        }
-        let (checks_before, backtracks_before) = (self.stats.checks, self.stats.backtracks);
         for cand in BitIter(mask) {
             if self.stats.checks >= self.max_checks {
                 self.truncated = true;
@@ -351,32 +368,24 @@ impl BacktrackSearch<'_, '_> {
                 self.bottom_up.pop();
             }
         }
-        // Nothing placed yet: the root set, which is visited only once.
-        if !self.bottom_up.is_empty() {
-            if self.failed.len() >= FAILED_SETS_CAP {
-                self.failed.clear();
-            }
-            let cost = (
-                self.stats.checks - checks_before,
-                self.stats.backtracks - backtracks_before,
-            );
-            self.failed.insert(mask, cost);
-        }
         false
     }
 
     /// One level of the [`CandidateOrder::MaxSlackFirst`] search: score
-    /// every remaining task, then descend into the stable ones, largest
-    /// slack first.
-    fn slack_level(&mut self, remaining_mask: u64) -> bool {
-        let mut scored: Vec<(f64, usize)> = Vec::with_capacity(self.remaining.len());
-        for idx in 0..self.remaining.len() {
-            let cand = self.remaining[idx];
+    /// every remaining task in ascending index order, then descend into
+    /// the stable ones, largest slack first. The scoring pass follows
+    /// the entry truncation test, so like the reference it may overshoot
+    /// a budget by up to `|S| - 1` checks; it stops only where the count
+    /// would pass `u64::MAX`, and reports truncation there.
+    fn slack_level(&mut self, mask: u64) -> bool {
+        let mut scored: Vec<(f64, usize)> = Vec::with_capacity(mask.count_ones() as usize);
+        for cand in BitIter(mask) {
+            if self.stats.checks == u64::MAX {
+                self.truncated = true;
+                return false;
+            }
             self.stats.checks += 1;
-            let slack = self
-                .checker
-                .check_mask(cand, remaining_mask & !(1u64 << cand))
-                .slack;
+            let slack = self.checker.check_mask(cand, mask & !(1u64 << cand)).slack;
             scored.push((slack, cand));
         }
         order_by_slack_desc(&mut scored);
@@ -389,36 +398,16 @@ impl BacktrackSearch<'_, '_> {
                 self.truncated = true;
                 return false;
             }
-            if self.descend(remaining_mask, cand) {
+            self.bottom_up.push(cand);
+            if self.recurse(mask & !(1u64 << cand)) {
                 return true;
             }
             if self.truncated {
                 return false;
             }
+            self.stats.backtracks += 1;
+            self.bottom_up.pop();
         }
-        false
-    }
-
-    /// Commits `cand` to the lowest open level and recurses; on failure
-    /// (not truncation) restores state and counts the backtrack.
-    fn descend(&mut self, remaining_mask: u64, cand: usize) -> bool {
-        #[expect(clippy::expect_used, reason = "P001: cand comes from `remaining`")]
-        let pos = self
-            .remaining
-            .iter()
-            .position(|&x| x == cand)
-            .expect("candidate must be in the remaining set");
-        self.remaining.swap_remove(pos);
-        self.bottom_up.push(cand);
-        if self.recurse(remaining_mask & !(1u64 << cand)) {
-            return true;
-        }
-        if self.truncated {
-            return false;
-        }
-        self.stats.backtracks += 1;
-        self.bottom_up.pop();
-        self.remaining.push(cand);
         false
     }
 }
@@ -766,15 +755,15 @@ pub mod reference {
             *truncated = true;
             return false;
         }
-        // Determine the candidate evaluation order for this level.
+        // Determine the candidate evaluation order for this level:
+        // ascending index, or by slack scored in that order (so slack
+        // ties fall to the lower index).
+        let mut sorted = remaining.clone();
+        sorted.sort_unstable();
         let candidates: Vec<usize> = match order {
-            CandidateOrder::Input => {
-                let mut c = remaining.clone();
-                c.sort_unstable();
-                c
-            }
+            CandidateOrder::Input => sorted,
             CandidateOrder::MaxSlackFirst => {
-                let mut scored: Vec<(f64, usize)> = remaining
+                let mut scored: Vec<(f64, usize)> = sorted
                     .iter()
                     .map(|&cand| {
                         let hp: Vec<usize> =
@@ -1191,8 +1180,9 @@ mod tests {
     #[test]
     fn ties_keep_input_order_after_total_cmp_switch() {
         // The stable sort must preserve the incoming order on exact
-        // slack ties (the memoized and reference searches both rely on
-        // this to stay bit-identical).
+        // slack ties: both searches score candidates in ascending index
+        // order, so ties fall to the lower index, and the failed-set
+        // memo relies on that order depending on the remaining set only.
         let mut scored = vec![(0.5, 7), (0.5, 3), (0.5, 9), (1.0, 1)];
         order_by_slack_desc(&mut scored);
         let order: Vec<usize> = scored.iter().map(|&(_, c)| c).collect();

@@ -190,15 +190,16 @@ proptest! {
 
     #[test]
     fn budgeted_search_is_memo_invariant(tasks in task_set(), cap in 0u64..40) {
-        // Truncation decisions count logical checks, so the memo must
-        // not move the truncation point either.
-        let (fast, fast_trunc) = backtracking_with_budget(&tasks, CandidateOrder::Input, cap);
-        let (naive, naive_trunc) =
-            reference::backtracking_with_budget(&tasks, CandidateOrder::Input, cap);
-        prop_assert_eq!(fast_trunc, naive_trunc);
-        prop_assert_eq!(&fast.assignment, &naive.assignment);
-        prop_assert_eq!(fast.stats.checks, naive.stats.checks);
-        prop_assert_eq!(fast.stats.backtracks, naive.stats.backtracks);
+        // Truncation decisions count logical checks, so neither memo may
+        // move the truncation point, in either candidate order.
+        for order in [CandidateOrder::Input, CandidateOrder::MaxSlackFirst] {
+            let (fast, fast_trunc) = backtracking_with_budget(&tasks, order, cap);
+            let (naive, naive_trunc) = reference::backtracking_with_budget(&tasks, order, cap);
+            prop_assert_eq!(fast_trunc, naive_trunc, "order {:?}", order);
+            prop_assert_eq!(&fast.assignment, &naive.assignment, "order {:?}", order);
+            prop_assert_eq!(fast.stats.checks, naive.stats.checks, "order {:?}", order);
+            prop_assert_eq!(fast.stats.backtracks, naive.stats.backtracks, "order {:?}", order);
+        }
     }
 
     #[test]

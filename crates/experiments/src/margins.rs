@@ -313,8 +313,8 @@ impl InterpSegmentRun {
 ///
 /// Unstabilizable stretches of the period range (and segments whose
 /// held-out midpoint fails to stabilize) are holes: [`MarginInterp::eval`]
-/// returns `None` there, and [`MarginInterp::sample_period`] never lands
-/// in them.
+/// returns `None` there, and the generator's period draw never lands in
+/// them.
 #[derive(Debug, Clone)]
 pub struct MarginInterp {
     /// Plant name (matches `csa_control::plants::benchmark_pool`).
@@ -355,19 +355,14 @@ impl MarginInterp {
 
     /// Draws a period log-uniformly over the union of stabilizable runs
     /// (runs weighted by their log-width, so the density matches a
-    /// log-uniform draw over the union).
+    /// log-uniform draw over the union), with its coefficients. The
+    /// picked run contains the clamped period and runs are disjoint, so
+    /// the entry equals [`MarginInterp::eval`] at that period bit for bit.
     ///
     /// # Panics
     ///
     /// Panics when the plant has no usable run (callers filter with
     /// [`MarginInterp::is_usable`]).
-    pub fn sample_period<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.sample(rng).period
-    }
-
-    /// [`MarginInterp::sample_period`]'s draw with its coefficients. The
-    /// picked run contains the clamped period and runs are disjoint, so
-    /// the entry equals [`MarginInterp::eval`] at that period bit for bit.
     pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> MarginEntry {
         assert!(self.is_usable(), "{}: no interpolable span", self.name);
         let widths: Vec<f64> = self
@@ -746,7 +741,7 @@ mod tests {
                 continue;
             }
             for _ in 0..50 {
-                let h = t.sample_period(&mut rng);
+                let h = t.sample(&mut rng).period;
                 assert!(
                     t.eval(h).is_some(),
                     "{}: sampled period {h} unsupported",

@@ -4,9 +4,9 @@
 
 use csa_core::CandidateOrder::{Input, MaxSlackFirst};
 use csa_core::{
-    backtracking, backtracking_on_checker, backtracking_with_budget, portfolio, reference,
-    AssignmentOutcome, AssignmentStats, CandidateOrder, ControlTask, PortfolioStage,
-    StabilityChecker,
+    backtracking, backtracking_on_checker, backtracking_with_budget, backtracking_with_order,
+    portfolio, portfolio_with_budget, reference, AssignmentOutcome, AssignmentStats,
+    CandidateOrder, ControlTask, PortfolioStage, StabilityChecker,
 };
 use csa_experiments::artifact::Fnv64;
 use csa_experiments::{
@@ -149,15 +149,29 @@ fn digest_checker(h: &mut Fnv64, checker: &StabilityChecker<'_>) {
     h.write_u64(checker.computed_checks());
 }
 
+/// Asserts that a memoized search replays the reference one: the same
+/// assignment, logical checks, backtracks and truncation flag, with
+/// each run's stats flag mirroring its tuple flag.
+fn assert_replays(fast: &(AssignmentOutcome, bool), naive: &(AssignmentOutcome, bool), ctx: &str) {
+    let ((fast, fast_truncated), (naive, naive_truncated)) = (fast, naive);
+    assert_eq!(fast.assignment, naive.assignment, "{ctx}");
+    assert_eq!(fast.stats.checks, naive.stats.checks, "{ctx}");
+    assert_eq!(fast.stats.backtracks, naive.stats.backtracks, "{ctx}");
+    assert_eq!(fast_truncated, naive_truncated, "{ctx}");
+    assert_eq!(fast.stats.truncated, *fast_truncated, "{ctx}");
+    assert_eq!(naive.stats.truncated, *naive_truncated, "{ctx}");
+}
+
 #[test]
 fn every_truncation_point_matches_the_reference() {
     // Every cap from 0 to each instance's full cost + 2, plus u64::MAX:
-    // assignment, checks, backtracks and the truncation flag must equal
-    // the unmemoized reference. The digest pins what the reference
-    // cannot (it never caches): the hit counts of a cold search, and the
-    // counts and checker totals of a slack-order slice followed by an
-    // input-order search on one warm checker, as the portfolio runs
-    // them. It was recorded before the failed-set memo existed.
+    // the input-order search at the cap and the slack-order search at
+    // half of it must replay the unmemoized reference. The digest pins
+    // what the reference cannot (it never caches): the hit counts of a
+    // cold search, and the counts and checker totals of that slack-order
+    // slice followed by an input-order search on one warm checker, as
+    // the portfolio runs them. It was re-recorded when slack ties began
+    // to fall to the lower index, which moves hit counts only.
     let mut instances: Vec<Vec<ControlTask>> = (4..=8).map(factorial_instance).collect();
     instances.extend([(2, 2), (2, 3), (3, 3)].map(|(l, w)| layered_instance(l, w)));
     let mut h = Fnv64::default();
@@ -166,21 +180,18 @@ fn every_truncation_point_matches_the_reference() {
         let (full, _) = reference::backtracking_with_budget(tasks, Input, u64::MAX);
         assert!(full.assignment.is_none(), "every member is infeasible");
         for cap in (0..=full.stats.checks + 2).chain([u64::MAX]) {
-            let (fast, fast_truncated) = backtracking_with_budget(tasks, Input, cap);
-            let (naive, naive_truncated) = reference::backtracking_with_budget(tasks, Input, cap);
-            let ctx = format!("n = {}, cap {cap}", tasks.len());
-            assert_eq!(fast.assignment, naive.assignment, "{ctx}");
-            assert_eq!(fast.stats.checks, naive.stats.checks, "{ctx}");
-            assert_eq!(fast.stats.backtracks, naive.stats.backtracks, "{ctx}");
-            assert_eq!(fast_truncated, naive_truncated, "{ctx}");
-            assert_eq!(fast.stats.truncated, fast_truncated, "{ctx}");
-            assert_eq!(naive.stats.truncated, naive_truncated, "{ctx}");
+            let fast = backtracking_with_budget(tasks, Input, cap);
+            let naive = reference::backtracking_with_budget(tasks, Input, cap);
+            assert_replays(&fast, &naive, &format!("n = {}, cap {cap}", tasks.len()));
 
             h.write_u64(cap);
-            digest_stats(&mut h, &fast.stats);
+            digest_stats(&mut h, &fast.0.stats);
             let mut checker = StabilityChecker::new(tasks);
-            let (slack, _) = backtracking_on_checker(&mut checker, MaxSlackFirst, cap / 2);
-            digest_stats(&mut h, &slack.stats);
+            let slack = backtracking_on_checker(&mut checker, MaxSlackFirst, cap / 2);
+            let naive = reference::backtracking_with_budget(tasks, MaxSlackFirst, cap / 2);
+            let ctx = format!("n = {}, slack order, cap {}", tasks.len(), cap / 2);
+            assert_replays(&slack, &naive, &ctx);
+            digest_stats(&mut h, &slack.0.stats);
             digest_checker(&mut h, &checker);
             let (warm, _) = backtracking_on_checker(&mut checker, Input, cap);
             digest_stats(&mut h, &warm.stats);
@@ -190,14 +201,18 @@ fn every_truncation_point_matches_the_reference() {
     }
     // 7 122 runs on the factorial family, 2 580 on the layered one.
     assert_eq!(runs, 9_702);
-    assert_eq!(format!("{:016x}", h.finish()), "2f61da0476ecfaf4");
+    assert_eq!(format!("{:016x}", h.finish()), "802f5ec766cc153d");
 }
 
-/// Runs input-order backtracking on a fresh checker and returns its
+/// Runs backtracking in `order` on a fresh checker and returns its
 /// outcome with the checker's computed-check count.
-fn fresh_search(tasks: &[ControlTask], max_checks: u64) -> (AssignmentOutcome, u64) {
+fn fresh_search(
+    tasks: &[ControlTask],
+    order: CandidateOrder,
+    max_checks: u64,
+) -> (AssignmentOutcome, u64) {
     let mut checker = StabilityChecker::new(tasks);
-    let (outcome, truncated) = backtracking_on_checker(&mut checker, Input, max_checks);
+    let (outcome, truncated) = backtracking_on_checker(&mut checker, order, max_checks);
     assert_eq!(outcome.stats.truncated, truncated);
     assert_eq!(checker.logical_checks(), outcome.stats.checks);
     (outcome, checker.computed_checks())
@@ -212,7 +227,7 @@ fn table1_tail_instance_keeps_every_count() {
     let mut rng = StdRng::seed_from_u64(instance_seed(2017, 20, 4349));
     let tasks = generate_benchmark(&config, &mut rng);
 
-    let (outcome, computed) = fresh_search(&tasks, u64::MAX);
+    let (outcome, computed) = fresh_search(&tasks, Input, u64::MAX);
     assert!(outcome.assignment.is_none(), "infeasible");
     let stats = outcome.stats;
     assert!(!stats.truncated, "unbudgeted, the search decides");
@@ -222,7 +237,7 @@ fn table1_tail_instance_keeps_every_count() {
     assert_eq!(computed, 16_379);
 
     // perfbench's table1-budget cap.
-    let (outcome, computed) = fresh_search(&tasks, 10_000_000);
+    let (outcome, computed) = fresh_search(&tasks, Input, 10_000_000);
     assert!(outcome.assignment.is_none());
     let stats = outcome.stats;
     assert!(stats.truncated);
@@ -230,6 +245,30 @@ fn table1_tail_instance_keeps_every_count() {
     assert_eq!(stats.backtracks, 1_249_960);
     assert_eq!(stats.cache_hits, 9_991_422);
     assert_eq!(computed, 8_578);
+}
+
+#[test]
+fn crossval_unknown_slack_slice_keeps_every_count() {
+    // An unknown of crossval's n = 16 scan: continuous, seed 77, index
+    // 89, which the portfolio leaves undecided at budget 50 000. A
+    // slack-order slice of half that budget runs out, re-entering
+    // failed remaining sets that the failed-set memo skips.
+    let config = BenchmarkConfig::with_model(16, PeriodModel::Continuous);
+    let mut rng = StdRng::seed_from_u64(instance_seed(77, 16, 89));
+    let tasks = generate_benchmark(&config, &mut rng);
+    assert!(portfolio_with_budget(&tasks, 50_000).truncated());
+
+    let (outcome, computed) = fresh_search(&tasks, MaxSlackFirst, 25_000);
+    let naive = reference::backtracking_with_budget(&tasks, MaxSlackFirst, 25_000);
+    let fast = (outcome.clone(), outcome.stats.truncated);
+    assert_replays(&fast, &naive, "continuous:16:89");
+    let stats = outcome.stats;
+    assert!(outcome.assignment.is_none());
+    assert!(stats.truncated, "the slice runs out");
+    assert_eq!(stats.checks, 25_000);
+    assert_eq!(stats.backtracks, 8_069);
+    assert_eq!(stats.cache_hits, 24_255);
+    assert_eq!(computed, 745);
 }
 
 #[test]
@@ -241,13 +280,20 @@ fn a_search_reaching_u64_max_checks_reports_truncation() {
     let tasks = layered_instance(5, 8);
     assert_eq!(tasks.len(), 42);
 
-    let (outcome, computed) = fresh_search(&tasks, u64::MAX);
-    assert!(outcome.assignment.is_none());
-    assert!(outcome.stats.truncated);
-    assert_eq!(outcome.stats.checks, u64::MAX);
-    assert_eq!(outcome.stats.cache_hits, u64::MAX - computed);
-    assert_eq!(backtracking_with_budget(&tasks, Input, u64::MAX).0, outcome);
-    assert_eq!(backtracking(&tasks), outcome);
+    for order in [Input, MaxSlackFirst] {
+        // A slack-order level makes its |S| scoring checks after the
+        // entry truncation test; the pass must stop at u64::MAX too.
+        let (outcome, computed) = fresh_search(&tasks, order, u64::MAX);
+        assert!(outcome.assignment.is_none(), "{order:?}");
+        assert!(outcome.stats.truncated, "{order:?}");
+        assert_eq!(outcome.stats.checks, u64::MAX, "{order:?}");
+        assert_eq!(outcome.stats.cache_hits, u64::MAX - computed, "{order:?}");
+        assert_eq!(backtracking_with_budget(&tasks, order, u64::MAX).0, outcome);
+        assert_eq!(backtracking_with_order(&tasks, order), outcome);
+        if order == Input {
+            assert_eq!(backtracking(&tasks), outcome);
+        }
+    }
 
     let out = portfolio(&tasks);
     assert!(out.assignment.is_none());
