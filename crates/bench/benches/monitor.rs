@@ -1,13 +1,13 @@
 //! Monitoring-service benchmarks (DESIGN.md §14): a bank hit vs a cold
-//! assessment, and batched vs singleton windows.
+//! assessment, and a stream of distinct requests.
 //!
-//! The determinism contract says the assessment bank and batching
-//! change *latency only* — these benches quantify that latency. A cold
-//! request runs the whole census classification (search, anomaly scans,
-//! OPA, quadratic audit) and its slack checks; a repeat of an
-//! already-seen task set is a bank hit, an equality check against the
-//! banked set and a clone of its assessment, so what remains of a warm
-//! request is the engine's per-request bookkeeping (EXPERIMENTS.md).
+//! The determinism contract says the assessment bank changes *latency
+//! only* — these benches quantify that latency. A cold request runs the
+//! whole census classification (search, anomaly scans, OPA, quadratic
+//! audit) and its slack checks; a repeat of an already-seen task set is
+//! a bank hit, an equality check against the banked set and a clone of
+//! its assessment, so what remains of a warm request is the engine's
+//! per-request bookkeeping (EXPERIMENTS.md).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use csa_bench::fixed_benchmarks_with;
@@ -16,9 +16,8 @@ use csa_experiments::PeriodModel;
 use csa_monitor::{MonitorConfig, MonitorEngine, Payload, Request, Response};
 use std::hint::black_box;
 
-fn config(batch_window: usize) -> MonitorConfig {
+fn config() -> MonitorConfig {
     MonitorConfig {
-        batch_window,
         // Keep the baseline building: bench latency, not event flow.
         min_samples: u64::MAX,
         ..MonitorConfig::default()
@@ -46,7 +45,7 @@ fn bench_warm_vs_cold(c: &mut Criterion) {
         let mut id = 0u64;
         b.iter(|| {
             id += 1;
-            let mut engine = MonitorEngine::new(config(1));
+            let mut engine = MonitorEngine::new(config());
             black_box(engine.submit(inline(id, &tasks)))
         })
     });
@@ -54,7 +53,7 @@ fn bench_warm_vs_cold(c: &mut Criterion) {
     // Warm: the same engine answers a set it has already seen from the
     // bank, without classifying it again.
     group.bench_function("warm_repeat", |b| {
-        let mut engine = MonitorEngine::new(config(1));
+        let mut engine = MonitorEngine::new(config());
         let mut id = 0u64;
         id += 1;
         engine.submit(inline(id, &tasks));
@@ -66,26 +65,25 @@ fn bench_warm_vs_cold(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_batch_vs_singleton(c: &mut Criterion) {
+fn bench_distinct_stream(c: &mut Criterion) {
     let mut group = c.benchmark_group("monitor_window");
     let sets = fixed_benchmarks_with(6, 16, 0x40B2, PeriodModel::MarginTight);
 
-    let drive = |batch_window: usize| -> Vec<Response> {
-        let mut engine = MonitorEngine::new(config(batch_window));
-        let mut out = Vec::new();
-        for (i, tasks) in sets.iter().enumerate() {
-            out.extend(engine.submit(inline(i as u64 + 1, tasks)));
-        }
-        out.extend(engine.flush());
-        out
-    };
-
-    // Same 16 distinct requests, processed as 16 singleton windows vs
-    // one 16-wide window (identical responses by contract).
-    group.bench_function("singleton_x16", |b| b.iter(|| black_box(drive(1))));
-    group.bench_function("batch_x16", |b| b.iter(|| black_box(drive(16))));
+    // 16 distinct requests through a fresh engine, each answered as it
+    // arrives.
+    group.bench_function("singleton_x16", |b| {
+        b.iter(|| {
+            let mut engine = MonitorEngine::new(config());
+            let out: Vec<Response> = sets
+                .iter()
+                .enumerate()
+                .flat_map(|(i, tasks)| engine.submit(inline(i as u64 + 1, tasks)))
+                .collect();
+            black_box(out)
+        })
+    });
     group.finish();
 }
 
-criterion_group!(benches, bench_warm_vs_cold, bench_batch_vs_singleton);
+criterion_group!(benches, bench_warm_vs_cold, bench_distinct_stream);
 criterion_main!(benches);

@@ -131,7 +131,9 @@ pub use margins::{
 pub use orchestrate::{
     run_sharded_sweep, AggRow, InstanceOutput, OrchestratedRun, OrchestratorConfig, SweepSpec,
 };
-pub use parallel::{available_threads, instance_seed, parallel_map, parallel_map_catching};
+pub use parallel::{
+    available_threads, catch_panic, instance_seed, parallel_map, parallel_map_catching,
+};
 pub use period_opt::{
     optimize_period_grid, optimize_period_ternary, run_period_opt, PeriodChoice,
     PeriodOptComparison,

@@ -91,7 +91,7 @@ where
 
 /// Best-effort extraction of a panic payload's message (the `&str` or
 /// `String` forms `panic!` produces); anything else is reported opaquely.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -101,20 +101,37 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Runs `job` once, catching a panic as `Err` carrying its message: the
+/// one containment under [`parallel_map_catching`]'s slots and the
+/// `csa-monitor` engine's per-request assessment (DESIGN.md §14), which
+/// reports the `Err` as a quarantine with the request's replay seed.
+///
+/// # Examples
+///
+/// ```
+/// use csa_experiments::catch_panic;
+///
+/// assert_eq!(catch_panic(|| 7), Ok(7));
+/// let caught = catch_panic(|| -> u8 { panic!("bad instance") });
+/// assert_eq!(caught.unwrap_err(), "bad instance");
+/// ```
+pub fn catch_panic<T>(job: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(job))
+        .map_err(|payload| panic_message(payload.as_ref()))
+}
+
 /// [`parallel_map`] with per-index panic isolation: a worker panic is
-/// caught and stored as that index's `Err` (carrying the panic message)
-/// instead of poisoning the whole scope — one pathological instance can
-/// no longer kill a multi-hour sweep. Every other index still completes,
-/// and the ordering/determinism contract of [`parallel_map`] is
-/// unchanged.
+/// caught by [`catch_panic`] and stored as that index's `Err` (carrying
+/// the panic message) instead of poisoning the whole scope — one
+/// pathological instance can no longer kill a multi-hour sweep. Every
+/// other index still completes, and the ordering/determinism contract of
+/// [`parallel_map`] is unchanged.
 ///
 /// The sweep orchestrator (`orchestrate.rs`) routes every shard through
 /// this variant and records `Err` slots as quarantined instances with
-/// their replay seeds (DESIGN.md §11); the `csa-monitor` service does
-/// the same for its batch stages, surfacing each `Err` slot to the
-/// caller as a quarantine event carrying the replayable `{:016x}` seed
-/// (DESIGN.md §14) — the `Err` payload is the panic message alone, so
-/// callers needing replay coordinates must derive them from the index.
+/// their replay seeds (DESIGN.md §11) — the `Err` payload is the panic
+/// message alone, so callers needing replay coordinates must derive
+/// them from the index.
 ///
 /// # Examples
 ///
@@ -134,10 +151,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    parallel_map(count, threads, |i| {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(i)))
-            .map_err(|payload| panic_message(payload.as_ref()))
-    })
+    parallel_map(count, threads, |i| catch_panic(|| job(i)))
 }
 
 /// Derives the RNG seed of one benchmark instance from the sweep's base

@@ -1,17 +1,19 @@
 //! Stdin/stdout JSONL front-end of the monitoring service.
 //!
-//! Reads one request per line (see `csa_monitor::jsonl`), prints one
-//! response line per request plus one line per fired anomaly event,
-//! and optionally persists a crash-safe `csamon1` snapshot after every
-//! batch. On a clean EOF it flushes the last partial batch, writes the
-//! accumulated event log to `results/monitor_events.jsonl`, and prints
-//! a summary to stderr.
+//! Reads one request per line (see `csa_monitor::jsonl`) and answers it
+//! at once: one response line, plus one line per fired anomaly event.
+//! With `--snapshot-dir` it then persists a crash-safe `csamon2`
+//! snapshot, so every printed response is covered by one. On a clean
+//! EOF it writes the accumulated event log to
+//! `results/monitor_events.jsonl` and prints a summary to stderr. A
+//! stdout that can no longer be written (a reader that closed early)
+//! stops it with exit 1.
 //!
 //! ```text
-//! monitor [--threads N] [--search NAME] [--budget N] [--batch N]
-//!         [--min-samples N] [--min-coverage N] [--z X] [--persistence N]
-//!         [--cooldown N] [--drift-window N] [--drift-threshold X]
-//!         [--memo-tables N] [--snapshot-dir PATH] [--resume]
+//! monitor [--search NAME] [--budget N] [--min-samples N]
+//!         [--min-coverage N] [--z X] [--persistence N] [--cooldown N]
+//!         [--drift-window N] [--drift-threshold X] [--memo-tables N]
+//!         [--snapshot-dir PATH] [--resume]
 //! ```
 //!
 //! With `--resume` (which needs `--snapshot-dir`), requests the snapshot
@@ -19,16 +21,15 @@
 //! after a crash continues the response sequence (and the final
 //! snapshot) byte-identically.
 
-use std::io::BufRead;
+use std::io::{BufRead, Write};
 use std::path::PathBuf;
 
 use csa_experiments::artifact::{write_atomic, Stale};
-use csa_experiments::cli::{Args, Flag, BUDGET, SEARCH, THREADS};
+use csa_experiments::cli::{Args, Flag, BUDGET, SEARCH};
 use csa_monitor::jsonl::{event_line, parse_request, response_line};
 use csa_monitor::snapshot;
-use csa_monitor::{MonitorConfig, MonitorEngine};
+use csa_monitor::{MonitorConfig, MonitorEngine, Response};
 
-const BATCH: Flag<usize> = Flag::count("--batch");
 const MIN_SAMPLES: Flag<u64> = Flag::count("--min-samples");
 const MIN_COVERAGE: Flag<usize> = Flag::count("--min-coverage");
 const Z: Flag<f64> = Flag::real("--z");
@@ -40,20 +41,29 @@ const MEMO_TABLES: Flag<usize> = Flag::count("--memo-tables");
 const SNAPSHOT_DIR: Flag<PathBuf> = Flag::path("--snapshot-dir");
 const RESUME: Flag<bool> = Flag::switch("--resume", Some("--snapshot-dir"));
 
+/// Prints `response` and its event lines to `out`, logging the events.
+fn emit(out: &mut impl Write, response: &Response, log: &mut Vec<String>) -> std::io::Result<()> {
+    writeln!(out, "{}", response_line(response))?;
+    for event in &response.events {
+        let line = event_line(event);
+        writeln!(out, "{line}")?;
+        log.push(line);
+    }
+    Ok(())
+}
+
 fn main() {
     let args = Args::parse(
         "monitor",
         &[
-            &[&THREADS, &SEARCH, &BUDGET, &BATCH, &MIN_SAMPLES],
-            &[&MIN_COVERAGE, &Z, &PERSISTENCE, &COOLDOWN],
+            &[&SEARCH, &BUDGET, &MIN_SAMPLES, &MIN_COVERAGE],
+            &[&Z, &PERSISTENCE, &COOLDOWN],
             &[&DRIFT_WINDOW, &DRIFT_THRESHOLD, &MEMO_TABLES],
             &[&SNAPSHOT_DIR, &RESUME],
         ],
     );
     let defaults = MonitorConfig::default();
     let config = MonitorConfig {
-        batch_window: args.get(&BATCH).unwrap_or(defaults.batch_window),
-        threads: args.threads(),
         search: args.search(),
         min_samples: args.get(&MIN_SAMPLES).unwrap_or(defaults.min_samples),
         min_coverage: args.get(&MIN_COVERAGE).unwrap_or(defaults.min_coverage),
@@ -92,16 +102,7 @@ fn main() {
     // skip what the snapshot already covers.
     let mut skip = engine.processed();
     let mut event_log: Vec<String> = Vec::new();
-    let emit = |responses: &[csa_monitor::Response], log: &mut Vec<String>| {
-        for response in responses {
-            println!("{}", response_line(response));
-            for event in &response.events {
-                let line = event_line(event);
-                println!("{line}");
-                log.push(line);
-            }
-        }
-    };
+    let mut stdout = std::io::stdout().lock();
 
     let stdin = std::io::stdin();
     for (lineno, line) in stdin.lock().lines().enumerate() {
@@ -126,24 +127,19 @@ fn main() {
             skip -= 1;
             continue;
         }
-        let responses = engine.submit(request);
-        if !responses.is_empty() {
-            emit(&responses, &mut event_log);
-            if let Some(dir) = &snapshot_dir {
-                if let Err(e) = snapshot::save(&engine, dir) {
-                    eprintln!("monitor: snapshot write failed: {e}");
-                    std::process::exit(1);
-                }
+        // Print, then snapshot: a response that was not delivered is
+        // never covered by a snapshot.
+        for response in engine.submit(request) {
+            if let Err(e) = emit(&mut stdout, &response, &mut event_log) {
+                eprintln!("monitor: stdout write failed: {e}");
+                std::process::exit(1);
             }
         }
-    }
-
-    let responses = engine.flush();
-    emit(&responses, &mut event_log);
-    if let Some(dir) = &snapshot_dir {
-        if let Err(e) = snapshot::save(&engine, dir) {
-            eprintln!("monitor: snapshot write failed: {e}");
-            std::process::exit(1);
+        if let Some(dir) = &snapshot_dir {
+            if let Err(e) = snapshot::save(&engine, dir) {
+                eprintln!("monitor: snapshot write failed: {e}");
+                std::process::exit(1);
+            }
         }
     }
 

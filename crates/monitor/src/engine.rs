@@ -1,19 +1,20 @@
-//! The monitoring engine: deterministic batch windows over a bank of
-//! finished assessments, baseline lifecycle, and the anomaly event
-//! machine.
+//! The monitoring engine: each request answered as it arrives, over a
+//! bank of finished assessments, with the baseline lifecycle and the
+//! anomaly event machine.
 //!
 //! # Determinism contract
 //!
-//! A batch window of `K` requests is processed in ascending request-id
-//! order regardless of arrival interleaving, and each request's
-//! assessment exposes only memo-invariant quantities (verdicts,
-//! logical check counts, truncation flags, slacks, census classes).
-//! An assessment is a pure function of the task set and the engine's
-//! [`SearchConfig`], so each batch group of equal sets is classified
-//! once and the result is banked whole for later equal sets. Banking
-//! therefore changes *latency only* — the response stream, the learned
-//! baseline, and every emitted event are bit-identical at any batch
-//! size, thread count, and bank state (covered by the
+//! Responses are a pure function of the request sequence and the
+//! fingerprinted configuration; the assessment bank changes latency
+//! only. [`MonitorEngine::submit`] takes requests in arrival order (ids
+//! are echoed back, never sorted): inside one panic containment it
+//! materializes the request and takes its assessment from the bank, or
+//! classifies it and banks the result; then it folds the request into
+//! the baseline, the event machine and the response. A response exposes only memo-invariant
+//! quantities (verdicts, logical check counts, truncation flags, slacks,
+//! census classes), and an assessment is a pure function of the task set
+//! and the engine's [`SearchConfig`], so a bank hit answers exactly what
+//! a fresh classification would — at any bank size (covered by the
 //! `service_vs_batch` differential suite).
 //!
 //! # Event machine
@@ -29,8 +30,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use csa_core::{ControlTask, StabilityChecker};
 use csa_experiments::artifact::{hex, Fnv64};
 use csa_experiments::{
-    classify_instance_on, generate_benchmark, instance_seed, parallel_map_catching,
-    BenchmarkConfig, SearchConfig, WitnessKind,
+    catch_panic, classify_instance_on, generate_benchmark, instance_seed, BenchmarkConfig,
+    SearchConfig, WitnessKind,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,10 +42,6 @@ use crate::request::{AnomalyEvent, EventClass, Metric, Payload, Request, Respons
 /// Configuration of a [`MonitorEngine`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonitorConfig {
-    /// Requests buffered before a batch is processed (1 = singleton).
-    pub batch_window: usize,
-    /// Worker threads for batch stages (0 = available parallelism).
-    pub threads: usize,
     /// The assignment search deciding each admission.
     pub search: SearchConfig,
     /// Nominal samples required before the baseline can lock.
@@ -69,8 +66,6 @@ pub struct MonitorConfig {
 impl Default for MonitorConfig {
     fn default() -> MonitorConfig {
         MonitorConfig {
-            batch_window: 8,
-            threads: 1,
             search: SearchConfig::default(),
             min_samples: 64,
             min_coverage: 1,
@@ -200,23 +195,6 @@ struct Trigger {
     detail: String,
 }
 
-/// Per-request preparation computed sequentially before the parallel
-/// stages (pure, so replay coordinates survive a stage panic).
-struct Prep {
-    n: usize,
-    profile: String,
-    replay_seed: u64,
-}
-
-/// One equal-task-set group inside a batch window.
-struct Group {
-    /// `None` for fingerprint-collision singletons (never banked).
-    fingerprint: Option<u64>,
-    tasks: Vec<ControlTask>,
-    /// Indices into the sorted batch that share this task set.
-    positions: Vec<usize>,
-}
-
 /// The online monitoring engine. See the module docs for the
 /// determinism and event-machine contracts.
 #[derive(Debug)]
@@ -227,7 +205,6 @@ pub struct MonitorEngine {
     /// Trailing truncation flags of assessed requests (drift detector).
     pub(crate) window: VecDeque<bool>,
     bank: AssessmentBank,
-    pending: Vec<Request>,
     pub(crate) processed: u64,
     pub(crate) events_emitted: u64,
     pub(crate) quarantined: u64,
@@ -246,7 +223,6 @@ impl MonitorEngine {
             events_state: BTreeMap::new(),
             window: VecDeque::new(),
             bank,
-            pending: Vec::new(),
             processed: 0,
             events_emitted: 0,
             quarantined: 0,
@@ -285,11 +261,6 @@ impl MonitorEngine {
         self.quarantined
     }
 
-    /// Requests buffered but not yet processed.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Task-set assessments currently banked.
     pub fn memo_tables(&self) -> usize {
         self.bank.len()
@@ -303,127 +274,54 @@ impl MonitorEngine {
         self.logical_checks
     }
 
-    /// Checks whose fixed points actually ran: a classified group
+    /// Checks whose fixed points actually ran: a classified request
     /// computes each distinct check once, a bank hit computes none —
     /// telemetry only, never part of a response.
     pub fn computed_checks(&self) -> u64 {
         self.computed_checks
     }
 
-    /// Buffers one request; when the batch window fills, processes it
-    /// and returns the window's responses (in ascending id order).
+    /// Assesses one request and returns its response, the vector's only
+    /// element. The request is materialized and answered from the bank or
+    /// classified inside one panic containment (a panic quarantines this
+    /// request alone); then it is folded into the baseline and the event
+    /// machine, in arrival order.
     pub fn submit(&mut self, request: Request) -> Vec<Response> {
-        self.pending.push(request);
-        if self.pending.len() >= self.config.batch_window.max(1) {
-            self.process_batch()
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// Processes any buffered requests immediately (end of stream).
-    pub fn flush(&mut self) -> Vec<Response> {
-        if self.pending.is_empty() {
-            Vec::new()
-        } else {
-            self.process_batch()
-        }
-    }
-
-    fn process_batch(&mut self) -> Vec<Response> {
-        let mut batch = std::mem::take(&mut self.pending);
-        // Stable sort: ascending id, duplicate ids fall back to
-        // arrival order (ids are documented unique).
-        batch.sort_by_key(|r| r.id);
-
-        // Sequential, pure prep: replay coordinates must exist even if
-        // the parallel stages panic on this request.
-        let preps: Vec<Prep> = batch.iter().map(prep_request).collect();
-
-        // Stage A: materialize each task set (generator panics — e.g.
-        // injected faults — are contained per request).
-        let threads = self.config.threads;
-        let materialized: Vec<Result<Vec<ControlTask>, String>> =
-            parallel_map_catching(batch.len(), threads, |i| materialize(&batch[i]));
-
-        // Group equal task sets so each group is classified once.
-        let groups = group_batch(&materialized);
-
-        // Bank look-up (sequential). A hit is taken out and put back
-        // below with the misses, so it moves to the FIFO's back.
-        let hits: Vec<Option<Banked>> = groups
-            .iter()
-            .map(|g| g.fingerprint.and_then(|fp| self.bank.take(fp, &g.tasks)))
-            .collect();
-
-        // Stage B: classify each missed group once, on a fresh checker.
-        // Panics are contained per group.
         let search = self.config.search;
-        let assessed: Vec<Result<Banked, String>> =
-            parallel_map_catching(groups.len(), threads, |gi| match &hits[gi] {
-                Some(banked) => banked.clone(),
-                None => assess(&groups[gi].tasks, &search),
-            });
-
-        // Scatter each group's assessment to its requests' slots, count
-        // checker telemetry, and bank the results.
-        let mut slots: Vec<Option<Result<Assessment, String>>> =
-            batch.iter().map(|_| None).collect();
-        for (i, mat) in materialized.iter().enumerate() {
-            if let Err(msg) = mat {
-                slots[i] = Some(Err(msg.clone()));
-            }
-        }
-        for ((group, hit), result) in groups.into_iter().zip(hits).zip(assessed) {
-            match result {
-                Ok(banked) => {
-                    // Every request spends the logical checks; only a
-                    // miss computed any, once for its whole group. One
-                    // search may make u64::MAX checks, so saturate.
-                    let spent = (group.positions.len() as u64).saturating_mul(banked.logical);
-                    self.logical_checks = self.logical_checks.saturating_add(spent);
-                    if hit.is_none() {
-                        self.computed_checks += banked.computed;
-                    }
-                    for &pos in &group.positions {
-                        slots[pos] = Some(Ok(banked.assessment.clone()));
-                    }
-                    if let Some(fp) = group.fingerprint {
-                        self.bank.put(fp, group.tasks, banked);
-                    }
+        let outcome = catch_panic(|| {
+            let tasks = materialize(&request);
+            let fingerprint = task_fingerprint(&tasks);
+            let banked = match self.bank.take(fingerprint, &tasks) {
+                Some(banked) => banked,
+                None => {
+                    let banked = assess(&tasks, &search);
+                    self.computed_checks += banked.computed;
+                    banked
                 }
-                Err(msg) => {
-                    for &pos in &group.positions {
-                        slots[pos] = Some(Err(msg.clone()));
-                    }
-                }
-            }
-        }
-
-        // Sequential fold: lifecycle, events, responses — in id order.
-        batch
-            .iter()
-            .zip(preps)
-            .zip(slots)
-            .map(|((request, prep), slot)| {
-                // Every materialized slot was scattered above; a missing
-                // one can only mean an internal bookkeeping bug, so fail
-                // closed as a quarantine rather than panic.
-                let outcome =
-                    slot.unwrap_or_else(|| Err("internal: request missing from batch".to_string()));
-                self.fold_request(request, &prep, outcome)
-            })
-            .collect()
+            };
+            // Every request spends the logical checks, hit or miss. One
+            // search may make u64::MAX checks, so saturate.
+            self.logical_checks = self.logical_checks.saturating_add(banked.logical);
+            let assessment = banked.assessment.clone();
+            // A hit was taken out, so putting it back moves it to the
+            // FIFO's back.
+            self.bank.put(fingerprint, tasks, banked);
+            assessment
+        });
+        vec![self.fold_request(&request, outcome)]
     }
 
-    fn fold_request(
-        &mut self,
-        request: &Request,
-        prep: &Prep,
-        outcome: Result<Assessment, String>,
-    ) -> Response {
+    /// Returns no responses: [`MonitorEngine::submit`] answers every
+    /// request as it arrives, so nothing is ever left to flush. Kept so
+    /// that a caller written for end-of-stream draining still compiles.
+    pub fn flush(&mut self) -> Vec<Response> {
+        Vec::new()
+    }
+
+    fn fold_request(&mut self, request: &Request, outcome: Result<Assessment, String>) -> Response {
         self.processed += 1;
         let seq = self.processed;
+        let (n, profile) = (request.payload.n(), request.payload.profile_key());
         // The lifecycle *entering* this request decides whether events
         // are live; the locking request itself emits none.
         let was_locked = self.baseline.lifecycle() == Lifecycle::Locked;
@@ -432,7 +330,7 @@ impl MonitorEngine {
             Ok(a) => (a, None),
             Err(msg) => {
                 self.quarantined += 1;
-                let detail = format!("{msg}; replay seed {}", hex(prep.replay_seed));
+                let detail = format!("{msg}; replay seed {}", hex(replay_seed(&request.payload)));
                 (
                     Assessment {
                         verdict: Verdict::Quarantined,
@@ -460,7 +358,7 @@ impl MonitorEngine {
                     && assessment.anomalies.is_empty()
                 {
                     if let (Some(s), Some(ns)) = (assessment.slack, assessment.norm_slack) {
-                        self.baseline.observe_nominal(prep.n, &prep.profile, s, ns);
+                        self.baseline.observe_nominal(n, &profile, s, ns);
                     }
                 }
                 self.baseline.try_lock();
@@ -468,7 +366,8 @@ impl MonitorEngine {
         }
 
         let events = if was_locked {
-            self.evaluate_events(seq, request.id, prep, &assessment, quarantine.as_deref())
+            let quarantine = quarantine.as_deref();
+            self.evaluate_events(seq, request.id, n, &profile, &assessment, quarantine)
         } else {
             Vec::new()
         };
@@ -478,8 +377,8 @@ impl MonitorEngine {
             id: request.id,
             seq,
             verdict: assessment.verdict,
-            n: prep.n,
-            profile: prep.profile.clone(),
+            n,
+            profile,
             checks: assessment.checks,
             truncated: assessment.truncated,
             slack: assessment.slack,
@@ -497,7 +396,8 @@ impl MonitorEngine {
         &mut self,
         seq: u64,
         request_id: u64,
-        prep: &Prep,
+        n: usize,
+        profile: &str,
         assessment: &Assessment,
         quarantine: Option<&str>,
     ) -> Vec<AnomalyEvent> {
@@ -512,7 +412,7 @@ impl MonitorEngine {
             });
         } else {
             if assessment.verdict == Verdict::Admit {
-                if let Some(cell) = self.baseline.cell(prep.n, &prep.profile).copied() {
+                if let Some(cell) = self.baseline.cell(n, profile).copied() {
                     for metric in Metric::ALL {
                         let value = match metric {
                             Metric::Slack => assessment.slack,
@@ -528,7 +428,7 @@ impl MonitorEngine {
                                 z: Some(z),
                                 detail: format!(
                                     "n={} profile={} mean={} std={} samples={}",
-                                    prep.n, prep.profile, stats.mean, stats.std, stats.count
+                                    n, profile, stats.mean, stats.std, stats.count
                                 ),
                             });
                         }
@@ -540,7 +440,7 @@ impl MonitorEngine {
                     class: EventClass::CensusAnomaly(kind),
                     value: 1.0,
                     z: None,
-                    detail: format!("census class {} at n={}", kind.name(), prep.n),
+                    detail: format!("census class {} at n={n}", kind.name()),
                 });
             }
             if self.window.len() >= self.config.drift_window.max(1) {
@@ -601,21 +501,18 @@ impl MonitorEngine {
     }
 }
 
-/// Sequential pure prep (see [`Prep`]).
-fn prep_request(request: &Request) -> Prep {
-    let replay_seed = match &request.payload {
+/// The seed a quarantine names for replaying `payload` offline: its
+/// instance seed, or an inline set's task fingerprint.
+fn replay_seed(payload: &Payload) -> u64 {
+    match payload {
         Payload::Generated { seed, n, index, .. } => instance_seed(*seed, *n, *index),
         Payload::Inline { tasks } => task_fingerprint(tasks),
-    };
-    Prep {
-        n: request.payload.n(),
-        profile: request.payload.profile_key(),
-        replay_seed,
     }
 }
 
-/// Materializes a request's task set (runs inside the catching stage;
-/// injected faults and generator panics surface as that slot's `Err`).
+/// Materializes a request's task set (runs inside `submit`'s panic
+/// containment, so injected faults and generator panics quarantine the
+/// request).
 fn materialize(request: &Request) -> Vec<ControlTask> {
     match &request.payload {
         Payload::Generated {
@@ -632,39 +529,6 @@ fn materialize(request: &Request) -> Vec<ControlTask> {
         }
         Payload::Inline { tasks } => tasks.clone(),
     }
-}
-
-/// Partitions a batch's materialized task sets into equality groups in
-/// first-occurrence order. Fingerprint collisions between *unequal*
-/// sets become unbanked singleton groups.
-fn group_batch(materialized: &[Result<Vec<ControlTask>, String>]) -> Vec<Group> {
-    let mut groups: Vec<Group> = Vec::new();
-    let mut by_fp: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-    for (i, mat) in materialized.iter().enumerate() {
-        let Ok(tasks) = mat else { continue };
-        let fp = task_fingerprint(tasks);
-        let mut seated = false;
-        if let Some(candidates) = by_fp.get(&fp) {
-            for &gi in candidates {
-                if groups[gi].tasks == *tasks {
-                    groups[gi].positions.push(i);
-                    seated = true;
-                    break;
-                }
-            }
-        }
-        if !seated {
-            let collision = by_fp.get(&fp).is_some_and(|c| !c.is_empty());
-            let gi = groups.len();
-            groups.push(Group {
-                fingerprint: if collision { None } else { Some(fp) },
-                tasks: tasks.clone(),
-                positions: vec![i],
-            });
-            by_fp.entry(fp).or_default().push(gi);
-        }
-    }
-    groups
 }
 
 /// Classifies one task set on a fresh checker. The `n` slack checks of
@@ -755,26 +619,20 @@ mod tests {
     }
 
     #[test]
-    fn batch_size_does_not_change_responses() {
-        let runs: Vec<Vec<Response>> = [1usize, 3, 16]
-            .into_iter()
-            .map(|batch_window| {
-                let mut engine = MonitorEngine::new(MonitorConfig {
-                    batch_window,
-                    min_samples: 8,
-                    ..MonitorConfig::default()
-                });
-                let mut out = Vec::new();
-                for k in 0..16 {
-                    out.extend(engine.submit(generated(k as u64 + 1, k)));
-                }
-                out.extend(engine.flush());
-                out
-            })
-            .collect();
-        assert_eq!(runs[0], runs[1]);
-        assert_eq!(runs[0], runs[2]);
-        assert_eq!(runs[0].len(), 16);
+    fn every_submit_returns_exactly_its_own_response() {
+        let mut engine = MonitorEngine::new(MonitorConfig {
+            min_samples: 8,
+            ..MonitorConfig::default()
+        });
+        // Descending ids: they are echoed back, never sorted.
+        for k in 0..16 {
+            let id = 100 - k as u64;
+            let out = engine.submit(generated(id, k));
+            assert_eq!(out.len(), 1);
+            assert_eq!((out[0].id, out[0].seq), (id, k as u64 + 1));
+        }
+        assert!(engine.flush().is_empty());
+        assert_eq!(engine.processed(), 16);
     }
 
     #[test]
@@ -788,10 +646,7 @@ mod tests {
                 index: 0,
             },
         };
-        let mut engine = MonitorEngine::new(MonitorConfig {
-            batch_window: 1,
-            ..MonitorConfig::default()
-        });
+        let mut engine = MonitorEngine::new(MonitorConfig::default());
         let first = engine.submit(req(1));
         let cold_logical = engine.logical_checks();
         let cold_computed = engine.computed_checks();
@@ -808,20 +663,15 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_task_sets_share_one_group() {
-        let mut engine = MonitorEngine::new(MonitorConfig {
-            batch_window: 4,
-            ..MonitorConfig::default()
-        });
-        for id in 1..=3 {
-            assert!(engine.submit(generated(id, 0)).is_empty());
-        }
-        let out = engine.submit(generated(4, 1));
-        assert_eq!(out.len(), 4);
-        // Two distinct task sets → two banked memo tables.
-        assert_eq!(engine.memo_tables(), 2);
-        assert_eq!(out[0].checks, out[1].checks);
-        assert_eq!(out[0].verdict, out[2].verdict);
+    fn an_equal_set_arriving_next_is_a_bank_hit() {
+        let mut engine = MonitorEngine::new(MonitorConfig::default());
+        let first = engine.submit(generated(1, 0));
+        let cold_computed = engine.computed_checks();
+        let second = engine.submit(generated(2, 0));
+        assert_eq!(engine.memo_tables(), 1);
+        assert_eq!(first[0].verdict, second[0].verdict);
+        assert_eq!(first[0].checks, second[0].checks);
+        assert_eq!(engine.computed_checks(), cold_computed);
     }
 
     #[test]
@@ -846,10 +696,7 @@ mod tests {
         // Through the engine: B is classified afresh and replaces A's
         // entry; a repeat of B then adds the banked logical count and
         // computes nothing.
-        let mut engine = MonitorEngine::new(MonitorConfig {
-            batch_window: 1,
-            ..MonitorConfig::default()
-        });
+        let mut engine = MonitorEngine::new(MonitorConfig::default());
         engine.bank.put(f, a, banked_a);
         let repeat = Request {
             id: 3,

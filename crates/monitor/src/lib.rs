@@ -8,11 +8,11 @@
 //! when one leaves the nominal envelope* — library-first (no network
 //! dependency), with a stdin/stdout JSONL binary on top.
 //!
-//! * [`MonitorEngine`] — deterministic batch windows over a bank of
-//!   finished assessments: each group of equal task sets is classified
-//!   once and later equal sets reuse the result, so a window of `K`
-//!   requests yields bit-identical responses at any batch size, thread
-//!   count, and bank state.
+//! * [`MonitorEngine`] — answers each request as it arrives, over a
+//!   bank of finished assessments: a task set is classified once and
+//!   later equal sets reuse the result, so the responses are a pure
+//!   function of the request sequence and the configuration, at any
+//!   bank size.
 //! * [`Baseline`] — learned nominal margin statistics per
 //!   `(n, profile)` cell with an explicit Building → Locked lifecycle;
 //!   locked statistics are a pure function of the observed sample
@@ -21,9 +21,10 @@
 //!   slack, census anomaly-class hits, portfolio truncation-rate
 //!   drift, and contained-panic quarantines, gated by persistence and
 //!   cooldown.
-//! * [`snapshot`] — crash-safe `csamon1` persistence (fingerprint
-//!   header + atomic rename), excluding the assessment bank so a resume
-//!   with an empty bank continues the stream byte-identically.
+//! * [`snapshot`] — crash-safe `csamon2` persistence (fingerprint
+//!   header, record count and atomic rename), excluding the assessment
+//!   bank so a resume with an empty bank continues the stream
+//!   byte-identically.
 //! * [`generate_stream`] — seeded request streams addressed exactly
 //!   like the census sweep's instances, for differential pinning.
 //!
@@ -33,17 +34,20 @@
 //! use csa_monitor::{generate_stream, MonitorConfig, MonitorEngine, StreamConfig};
 //!
 //! let mut engine = MonitorEngine::new(MonitorConfig {
-//!     batch_window: 4,
 //!     min_samples: 8,
 //!     ..MonitorConfig::default()
 //! });
 //! let mut responses = Vec::new();
 //! for request in generate_stream(&StreamConfig { count: 16, ..StreamConfig::default() }) {
-//!     responses.extend(engine.submit(request));
+//!     let id = request.id;
+//!     // Each request is answered on arrival with its own response.
+//!     let answered = engine.submit(request);
+//!     assert_eq!(answered.len(), 1);
+//!     assert_eq!(answered[0].id, id);
+//!     responses.extend(answered);
 //! }
-//! responses.extend(engine.flush());
 //! assert_eq!(responses.len(), 16);
-//! // Identical stream, any batch size: identical responses.
+//! // Identical stream, any bank size: identical responses.
 //! ```
 
 #![warn(missing_docs)]

@@ -15,13 +15,12 @@ use csa_experiments::{PeriodModel, WitnessKind};
 /// responses (generated payloads use their [`PeriodModel`] name).
 pub const INLINE_PROFILE: &str = "inline";
 
-/// One admission-control request: a stable id plus the configuration
-/// payload. Within a batch window requests are processed in ascending
-/// `id` order, which is what makes a window's results independent of
-/// arrival interleaving — ids must be unique across the stream.
+/// One admission-control request: a caller-chosen id plus the
+/// configuration payload. Requests are answered in the order they
+/// arrive; the id only labels the response and its events.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Request {
-    /// Caller-assigned unique id, echoed in the response.
+    /// Caller-assigned id, echoed in the response.
     pub id: u64,
     /// The task-set configuration to assess.
     pub payload: Payload,

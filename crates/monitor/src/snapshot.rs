@@ -1,6 +1,6 @@
 //! Crash-safe persistence of the monitor's learned state.
 //!
-//! The snapshot (`csamon1`) freezes exactly the state that must survive
+//! The snapshot (`csamon2`) freezes exactly the state that must survive
 //! a restart for the response stream to continue bit-identically: the
 //! baseline lifecycle (raw building samples or locked statistics), the
 //! drift window, the per-class event machine, and the stream counters.
@@ -12,13 +12,19 @@
 //!
 //! The fingerprint header pins every configuration knob that *does*
 //! shape the stream (search mode, budget, lock thresholds, event
-//! thresholds); `threads`, `batch_window` and `memo_tables` are omitted
-//! because the determinism contract makes them irrelevant. Header
-//! checks, line parsing and the hex codec are the shared
-//! [`csa_experiments::artifact`] layer. Writes go through `write_atomic`
-//! (tmp + rename), so a kill mid-snapshot leaves either the old file or
-//! the new one, never a torn state — the `service_faults` suite drives
-//! this with injected crashes.
+//! thresholds); `memo_tables` is omitted because the determinism
+//! contract makes it irrelevant. Header checks, line parsing and the hex
+//! codec are the shared [`csa_experiments::artifact`] layer. Writes go
+//! through `write_atomic` (tmp + rename), so a kill mid-snapshot leaves
+//! either the old file or the new one, never a torn state — the
+//! `service_faults` suite drives this with injected crashes.
+//!
+//! A copy or a full disk can still cut a file anywhere, so the writer
+//! ends every line with `\n` and closes the document with an
+//! `end|<k>` record, `k` counting the records between the header and
+//! it. A text that does not end in `\n`, lacks the `end` record, or
+//! whose count disagrees is [`Stale::Malformed`]: every proper prefix
+//! of a snapshot is rejected, never restored as a shorter state.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -30,7 +36,7 @@ use crate::engine::{EventState, MonitorConfig, MonitorEngine};
 use crate::request::Metric;
 
 /// Magic tag of the snapshot format.
-pub const SNAPSHOT_TAG: &str = "csamon1";
+pub const SNAPSHOT_TAG: &str = "csamon2";
 
 /// File name of the snapshot inside a `--snapshot-dir`.
 pub const SNAPSHOT_FILE: &str = "monitor.csamon";
@@ -53,7 +59,7 @@ fn header(config: &MonitorConfig) -> Header {
         .field("drift_threshold", hex(config.drift_threshold.to_bits()))
 }
 
-/// Serializes the engine's durable state as a `csamon1` document.
+/// Serializes the engine's durable state as a `csamon2` document.
 pub fn snapshot_string(engine: &MonitorEngine) -> String {
     let mut out = header(&engine.config).line();
     out.push('\n');
@@ -113,6 +119,8 @@ pub fn snapshot_string(engine: &MonitorEngine) -> String {
         };
         out.push_str(&format!("e|{class}|{}|{last}\n", state.streak));
     }
+    let records = out.lines().count() - 1;
+    out.push_str(&format!("end|{records}\n"));
     out
 }
 
@@ -122,8 +130,14 @@ pub fn save(engine: &MonitorEngine, dir: &Path) -> std::io::Result<()> {
 }
 
 /// Restores an engine from snapshot text, verifying the configuration
-/// fingerprint field by field (first mismatch is named).
+/// fingerprint field by field (first mismatch is named) and that the
+/// text is whole (see the module docs).
 pub fn restore(config: MonitorConfig, text: &str) -> Result<MonitorEngine, Stale> {
+    if !text.ends_with('\n') {
+        return Err(Stale::Malformed(
+            "the last line has no newline; the snapshot was cut inside it".into(),
+        ));
+    }
     let mut lines = Lines::new(text);
     header(&config).check(lines.require("header")?.text)?;
 
@@ -143,7 +157,10 @@ pub fn restore(config: MonitorConfig, text: &str) -> Result<MonitorEngine, Stale
     let mut window = VecDeque::new();
     let mut events_state = BTreeMap::new();
 
-    for rec in lines {
+    // Records after the header, the `m` record included.
+    let mut records = 1;
+    loop {
+        let rec = lines.require("`end` record")?;
         match (rec.tag, rec.arity()) {
             ("t", 2) => totals = Some((rec.num(0, "seen")?, rec.num(1, "truncated")?)),
             ("T", 2) => {
@@ -207,11 +224,21 @@ pub fn restore(config: MonitorConfig, text: &str) -> Result<MonitorEngine, Stale
                     },
                 );
             }
+            ("end", 1) => {
+                let count: usize = rec.num(0, "record count")?;
+                if count != records {
+                    let why = format!("`end` counts {count} records, the snapshot holds {records}");
+                    return Err(rec.malformed(why));
+                }
+                break;
+            }
             (tag, arity) => {
                 return Err(rec.malformed(format!("unknown {tag:?} record with {arity} fields")));
             }
         }
+        records += 1;
     }
+    lines.finish()?;
 
     let state = match lifecycle {
         Lifecycle::Building => {
@@ -256,7 +283,6 @@ mod tests {
 
     fn run_engine(count: usize, min_samples: u64) -> MonitorEngine {
         let mut engine = MonitorEngine::new(MonitorConfig {
-            batch_window: 4,
             min_samples,
             ..MonitorConfig::default()
         });
@@ -271,7 +297,6 @@ mod tests {
                 },
             });
         }
-        engine.flush();
         engine
     }
 
@@ -296,25 +321,27 @@ mod tests {
         assert_eq!(restored.baseline(), engine.baseline());
     }
 
-    /// `csamon1` bytes of `run_engine(6, 1_000)` (Building) and
+    /// `csamon2` bytes of `run_engine(6, 1_000)` (Building) and
     /// `run_engine(16, 4)` (Locked). Round-trip tests alone cannot catch
     /// a self-consistent format change.
     const PINNED_BUILDING: &str = "\
-csamon1|search=backtracking|budget=18446744073709551615|min_samples=1000|min_coverage=1|\
+csamon2|search=backtracking|budget=18446744073709551615|min_samples=1000|min_coverage=1|\
 z=4008000000000000|persistence=2|cooldown=16|drift_window=32|drift_threshold=3fd0000000000000\n\
 m|building|6|0|0\n\
 t|6|0\n\
 b|4|margin-tight|3f674ff4665b62e8:3fd2746c7d623ba5,3f8295c4f9492ce0:3fc0a4322880142d,\
 3f527c6343ee99c0:3fa18048d8485506,3f61d21a03656424:3fb0f42fea4071d7,\
 3f954078b88b0140:3fddb663213378d5,3f95220a26178e6a:3fd0c8f9a43de262\n\
-w|000000\n";
+w|000000\n\
+end|4\n";
     const PINNED_LOCKED: &str = "\
-csamon1|search=backtracking|budget=18446744073709551615|min_samples=4|min_coverage=1|\
+csamon2|search=backtracking|budget=18446744073709551615|min_samples=4|min_coverage=1|\
 z=4008000000000000|persistence=2|cooldown=16|drift_window=32|drift_threshold=3fd0000000000000\n\
 m|locked|16|0|0\n\
 T|0000000000000000|4\n\
 L|4|margin-tight|4|3f6f2dd4fc3731db|3f696b23d2484266|3fc099cd539db669|3fb90edf48504351\n\
-w|0000000000000000\n";
+w|0000000000000000\n\
+end|4\n";
 
     #[test]
     fn snapshot_bytes_are_pinned() {
@@ -336,10 +363,8 @@ w|0000000000000000\n";
                 found: "16".to_string(),
             })
         );
-        // Latency-only knobs are not fingerprinted.
+        // The latency-only bank size is not fingerprinted.
         let mut latency_only = engine.config().clone();
-        latency_only.threads = 7;
-        latency_only.batch_window = 1;
         latency_only.memo_tables = 3;
         assert!(restore(latency_only, &text).is_ok());
     }
@@ -353,7 +378,7 @@ w|0000000000000000\n";
             Err(Stale::Malformed(_))
         ));
         assert!(matches!(
-            restore(config.clone(), "csaw1|nope"),
+            restore(config.clone(), "csaw1|nope\n"),
             Err(Stale::Mismatch { field: "tag", .. })
         ));
         let good = snapshot_string(&engine);
@@ -362,5 +387,44 @@ w|0000000000000000\n";
             restore(config, &truncated),
             Err(Stale::Malformed(_))
         ));
+    }
+
+    /// A copy or a full disk can cut a snapshot at any byte: every proper
+    /// prefix of both pinned documents is rejected, and only the whole
+    /// text restores.
+    #[test]
+    fn every_cut_is_rejected() {
+        for (text, min_samples) in [(PINNED_BUILDING, 1_000), (PINNED_LOCKED, 4)] {
+            let config = MonitorConfig {
+                min_samples,
+                ..MonitorConfig::default()
+            };
+            for cut in 0..text.len() {
+                let restored = restore(config.clone(), &text[..cut]);
+                assert!(
+                    matches!(restored, Err(Stale::Malformed(_))),
+                    "cut at byte {cut}: {restored:?}"
+                );
+            }
+            let whole = restore(config, text).expect("the whole text restores");
+            assert_eq!(snapshot_string(&whole), text);
+        }
+    }
+
+    #[test]
+    fn a_wrong_record_count_is_rejected() {
+        let config = MonitorConfig {
+            min_samples: 4,
+            ..MonitorConfig::default()
+        };
+        // Without its count, a lost `w` line would restore an empty
+        // drift window.
+        let dropped = PINNED_LOCKED.replace("w|0000000000000000\n", "");
+        let miscounted = PINNED_LOCKED.replace("end|4", "end|5");
+        let trailing = format!("{PINNED_LOCKED}w|0\n");
+        for text in [dropped, miscounted, trailing] {
+            let restored = restore(config.clone(), &text);
+            assert!(matches!(restored, Err(Stale::Malformed(_))), "{text}");
+        }
     }
 }

@@ -1,10 +1,17 @@
 //! `monitor` and `monitor_stream` refuse a malformed command line with
 //! exit 2, `<bin>: <reason>` and a usage line, before writing anything,
-//! and read `--flag=VALUE` exactly as `--flag VALUE`; `monitor` stops
-//! with exit 2 at a request line it cannot read.
+//! and read `--flag=VALUE` exactly as `--flag VALUE`; `monitor` answers
+//! each request before reading the next, stops with exit 2 at a request
+//! line it cannot read, and with exit 1 at a stdout it cannot write.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
+use std::sync::mpsc;
+use std::time::Duration;
+
+use csa_core::ControlTask;
+use csa_monitor::jsonl::request_line;
+use csa_monitor::{generate_stream, Payload, Request, StreamConfig};
 
 #[test]
 fn command_lines_are_read_strictly() {
@@ -12,7 +19,9 @@ fn command_lines_are_read_strictly() {
     std::fs::create_dir_all(&cwd).expect("scratch dir");
     for case in [
         "monitor --thread 4 => unknown argument \"--thread\"",
-        "monitor --batch 1 --batch=2 => --batch given twice",
+        "monitor --z 1 --z=2 => --z given twice",
+        "monitor --batch 8 => unknown argument \"--batch\"",
+        "monitor --threads 2 => unknown argument \"--threads\"",
         "monitor --z => --z needs a value",
         "monitor --snapshot-dir s --resume=1 => --resume takes no value",
         "monitor stray => unknown argument \"stray\"",
@@ -53,7 +62,7 @@ fn command_lines_are_read_strictly() {
     assert!(out.status.code() == Some(2) && named);
 
     // A request above the task ceiling stops the stream with exit 2 and
-    // its line number, before any request is assessed.
+    // its line number; the request before it has been answered already.
     let mut child = Command::new(monitor)
         .stdin(Stdio::piped())
         .stderr(Stdio::piped())
@@ -68,8 +77,13 @@ fn command_lines_are_read_strictly() {
     let out = child.wait_with_output().expect("wait");
     let stderr = String::from_utf8_lossy(&out.stderr);
     let named = stderr.starts_with("monitor: malformed request on line 2: field \"n\" must be");
-    let stopped = out.status.code() == Some(2) && out.stdout.is_empty();
-    assert!(stopped && named, "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let answered: Vec<&str> = stdout.lines().collect();
+    assert!(out.status.code() == Some(2) && named, "{stderr}");
+    assert!(
+        answered.len() == 1 && answered[0].starts_with("{\"id\":1,"),
+        "{stdout}"
+    );
 
     // `--flag=VALUE` reads as `--flag VALUE`: 5 requests, not the default 200.
     let stream = |args: &[&str]| {
@@ -79,4 +93,80 @@ fn command_lines_are_read_strictly() {
     let joined = stream(&["--count=5", "--seed=7"]);
     assert_eq!(String::from_utf8_lossy(&joined).lines().count(), 5);
     assert_eq!(joined, stream(&["--count", "5", "--seed", "7"]));
+}
+
+/// Each response is printed before the next request is read: the test
+/// writes one request line, waits for its response line, and only then
+/// writes the next.
+#[test]
+fn each_request_is_answered_before_the_next_arrives() {
+    // At EOF the monitor writes `results/monitor_events.jsonl`.
+    let cwd = std::env::temp_dir().join(format!("csa_monitor_arrival_{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).expect("scratch dir");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_monitor"))
+        .current_dir(&cwd)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn monitor");
+    let mut stdin = child.stdin.take().expect("stdin");
+    let stdout = BufReader::new(child.stdout.take().expect("stdout"));
+    let (lines, received) = mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        for line in stdout.lines() {
+            if lines.send(line.expect("read stdout")).is_err() {
+                break;
+            }
+        }
+    });
+    let tasks = vec![
+        ControlTask::from_parts(0, 500, 1_000, 10_000, 1.2, 4e-6).expect("valid task"),
+        ControlTask::from_parts(1, 800, 2_000, 20_000, 1.5, 9e-6).expect("valid task"),
+    ];
+    for id in 1..=3u64 {
+        let payload = Payload::Inline {
+            tasks: tasks.clone(),
+        };
+        writeln!(stdin, "{}", request_line(&Request { id, payload })).expect("write request");
+        let response = received
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a response before the next request");
+        let prefix = format!("{{\"id\":{id},\"seq\":{id},");
+        assert!(response.starts_with(&prefix), "{response}");
+    }
+    drop(stdin);
+    assert!(child.wait().expect("wait").success());
+    reader.join().expect("reader thread");
+    assert!(received.try_recv().is_err(), "only the three responses");
+    std::fs::remove_dir_all(&cwd).expect("remove scratch dir");
+}
+
+/// A reader that closes stdout early (`monitor | head -1`) stops the
+/// monitor with exit 1 and a named error, not a panic.
+#[test]
+fn a_closed_stdout_stops_the_monitor_with_exit_1() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_monitor"))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn monitor");
+    drop(child.stdout.take());
+    let stream: String = generate_stream(&StreamConfig::default())
+        .iter()
+        .map(|r| request_line(r) + "\n")
+        .collect();
+    let mut stdin = child.stdin.take().expect("stdin");
+    // The monitor may exit before it has read the whole stream.
+    let _ = stdin.write_all(stream.as_bytes());
+    drop(stdin);
+    let out = child.wait_with_output().expect("wait");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("monitor: stdout write failed: "),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

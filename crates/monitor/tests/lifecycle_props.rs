@@ -34,7 +34,6 @@ fn drive(engine: &mut MonitorEngine, stream: impl IntoIterator<Item = Request>) 
     for request in stream {
         responses.extend(engine.submit(request));
     }
-    responses.extend(engine.flush());
     responses
 }
 
@@ -65,15 +64,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Invariant 1: a building baseline emits nothing, whatever the
-    /// stream or batching.
+    /// stream.
     #[test]
     fn no_events_while_building(
         seed in 0u64..500,
         count in 1usize..40,
-        batch_window in 1usize..9,
     ) {
         let mut engine = MonitorEngine::new(MonitorConfig {
-            batch_window,
             min_samples: u64::MAX, // never locks
             ..MonitorConfig::default()
         });
@@ -97,7 +94,6 @@ proptest! {
     ) {
         // Probe pass: how many nominal samples does this stream carry?
         let mut probe = MonitorEngine::new(MonitorConfig {
-            batch_window: 1,
             min_samples: u64::MAX,
             ..MonitorConfig::default()
         });
@@ -112,7 +108,6 @@ proptest! {
 
         // Lock exactly at the last nominal sample, in any order.
         let config = MonitorConfig {
-            batch_window: 1,
             min_samples: nominal,
             ..MonitorConfig::default()
         };
@@ -121,8 +116,8 @@ proptest! {
 
         let mut shuffled = base;
         permute(&mut shuffled, shuffle_seed);
-        // Re-key ids by arrival position so processing follows the
-        // shuffled order (the engine sorts each window by id).
+        // Re-key ids by arrival position, so the shuffled stream is
+        // still numbered in the order it arrives.
         for (pos, request) in shuffled.iter_mut().enumerate() {
             request.id = pos as u64 + 1;
         }
@@ -145,7 +140,6 @@ proptest! {
     ) {
         let build_count = 6u64;
         let mut engine = MonitorEngine::new(MonitorConfig {
-            batch_window: 1,
             min_samples: build_count,
             persistence,
             cooldown,
@@ -174,7 +168,6 @@ proptest! {
                 payload: Payload::Inline { tasks: degraded.clone() },
             }));
         }
-        responses.extend(engine.flush());
 
         // Sanity of the fixture: both sets admit, the degraded one with
         // strictly less slack.

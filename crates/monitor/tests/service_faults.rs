@@ -56,7 +56,7 @@ fn stream_text(count: usize) -> String {
 fn run_monitor(dir: &Path, stdin: &str, args: &[&str], fault: Option<&str>) -> Output {
     use std::io::Write;
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_monitor"));
-    cmd.args(["--batch", "4", "--min-samples", "8"])
+    cmd.args(["--min-samples", "8"])
         .args(args)
         .current_dir(dir)
         .stdin(std::process::Stdio::piped())
@@ -132,9 +132,10 @@ fn crash_mid_stream_resumes_to_byte_identical_snapshot() {
     let want_snapshot =
         std::fs::read_to_string(baseline.path().join("snap/monitor.csamon")).expect("snapshot");
 
-    // Interrupted: abort while materializing instance index 13 (inside
-    // the 4th batch), then resume with the same stream. These runs spell
-    // `--snapshot-dir=snap`, so byte identity also pins the `=` form.
+    // Interrupted: abort while materializing instance index 13 (request
+    // 14, after 13 answered and snapshotted requests), then resume with
+    // the same stream. These runs spell `--snapshot-dir=snap`, so byte
+    // identity also pins the `=` form.
     let crashed = Scratch::new("crashed");
     let out = run_monitor(
         crashed.path(),

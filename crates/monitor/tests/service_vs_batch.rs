@@ -5,9 +5,9 @@
 //! regression sweeps ever found) is replayed through the service as
 //! inline requests, and each response is compared field-by-field
 //! against an independent `classify_instance` run on the same task
-//! set — then the whole response stream is checked bit-identical at
-//! every batch size and thread count, both as typed values and as
-//! serialized JSONL.
+//! set — then the whole response stream is checked bit-identical with
+//! a one-entry assessment bank and the default one, both as typed
+//! values and as serialized JSONL.
 
 use csa_core::analyze;
 use csa_experiments::{parse_witness_corpus, SearchConfig, Witness};
@@ -22,12 +22,11 @@ fn corpus() -> Vec<Witness> {
     witnesses
 }
 
-/// Runs the whole corpus through a fresh service with the given batch
-/// window and thread count.
-fn run_service(witnesses: &[Witness], batch_window: usize, threads: usize) -> Vec<Response> {
+/// Runs the whole corpus through a fresh service with a bank of
+/// `memo_tables` assessments.
+fn run_service(witnesses: &[Witness], memo_tables: usize) -> Vec<Response> {
     let mut engine = MonitorEngine::new(MonitorConfig {
-        batch_window,
-        threads,
+        memo_tables,
         // Keep the baseline building for the whole replay so the
         // response stream carries no run-length-dependent events.
         min_samples: u64::MAX,
@@ -42,7 +41,6 @@ fn run_service(witnesses: &[Witness], batch_window: usize, threads: usize) -> Ve
             },
         }));
     }
-    responses.extend(engine.flush());
     responses
 }
 
@@ -55,77 +53,65 @@ fn min_bits(values: impl Iterator<Item = f64>) -> Option<u64> {
 fn service_verdicts_equal_batch_classification() {
     let witnesses = corpus();
     let search = SearchConfig::default();
-    // Batch 1 answers every repeated corpus set from the bank; batch 8
-    // also shares classifications within a window.
-    for batch_window in [1usize, 8] {
-        let responses = run_service(&witnesses, batch_window, 1);
-        assert_eq!(responses.len(), witnesses.len());
-        for (witness, response) in witnesses.iter().zip(&responses) {
-            let reference = csa_experiments::classify_instance(&witness.tasks, &search);
-            let expected = if reference.solvable() {
-                Verdict::Admit
-            } else if reference.truncated() {
-                Verdict::Unknown
-            } else {
-                Verdict::Reject
-            };
-            assert_eq!(response.verdict, expected, "witness {witness:?}");
-            assert_eq!(response.checks, reference.outcome.stats.checks);
-            assert_eq!(response.truncated, reference.outcome.stats.truncated);
-            assert_eq!(response.anomalies, reference.kinds(), "witness {witness:?}");
-            assert_eq!(response.n, witness.tasks.len());
-            assert_eq!(response.profile, csa_monitor::INLINE_PROFILE);
-            assert!(response.quarantine.is_none());
-            // Slacks, recomputed cold under the reference's assignment.
-            let verdicts = match &reference.outcome.assignment {
-                Some(pa) => analyze(&witness.tasks, pa),
-                None => Vec::new(),
-            };
-            let bounds = witness.tasks.iter().map(|t| t.bound().b());
-            assert_eq!(
-                response.slack.map(f64::to_bits),
-                min_bits(verdicts.iter().map(|v| v.slack)),
-                "slack of witness {witness:?} at batch {batch_window}"
+    // The default bank answers every repeated corpus set as a hit.
+    let responses = run_service(&witnesses, MonitorConfig::default().memo_tables);
+    assert_eq!(responses.len(), witnesses.len());
+    for (witness, response) in witnesses.iter().zip(&responses) {
+        let reference = csa_experiments::classify_instance(&witness.tasks, &search);
+        let expected = if reference.solvable() {
+            Verdict::Admit
+        } else if reference.truncated() {
+            Verdict::Unknown
+        } else {
+            Verdict::Reject
+        };
+        assert_eq!(response.verdict, expected, "witness {witness:?}");
+        assert_eq!(response.checks, reference.outcome.stats.checks);
+        assert_eq!(response.truncated, reference.outcome.stats.truncated);
+        assert_eq!(response.anomalies, reference.kinds(), "witness {witness:?}");
+        assert_eq!(response.n, witness.tasks.len());
+        assert_eq!(response.profile, csa_monitor::INLINE_PROFILE);
+        assert!(response.quarantine.is_none());
+        // Slacks, recomputed cold under the reference's assignment.
+        let verdicts = match &reference.outcome.assignment {
+            Some(pa) => analyze(&witness.tasks, pa),
+            None => Vec::new(),
+        };
+        let bounds = witness.tasks.iter().map(|t| t.bound().b());
+        assert_eq!(
+            response.slack.map(f64::to_bits),
+            min_bits(verdicts.iter().map(|v| v.slack)),
+            "slack of witness {witness:?}"
+        );
+        assert_eq!(
+            response.norm_slack.map(f64::to_bits),
+            min_bits(verdicts.iter().zip(bounds).map(|(v, b)| v.slack / b)),
+            "norm_slack of witness {witness:?}"
+        );
+        // The corpus records pathologies: the recorded class must
+        // resurface in the service's census classification whenever
+        // the instance admits (anomaly classes are defined relative to
+        // a found assignment; unsolvable instances legitimately report
+        // none).
+        if response.verdict == Verdict::Admit {
+            assert!(
+                !response.anomalies.is_empty(),
+                "admitted corpus witness lost its anomaly: {witness:?}"
             );
-            assert_eq!(
-                response.norm_slack.map(f64::to_bits),
-                min_bits(verdicts.iter().zip(bounds).map(|(v, b)| v.slack / b)),
-                "norm_slack of witness {witness:?} at batch {batch_window}"
-            );
-            // The corpus records pathologies: the recorded class must
-            // resurface in the service's census classification whenever
-            // the instance admits (anomaly classes are defined relative to
-            // a found assignment; unsolvable instances legitimately report
-            // none).
-            if response.verdict == Verdict::Admit {
-                assert!(
-                    !response.anomalies.is_empty(),
-                    "admitted corpus witness lost its anomaly: {witness:?}"
-                );
-            }
         }
     }
 }
 
 #[test]
-fn responses_are_bit_identical_at_any_batch_size_and_thread_count() {
+fn responses_are_bit_identical_at_any_bank_size() {
+    // With a one-entry bank every repeated corpus set is classified
+    // afresh; with the default one it is a hit.
     let witnesses = corpus();
-    let reference = run_service(&witnesses, 1, 1);
-    let reference_jsonl: Vec<String> = reference.iter().map(response_line).collect();
-    for batch_window in [1usize, 7, witnesses.len()] {
-        for threads in [1usize, 4] {
-            let run = run_service(&witnesses, batch_window, threads);
-            assert_eq!(
-                run, reference,
-                "typed divergence at batch={batch_window} threads={threads}"
-            );
-            let jsonl: Vec<String> = run.iter().map(response_line).collect();
-            assert_eq!(
-                jsonl, reference_jsonl,
-                "serialized divergence at batch={batch_window} threads={threads}"
-            );
-        }
-    }
+    let cold = run_service(&witnesses, 1);
+    let warm = run_service(&witnesses, MonitorConfig::default().memo_tables);
+    assert_eq!(warm, cold, "typed divergence");
+    let jsonl = |run: &[Response]| run.iter().map(response_line).collect::<Vec<_>>();
+    assert_eq!(jsonl(&warm), jsonl(&cold), "serialized divergence");
 }
 
 #[test]
@@ -134,9 +120,8 @@ fn replaying_generated_coordinates_matches_inline_replay() {
     // materialized task set; the service must treat them identically
     // (same assessment, same checks) whichever form arrives.
     let witnesses = corpus();
-    let inline = run_service(&witnesses, 8, 1);
+    let inline = run_service(&witnesses, MonitorConfig::default().memo_tables);
     let mut engine = MonitorEngine::new(MonitorConfig {
-        batch_window: 8,
         min_samples: u64::MAX,
         ..MonitorConfig::default()
     });
@@ -152,7 +137,6 @@ fn replaying_generated_coordinates_matches_inline_replay() {
             },
         }));
     }
-    generated.extend(engine.flush());
     assert_eq!(generated.len(), inline.len());
     for (g, i) in generated.iter().zip(&inline) {
         assert_eq!(g.verdict, i.verdict);
