@@ -74,7 +74,6 @@ pub use portfolio::{
     StageReport, SLACK_PROBE_FACTOR,
 };
 pub use sensitivity::{
-    max_stable_wcet_binary, max_stable_wcet_scan, system_slack, verify_sensitivity,
-    SensitivityResult,
+    max_stable_wcet_binary, max_stable_wcet_scan, verify_sensitivity, SensitivityResult,
 };
 pub use stability::{ControlTask, StabilityBound};

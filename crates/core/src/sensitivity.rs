@@ -12,7 +12,7 @@
 //! This module implements both, plus a checker, so the benchmark harness
 //! can quantify the speed/safety trade-off (ablation in DESIGN.md §9).
 
-use crate::analysis::{analyze, is_valid_assignment, PriorityAssignment};
+use crate::analysis::{is_valid_assignment, PriorityAssignment};
 use crate::stability::ControlTask;
 use csa_rta::Ticks;
 
@@ -156,16 +156,6 @@ pub fn verify_sensitivity(
     }
 }
 
-/// Stability margins per task under an assignment: the minimum slack in
-/// seconds across all plants (negative = some plant unstable). A
-/// one-number health metric used by examples and the census harness.
-pub fn system_slack(tasks: &[ControlTask], assignment: &PriorityAssignment) -> f64 {
-    analyze(tasks, assignment)
-        .iter()
-        .map(|v| v.slack)
-        .fold(f64::INFINITY, f64::min)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,14 +221,5 @@ mod tests {
         let pa = PriorityAssignment::from_highest_first(&[0]);
         let b = max_stable_wcet_binary(&tasks, &pa, 0, Ticks::new(1));
         assert_eq!(b.max_stable_cw, Some(Ticks::new(50)));
-    }
-
-    #[test]
-    fn system_slack_sign() {
-        let (tasks, pa) = set();
-        assert!(system_slack(&tasks, &pa) >= 0.0);
-        let tight = vec![ControlTask::from_parts(0, 5, 5, 20, 1.0, 1e-9).unwrap()];
-        let pa1 = PriorityAssignment::from_highest_first(&[0]);
-        assert!(system_slack(&tight, &pa1) < 0.0);
     }
 }

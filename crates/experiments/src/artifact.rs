@@ -331,9 +331,16 @@ impl<'a> Record<'a> {
         parse_hex(self.str(i)?).map_err(|e| self.malformed(format!("bad {what}: {e}")))
     }
 
-    /// Field `i` as an f64 bit pattern, called `what` in the error.
+    /// Field `i` as the bit pattern of a finite f64, called `what` in
+    /// the error. No format writes a NaN or an infinity, so one is
+    /// refused rather than read as a value.
     pub fn f64(&self, i: usize, what: &str) -> Result<f64, Stale> {
-        self.hex(i, what).map(f64::from_bits)
+        let v = f64::from_bits(self.hex(i, what)?);
+        if v.is_finite() {
+            Ok(v)
+        } else {
+            Err(self.malformed(format!("{what} is {v}")))
+        }
     }
 
     /// A [`Stale::Malformed`] naming this record's line.
@@ -451,6 +458,16 @@ mod tests {
         );
         let bad = e.num::<u8>(0, "count").unwrap_err().to_string();
         assert!(bad.starts_with("malformed: line 4: bad count"), "{bad}");
+        for (bits, shown) in [
+            ("7ff8000000000000", "NaN"),
+            ("7ff0000000000000", "inf"),
+            ("fff0000000000000", "-inf"),
+        ] {
+            let text = format!("e|{bits}");
+            let rec = Lines::new(&text).next().unwrap();
+            let why = format!("line 1: x is {shown}");
+            assert_eq!(rec.f64(0, "x"), Err(Stale::Malformed(why)));
+        }
         assert!(e.str(2).is_err());
         let w = lines.require("witness").unwrap();
         assert_eq!((w.tag, w.payload()), ("w", "csaw1|x"));

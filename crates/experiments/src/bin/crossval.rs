@@ -30,8 +30,8 @@ use std::path::PathBuf;
 
 use csa_experiments::cli::{Args, Flag, BUDGET, PROFILE, QUICK, SCALE, TASK_COUNTS};
 use csa_experiments::{
-    csv_file_name, find_unknown_instances, parse_witness_corpus, run_crossval, write_csv,
-    CrossvalConfig, CrossvalInstance, CrossvalRow, SearchConfig,
+    csv_file_name, find_unknown_instances, parse_witness_corpus, run_crossval, warm_cached_tables,
+    write_csv, CrossvalConfig, CrossvalInstance, CrossvalRow, SearchConfig,
 };
 
 /// The committed witness corpus (pinned by the `witness_replay` suite).
@@ -93,7 +93,10 @@ fn main() -> std::io::Result<()> {
 
     // Portfolio-unknown sweep: instances a budgeted anytime search left
     // undecided — exactly the ones with no analysis verdict to lean on.
+    // The scan's generator needs the margin tables: load the artifact
+    // rather than build them on one thread.
     if unknown_scan > 0 {
+        warm_cached_tables(threads);
         for n in args.get(&TASK_COUNTS).unwrap_or_else(|| vec![16]) {
             let unknown = find_unknown_instances(profile, n, unknown_scan, seed, budget, threads);
             eprintln!(

@@ -53,11 +53,12 @@
 //!   the flags it accepts, and a malformed command line exits 2 before
 //!   any work.
 //!
-//! The `table1`, `fig2`, `fig4`, `fig5`, `census`, `all`, `crossval` and
-//! `witness_corpus` binaries wrap these with console tables and CSV
-//! output under `results/`; README.md lists their flags. The benchmark
-//! distribution and period-model profiles are DESIGN.md §3; the
-//! deterministic parallel driver is DESIGN.md §7.
+//! The `table1`, `fig2`, `fig4`, `fig5`, `census` and `crossval`
+//! binaries wrap these with console tables and CSV output under
+//! `results/`, one binary per artifact (`census --n 4` also regenerates
+//! the committed witness corpus); README.md lists their flags. The
+//! benchmark distribution and period-model profiles are DESIGN.md §3;
+//! the deterministic parallel driver is DESIGN.md §7.
 //!
 //! # Example
 //!

@@ -29,6 +29,7 @@ use crate::margins::{
 };
 use crate::report::RESULTS_DIR;
 use csa_control::plants;
+use csa_core::StabilityBound;
 use csa_linalg::Mat;
 use std::path::{Path, PathBuf};
 
@@ -198,11 +199,15 @@ pub fn load_margin_artifact(path: &Path) -> Result<(Vec<PlantMargins>, Vec<Margi
         let mut entries = Vec::new();
         for _ in 0..pool_record(&mut lines, "table", bp.name)? {
             let e = lines.record("e", 3)?;
-            entries.push(MarginEntry {
-                period: e.f64(0, "period")?,
-                a: e.f64(1, "a")?,
-                b: e.f64(2, "b")?,
-            });
+            let (period, a, b) = (e.f64(0, "period")?, e.f64(1, "a")?, e.f64(2, "b")?);
+            // The generator builds a `StabilityBound` from every entry.
+            if period <= 0.0 || StabilityBound::new(a, b).is_none() {
+                let why = format!(
+                    "entry (period {period}, a {a}, b {b}) needs period > 0, a >= 1, b >= 0"
+                );
+                return Err(e.malformed(why));
+            }
+            entries.push(MarginEntry { period, a, b });
         }
         tables.push(PlantMargins {
             name: bp.name,

@@ -1,6 +1,6 @@
-//! The eight experiment binaries refuse a malformed command line with
+//! The six experiment binaries refuse a malformed command line with
 //! exit 2, `<bin>: <reason>` and a usage line, before writing anything;
-//! the six that take `--n` refuse a task count above the 64-task limit,
+//! the four that take `--n` refuse a task count above the 64-task limit,
 //! and none takes a sweep clock or witness cap (`--instance-timeout`,
 //! `--reservoir`).
 
@@ -10,7 +10,7 @@ use std::process::Command;
 fn malformed_command_lines_exit_2_before_any_work() {
     let cwd = std::env::temp_dir().join(format!("csa_cli_contract_{}", std::process::id()));
     std::fs::create_dir_all(&cwd).expect("scratch dir");
-    for bin in "table1 census fig2 fig4 fig5 all crossval witness_corpus".split(' ') {
+    for bin in "table1 census fig2 fig4 fig5 crossval".split(' ') {
         for case in [
             "--thread 4 => unknown argument \"--thread\"",
             "--quick --quick => --quick given twice",

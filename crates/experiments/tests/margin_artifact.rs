@@ -207,3 +207,36 @@ fn every_truncation_is_malformed_except_the_final_newline() {
         }
     }
 }
+
+#[test]
+fn invalid_values_are_malformed_naming_the_line() {
+    let path = scratch_path("values");
+    save_margin_artifact(&path, warm_margin_tables(0), warm_interpolated_tables(0))
+        .expect("artifact must save");
+    let original = std::fs::read_to_string(&path).expect("artifact readable");
+    let lines: Vec<&str> = original.lines().collect();
+    // Field `field` (0 = the tag) of the first `tag` record set to `bits`:
+    // `a = 0.5` in a table entry, a bound the generator cannot build, and
+    // a NaN interpolant knot `b`, which `eval` would clamp to a tiny value.
+    for (tag, field, bits, why) in [
+        ("e", 2, "3fe0000000000000", "a 0.5, b "),
+        ("k", 3, "7ff8000000000000", "b is NaN"),
+    ] {
+        let idx = lines.iter().position(|l| l.starts_with(&format!("{tag}|")));
+        let idx = idx.expect("artifact holds the record");
+        let mut fields: Vec<&str> = lines[idx].split('|').collect();
+        fields[field] = bits;
+        let corrupted = fields.join("|");
+        let mut text = lines.clone();
+        text[idx] = &corrupted;
+        #[expect(clippy::disallowed_methods, reason = "A001: corrupts on purpose")]
+        std::fs::write(&path, text.join("\n") + "\n").expect("write corrupted");
+        match load_margin_artifact(&path) {
+            Err(Stale::Malformed(m)) => {
+                assert!(m.starts_with(&format!("line {}: ", idx + 1)), "{m}");
+                assert!(m.contains(why), "{m}");
+            }
+            other => panic!("{tag} record: {:?}", other.map(|_| "a loaded artifact")),
+        }
+    }
+}

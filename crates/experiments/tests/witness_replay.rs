@@ -2,13 +2,13 @@
 //! regenerate bit-for-bit from their generator coordinates and (2) still
 //! exhibit their recorded pathology under the exact analyses.
 //!
-//! The corpus (`tests/data/witness_corpus.txt`) was produced by the
-//! `witness_corpus` binary from paper-scale census sweeps (20 000
-//! benchmarks at n = 4, seed 77, under each of the continuous,
-//! harmonic-stress and margin-tight profiles); see EXPERIMENTS.md for
-//! the measured rates. A rate alone is a weak regression surface — a
-//! change that silently stops *finding* the anomalies still prints a
-//! plausible percentage — so these tests pin the concrete instances.
+//! The corpus (`tests/data/witness_corpus.txt`) holds the witnesses of
+//! paper-scale `census --n 4` sweeps (20 000 benchmarks at n = 4, seed
+//! 77) under the harmonic-stress, continuous and margin-tight profiles,
+//! in that order; see EXPERIMENTS.md for the measured rates. A rate
+//! alone is a weak regression surface — a change that silently stops
+//! *finding* the anomalies still prints a plausible percentage — so
+//! these tests pin the concrete instances.
 //!
 //! Note on kinds: the corpus carries the §IV anomaly events this
 //! reproduction actually exhibits (certificate lies, interference-removal

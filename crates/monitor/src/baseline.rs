@@ -6,10 +6,9 @@
 //! * **Building** — every nominal admission (admitted, not truncated,
 //!   no census anomaly, not quarantined) contributes its margin metrics
 //!   to the `(n, profile)` cell it belongs to; no events are emitted.
-//! * **Locked** — once at least `min_samples` nominal samples spread
-//!   over at least `min_coverage` cells have been seen, each cell's
-//!   mean and population standard deviation are frozen and z-score
-//!   monitoring begins.
+//! * **Locked** — once at least `min_samples` nominal samples, in at
+//!   least one cell, have been seen, each cell's mean and population
+//!   standard deviation are frozen and z-score monitoring begins.
 //!
 //! Determinism contract: the locked statistics are a pure function of
 //! the *multiset* of observed samples. While building, raw samples are
@@ -100,17 +99,15 @@ pub(crate) enum BaselineState {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Baseline {
     pub(crate) min_samples: u64,
-    pub(crate) min_coverage: usize,
     pub(crate) state: BaselineState,
 }
 
 impl Baseline {
-    /// Creates an empty building-phase baseline that locks once
-    /// `min_samples` nominal samples span `min_coverage` cells.
-    pub fn new(min_samples: u64, min_coverage: usize) -> Baseline {
+    /// Creates an empty building-phase baseline that locks once it holds
+    /// `min_samples` nominal samples and at least one cell.
+    pub fn new(min_samples: u64) -> Baseline {
         Baseline {
             min_samples,
-            min_coverage: min_coverage.max(1),
             state: BaselineState::Building {
                 cells: BTreeMap::new(),
                 seen: 0,
@@ -189,8 +186,8 @@ impl Baseline {
     }
 
     /// Locks the baseline if the building phase has accumulated at
-    /// least `min_samples` nominal samples over at least `min_coverage`
-    /// cells. Returns `true` when a lock transition happened.
+    /// least `min_samples` nominal samples in at least one cell. Returns
+    /// `true` when a lock transition happened.
     pub(crate) fn try_lock(&mut self) -> bool {
         let BaselineState::Building {
             cells,
@@ -201,7 +198,7 @@ impl Baseline {
             return false;
         };
         let total: u64 = cells.values().map(|v| v.len() as u64).sum();
-        if total < self.min_samples || cells.len() < self.min_coverage {
+        if total < self.min_samples || cells.is_empty() {
             return false;
         }
         let truncation_rate = if *seen == 0 {
@@ -256,16 +253,22 @@ mod tests {
 
     #[test]
     fn lock_requires_samples_and_coverage() {
-        let mut b = Baseline::new(3, 2);
-        b.observe_nominal(4, "grid-snapped", 1.0, 0.5);
-        b.observe_nominal(4, "grid-snapped", 2.0, 0.6);
-        b.observe_nominal(4, "grid-snapped", 3.0, 0.7);
-        // Enough samples, but only one cell.
+        // No sample requirement, but no cell yet.
+        let mut b = Baseline::new(0);
         assert!(!b.try_lock());
-        b.observe_nominal(6, "grid-snapped", 4.0, 0.8);
+        b.observe_nominal(4, "grid-snapped", 1.0, 0.5);
+        assert!(b.try_lock());
+        assert_eq!(b.coverage(), 1);
+
+        let mut b = Baseline::new(3);
+        b.observe_nominal(4, "grid-snapped", 1.0, 0.5);
+        b.observe_nominal(6, "grid-snapped", 2.0, 0.6);
+        // One sample short.
+        assert!(!b.try_lock());
+        b.observe_nominal(4, "grid-snapped", 3.0, 0.7);
         assert!(b.try_lock());
         assert_eq!(b.lifecycle(), Lifecycle::Locked);
-        assert_eq!(b.samples(), 4);
+        assert_eq!(b.samples(), 3);
         assert_eq!(b.coverage(), 2);
         // Second lock attempt is a no-op.
         assert!(!b.try_lock());
@@ -274,12 +277,12 @@ mod tests {
     #[test]
     fn locked_stats_are_arrival_order_invariant() {
         let values = [1.5, -0.25, 7.0, 3.25, 3.25, 0.0];
-        let mut forward = Baseline::new(values.len() as u64, 1);
+        let mut forward = Baseline::new(values.len() as u64);
         for v in values {
             forward.observe_nominal(4, "inline", v, v / 10.0);
         }
         assert!(forward.try_lock());
-        let mut reversed = Baseline::new(values.len() as u64, 1);
+        let mut reversed = Baseline::new(values.len() as u64);
         for v in values.iter().rev() {
             reversed.observe_nominal(4, "inline", *v, *v / 10.0);
         }
@@ -294,7 +297,7 @@ mod tests {
 
     #[test]
     fn truncation_rate_counts_building_requests_only() {
-        let mut b = Baseline::new(2, 1);
+        let mut b = Baseline::new(2);
         b.observe_truncation(true);
         b.observe_truncation(false);
         b.observe_truncation(false);
@@ -312,7 +315,7 @@ mod tests {
 
     #[test]
     fn non_finite_samples_are_dropped() {
-        let mut b = Baseline::new(1, 1);
+        let mut b = Baseline::new(1);
         b.observe_nominal(4, "inline", f64::NAN, 0.5);
         b.observe_nominal(4, "inline", 1.0, f64::INFINITY);
         assert_eq!(b.samples(), 0);

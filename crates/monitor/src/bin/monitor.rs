@@ -3,16 +3,14 @@
 //! Reads one request per line (see `csa_monitor::jsonl`) and answers it
 //! at once: one response line, plus one line per fired anomaly event.
 //! With `--snapshot-dir` it then persists a crash-safe `csamon2`
-//! snapshot, so every printed response is covered by one. On a clean
-//! EOF it writes the accumulated event log to
-//! `results/monitor_events.jsonl` and prints a summary to stderr. A
-//! stdout that can no longer be written (a reader that closed early)
-//! stops it with exit 1.
+//! snapshot, so every printed response is covered by one; it writes no
+//! other file, as stdout already carries every event line in order. On
+//! a clean EOF it prints a summary to stderr. A stdout that can no
+//! longer be written (a reader that closed early) stops it with exit 1.
 //!
 //! ```text
-//! monitor [--search NAME] [--budget N] [--min-samples N]
-//!         [--min-coverage N] [--z X] [--persistence N] [--cooldown N]
-//!         [--drift-window N] [--drift-threshold X] [--memo-tables N]
+//! monitor [--search NAME] [--budget N] [--min-samples N] [--z X]
+//!         [--persistence N] [--cooldown N] [--memo-tables N]
 //!         [--snapshot-dir PATH] [--resume]
 //! ```
 //!
@@ -24,30 +22,25 @@
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
 
-use csa_experiments::artifact::{write_atomic, Stale};
+use csa_experiments::artifact::Stale;
 use csa_experiments::cli::{Args, Flag, BUDGET, SEARCH};
 use csa_monitor::jsonl::{event_line, parse_request, response_line};
 use csa_monitor::snapshot;
 use csa_monitor::{MonitorConfig, MonitorEngine, Response};
 
 const MIN_SAMPLES: Flag<u64> = Flag::count("--min-samples");
-const MIN_COVERAGE: Flag<usize> = Flag::count("--min-coverage");
 const Z: Flag<f64> = Flag::real("--z");
 const PERSISTENCE: Flag<u64> = Flag::count("--persistence");
 const COOLDOWN: Flag<u64> = Flag::count("--cooldown");
-const DRIFT_WINDOW: Flag<usize> = Flag::count("--drift-window");
-const DRIFT_THRESHOLD: Flag<f64> = Flag::real("--drift-threshold");
 const MEMO_TABLES: Flag<usize> = Flag::count("--memo-tables");
 const SNAPSHOT_DIR: Flag<PathBuf> = Flag::path("--snapshot-dir");
 const RESUME: Flag<bool> = Flag::switch("--resume", Some("--snapshot-dir"));
 
-/// Prints `response` and its event lines to `out`, logging the events.
-fn emit(out: &mut impl Write, response: &Response, log: &mut Vec<String>) -> std::io::Result<()> {
+/// Prints `response` and its event lines to `out`.
+fn emit(out: &mut impl Write, response: &Response) -> std::io::Result<()> {
     writeln!(out, "{}", response_line(response))?;
     for event in &response.events {
-        let line = event_line(event);
-        writeln!(out, "{line}")?;
-        log.push(line);
+        writeln!(out, "{}", event_line(event))?;
     }
     Ok(())
 }
@@ -56,9 +49,8 @@ fn main() {
     let args = Args::parse(
         "monitor",
         &[
-            &[&SEARCH, &BUDGET, &MIN_SAMPLES, &MIN_COVERAGE],
-            &[&Z, &PERSISTENCE, &COOLDOWN],
-            &[&DRIFT_WINDOW, &DRIFT_THRESHOLD, &MEMO_TABLES],
+            &[&SEARCH, &BUDGET, &MIN_SAMPLES, &Z],
+            &[&PERSISTENCE, &COOLDOWN, &MEMO_TABLES],
             &[&SNAPSHOT_DIR, &RESUME],
         ],
     );
@@ -66,14 +58,9 @@ fn main() {
     let config = MonitorConfig {
         search: args.search(),
         min_samples: args.get(&MIN_SAMPLES).unwrap_or(defaults.min_samples),
-        min_coverage: args.get(&MIN_COVERAGE).unwrap_or(defaults.min_coverage),
         z_threshold: args.get(&Z).unwrap_or(defaults.z_threshold),
         persistence: args.get(&PERSISTENCE).unwrap_or(defaults.persistence),
         cooldown: args.get(&COOLDOWN).unwrap_or(defaults.cooldown),
-        drift_window: args.get(&DRIFT_WINDOW).unwrap_or(defaults.drift_window),
-        drift_threshold: args
-            .get(&DRIFT_THRESHOLD)
-            .unwrap_or(defaults.drift_threshold),
         memo_tables: args.get(&MEMO_TABLES).unwrap_or(defaults.memo_tables),
     };
     let snapshot_dir = args.get(&SNAPSHOT_DIR);
@@ -101,7 +88,6 @@ fn main() {
     // With --resume the caller re-pipes the stream from the start;
     // skip what the snapshot already covers.
     let mut skip = engine.processed();
-    let mut event_log: Vec<String> = Vec::new();
     let mut stdout = std::io::stdout().lock();
 
     let stdin = std::io::stdin();
@@ -130,7 +116,7 @@ fn main() {
         // Print, then snapshot: a response that was not delivered is
         // never covered by a snapshot.
         for response in engine.submit(request) {
-            if let Err(e) = emit(&mut stdout, &response, &mut event_log) {
+            if let Err(e) = emit(&mut stdout, &response) {
                 eprintln!("monitor: stdout write failed: {e}");
                 std::process::exit(1);
             }
@@ -141,16 +127,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-    }
-
-    let log_path = PathBuf::from(csa_experiments::RESULTS_DIR).join("monitor_events.jsonl");
-    let mut log_text = event_log.join("\n");
-    if !log_text.is_empty() {
-        log_text.push('\n');
-    }
-    if let Err(e) = write_atomic(&log_path, &log_text) {
-        eprintln!("monitor: could not write {}: {e}", log_path.display());
-        std::process::exit(1);
     }
 
     eprintln!(

@@ -23,7 +23,10 @@
 //! trigger order (quarantine → margin z-scores → census classes →
 //! truncation drift). A class fires only after `persistence`
 //! consecutive triggering requests (1 for the discrete classes) and is
-//! then silenced for `cooldown` further requests.
+//! then silenced for `cooldown` further requests. Truncation drift
+//! compares the truncation rate of the last 32 assessed requests
+//! (`DRIFT_WINDOW`) with the locked rate, and triggers at a rise of at
+//! least 0.25 (`DRIFT_THRESHOLD`).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -39,6 +42,14 @@ use rand::SeedableRng;
 use crate::baseline::{Baseline, Lifecycle};
 use crate::request::{AnomalyEvent, EventClass, Metric, Payload, Request, Response, Verdict};
 
+/// Length, in assessed requests, of the truncation-drift detector's
+/// trailing window.
+pub(crate) const DRIFT_WINDOW: usize = 32;
+
+/// Truncation drift triggers at `trailing_rate - baseline_rate >=
+/// DRIFT_THRESHOLD`.
+pub(crate) const DRIFT_THRESHOLD: f64 = 0.25;
+
 /// Configuration of a [`MonitorEngine`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MonitorConfig {
@@ -46,18 +57,12 @@ pub struct MonitorConfig {
     pub search: SearchConfig,
     /// Nominal samples required before the baseline can lock.
     pub min_samples: u64,
-    /// Distinct `(n, profile)` cells required before the lock.
-    pub min_coverage: usize,
     /// Fire a margin event at `z <= -z_threshold`.
     pub z_threshold: f64,
     /// Consecutive triggering requests required for continuous classes.
     pub persistence: u64,
     /// Requests a fired class stays silenced for.
     pub cooldown: u64,
-    /// Trailing-window length for the truncation-rate drift detector.
-    pub drift_window: usize,
-    /// Drift fires at `trailing_rate - baseline_rate >= drift_threshold`.
-    pub drift_threshold: f64,
     /// Maximum task-set assessments kept banked (FIFO eviction; a hit
     /// moves to the back).
     pub memo_tables: usize,
@@ -68,12 +73,9 @@ impl Default for MonitorConfig {
         MonitorConfig {
             search: SearchConfig::default(),
             min_samples: 64,
-            min_coverage: 1,
             z_threshold: 3.0,
             persistence: 2,
             cooldown: 16,
-            drift_window: 32,
-            drift_threshold: 0.25,
             memo_tables: 512,
         }
     }
@@ -215,7 +217,7 @@ pub struct MonitorEngine {
 impl MonitorEngine {
     /// Creates an idle engine with an empty building-phase baseline.
     pub fn new(config: MonitorConfig) -> MonitorEngine {
-        let baseline = Baseline::new(config.min_samples, config.min_coverage);
+        let baseline = Baseline::new(config.min_samples);
         let bank = AssessmentBank::new(config.memo_tables);
         MonitorEngine {
             config,
@@ -348,7 +350,7 @@ impl MonitorEngine {
         if quarantine.is_none() {
             // Drift window tracks every assessed request.
             self.window.push_back(assessment.truncated);
-            while self.window.len() > self.config.drift_window.max(1) {
+            while self.window.len() > DRIFT_WINDOW {
                 self.window.pop_front();
             }
             if !was_locked {
@@ -443,11 +445,11 @@ impl MonitorEngine {
                     detail: format!("census class {} at n={n}", kind.name()),
                 });
             }
-            if self.window.len() >= self.config.drift_window.max(1) {
+            if self.window.len() >= DRIFT_WINDOW {
                 if let Some(base) = self.baseline.truncation_rate() {
                     let hits = self.window.iter().filter(|&&t| t).count();
                     let rate = hits as f64 / self.window.len() as f64;
-                    if rate - base >= self.config.drift_threshold {
+                    if rate - base >= DRIFT_THRESHOLD {
                         triggers.push(Trigger {
                             class: EventClass::TruncationDrift,
                             value: rate,

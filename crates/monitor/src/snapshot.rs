@@ -11,12 +11,15 @@
 //! empty one.
 //!
 //! The fingerprint header pins every configuration knob that *does*
-//! shape the stream (search mode, budget, lock thresholds, event
-//! thresholds); `memo_tables` is omitted because the determinism
-//! contract makes it irrelevant. Header checks, line parsing and the hex
-//! codec are the shared [`csa_experiments::artifact`] layer. Writes go
-//! through `write_atomic` (tmp + rename), so a kill mid-snapshot leaves
-//! either the old file or the new one, never a torn state — the
+//! shape the stream (search mode, budget, `min_samples`, z,
+//! persistence, cooldown) and records the code constants that shape it
+//! too (the one-cell lock coverage and the drift window and threshold),
+//! as `csamt1` records its grid; `memo_tables` is omitted because the
+//! determinism contract makes it irrelevant. Header checks, line
+//! parsing and the hex codec are the shared
+//! [`csa_experiments::artifact`] layer. Writes go through
+//! `write_atomic` (tmp + rename), so a kill mid-snapshot leaves either
+//! the old file or the new one, never a torn state — the
 //! `service_faults` suite drives this with injected crashes.
 //!
 //! A copy or a full disk can still cut a file anywhere, so the writer
@@ -32,7 +35,7 @@ use std::path::{Path, PathBuf};
 use csa_experiments::artifact::{self, hex, parse_hex, Header, Lines, Stale};
 
 use crate::baseline::{Baseline, BaselineState, CellStats, Lifecycle, LockedCell};
-use crate::engine::{EventState, MonitorConfig, MonitorEngine};
+use crate::engine::{EventState, MonitorConfig, MonitorEngine, DRIFT_THRESHOLD, DRIFT_WINDOW};
 use crate::request::Metric;
 
 /// Magic tag of the snapshot format.
@@ -51,12 +54,13 @@ fn header(config: &MonitorConfig) -> Header {
         .field("search", config.search.mode.name())
         .field("budget", config.search.budget)
         .field("min_samples", config.min_samples)
-        .field("min_coverage", config.min_coverage)
+        // The baseline locks with one cell.
+        .field("min_coverage", 1)
         .field("z", hex(config.z_threshold.to_bits()))
         .field("persistence", config.persistence)
         .field("cooldown", config.cooldown)
-        .field("drift_window", config.drift_window)
-        .field("drift_threshold", hex(config.drift_threshold.to_bits()))
+        .field("drift_window", DRIFT_WINDOW)
+        .field("drift_threshold", hex(DRIFT_THRESHOLD.to_bits()))
 }
 
 /// Serializes the engine's durable state as a `csamon2` document.
@@ -167,10 +171,10 @@ pub fn restore(config: MonitorConfig, text: &str) -> Result<MonitorEngine, Stale
                 locked_totals = Some((rec.f64(0, "truncation_rate")?, rec.num(1, "samples")?));
             }
             ("b", 3) => {
-                let bits = |s: &str| {
-                    parse_hex(s)
-                        .map(f64::from_bits)
-                        .map_err(|e| rec.malformed(format!("bad sample: {e}")))
+                let bits = |s: &str| match parse_hex(s).map(f64::from_bits) {
+                    Ok(v) if v.is_finite() => Ok(v),
+                    Ok(v) => Err(rec.malformed(format!("sample is {v}"))),
+                    Err(e) => Err(rec.malformed(format!("bad sample: {e}"))),
                 };
                 let mut samples = Vec::new();
                 let body = rec.str(2)?;
@@ -262,7 +266,6 @@ pub fn restore(config: MonitorConfig, text: &str) -> Result<MonitorEngine, Stale
     };
     engine.baseline = Baseline {
         min_samples: engine.config.min_samples,
-        min_coverage: engine.config.min_coverage.max(1),
         state,
     };
     engine.window = window;
@@ -363,6 +366,15 @@ end|4\n";
                 found: "16".to_string(),
             })
         );
+        // A code constant the header records, written with another value.
+        let window = text.replace("drift_window=32", "drift_window=3");
+        assert!(matches!(
+            restore(engine.config().clone(), &window),
+            Err(Stale::Mismatch {
+                field: "drift_window",
+                ..
+            })
+        ));
         // The latency-only bank size is not fingerprinted.
         let mut latency_only = engine.config().clone();
         latency_only.memo_tables = 3;
@@ -409,6 +421,20 @@ end|4\n";
             let whole = restore(config, text).expect("the whole text restores");
             assert_eq!(snapshot_string(&whole), text);
         }
+    }
+
+    #[test]
+    fn a_non_finite_sample_is_rejected() {
+        let config = MonitorConfig {
+            min_samples: 1_000,
+            ..MonitorConfig::default()
+        };
+        let nan = PINNED_BUILDING.replace(
+            "b|4|margin-tight|3f674ff4665b62e8",
+            "b|4|margin-tight|7ff8000000000000",
+        );
+        let why = "line 4: sample is NaN".to_string();
+        assert_eq!(restore(config, &nan).err(), Some(Stale::Malformed(why)));
     }
 
     #[test]

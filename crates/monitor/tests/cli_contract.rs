@@ -22,12 +22,15 @@ fn command_lines_are_read_strictly() {
         "monitor --z 1 --z=2 => --z given twice",
         "monitor --batch 8 => unknown argument \"--batch\"",
         "monitor --threads 2 => unknown argument \"--threads\"",
+        "monitor --min-coverage 2 => unknown argument \"--min-coverage\"",
+        "monitor --drift-window 3 => unknown argument \"--drift-window\"",
+        "monitor --drift-threshold 1 => unknown argument \"--drift-threshold\"",
         "monitor --z => --z needs a value",
         "monitor --snapshot-dir s --resume=1 => --resume takes no value",
         "monitor stray => unknown argument \"stray\"",
         "monitor --resume => --resume requires --snapshot-dir",
         "monitor --z nan => bad --z value \"nan\"",
-        "monitor --drift-threshold -1 => bad --drift-threshold value \"-1\"",
+        "monitor --z -1 => bad --z value \"-1\"",
         "monitor_stream --thread 4 => unknown argument \"--thread\"",
         "monitor_stream --count 1 --count=2 => --count given twice",
         "monitor_stream --seed => --seed needs a value",
@@ -100,7 +103,7 @@ fn command_lines_are_read_strictly() {
 /// writes the next.
 #[test]
 fn each_request_is_answered_before_the_next_arrives() {
-    // At EOF the monitor writes `results/monitor_events.jsonl`.
+    // The monitor writes no file without `--snapshot-dir`.
     let cwd = std::env::temp_dir().join(format!("csa_monitor_arrival_{}", std::process::id()));
     std::fs::create_dir_all(&cwd).expect("scratch dir");
     let mut child = Command::new(env!("CARGO_BIN_EXE_monitor"))
@@ -139,7 +142,9 @@ fn each_request_is_answered_before_the_next_arrives() {
     assert!(child.wait().expect("wait").success());
     reader.join().expect("reader thread");
     assert!(received.try_recv().is_err(), "only the three responses");
-    std::fs::remove_dir_all(&cwd).expect("remove scratch dir");
+    let left: Vec<_> = std::fs::read_dir(&cwd).unwrap().collect();
+    assert!(left.is_empty(), "the monitor left {left:?}");
+    std::fs::remove_dir(&cwd).expect("remove scratch dir");
 }
 
 /// A reader that closes stdout early (`monitor | head -1`) stops the
