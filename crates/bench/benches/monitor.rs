@@ -4,9 +4,11 @@
 //! The determinism contract says the assessment bank changes *latency
 //! only* — these benches quantify that latency. A cold request runs the
 //! whole census classification (search, anomaly scans, OPA, quadratic
-//! audit) and its slack checks; a repeat of an already-seen task set is
-//! a bank hit, an equality check against the banked set and a clone of
-//! its assessment, so what remains of a warm request is the engine's
+//! audit) and its slack checks. The requests here are inline, so a
+//! repeat of an already-seen set is a bank hit that fingerprints the
+//! set, compares it with the banked one and clones its assessment (a
+//! generated request's hit skips the first two: its coordinates are
+//! the key). What remains of a warm request is that and the engine's
 //! per-request bookkeeping (EXPERIMENTS.md).
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -68,24 +68,22 @@ fn main() -> std::io::Result<()> {
         }),
     )?;
     eprintln!("wrote {}", path.display());
-    if !run.witnesses.is_empty() {
-        let wpath = write_witness_file(&format!("witnesses_census_{profile}.txt"), &run.witnesses)?;
-        eprintln!(
-            "wrote {} anomalous-instance witness(es) to {}",
-            run.witnesses.len(),
-            wpath.display()
-        );
-    }
-    if !run.quarantined.is_empty() {
-        let qpath = write_quarantine_file(
-            &format!("quarantine_census_{profile}.txt"),
-            &run.quarantined,
-        )?;
-        eprintln!(
-            "wrote {} quarantined instance(s) to {} (each line carries the rng seed for offline replay)",
-            run.quarantined.len(),
-            qpath.display()
-        );
-    }
+    // Both files are written on every run, empty ones with only their
+    // header line, so none is left over from an earlier run.
+    let wpath = write_witness_file(&format!("witnesses_census_{profile}.txt"), &run.witnesses)?;
+    eprintln!(
+        "wrote {} anomalous-instance witness(es) to {}",
+        run.witnesses.len(),
+        wpath.display()
+    );
+    let qpath = write_quarantine_file(
+        &format!("quarantine_census_{profile}.txt"),
+        &run.quarantined,
+    )?;
+    eprintln!(
+        "wrote {} quarantined instance(s) to {} (each line carries the rng seed for offline replay)",
+        run.quarantined.len(),
+        qpath.display()
+    );
     Ok(())
 }

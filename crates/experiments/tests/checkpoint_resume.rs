@@ -261,6 +261,38 @@ fn panic_injection_quarantines_with_replayable_seed() {
 }
 
 #[test]
+fn a_clean_rerun_replaces_the_quarantine_file() {
+    // The replay files are written on every run, so a rerun that
+    // quarantines nothing leaves a header-only file, not the faulted
+    // run's lines beside a CSV that contradicts them.
+    let scratch = Scratch::new("rerun");
+    let results = scratch.path().join("results");
+    let qfile = results.join("quarantine_census_grid-snapped.txt");
+    let csaq2_lines = || {
+        let text = std::fs::read_to_string(&qfile).expect("quarantine file written");
+        text.lines().filter(|l| l.starts_with("csaq2|")).count()
+    };
+    let faulted = census_command(scratch.path(), "2", &[])
+        .env("CSA_FAULT_INJECT", "panic:4:5")
+        .output()
+        .expect("run census");
+    assert!(faulted.status.success(), "faulted run failed: {faulted:?}");
+    assert_eq!(csaq2_lines(), 1);
+
+    let clean = census_command(scratch.path(), "2", &[])
+        .output()
+        .expect("rerun census");
+    assert!(clean.status.success(), "clean rerun failed: {clean:?}");
+    assert_eq!(
+        csaq2_lines(),
+        0,
+        "the faulted run's quarantine line survived"
+    );
+    assert!(results.join("witnesses_census_grid-snapped.txt").exists());
+    assert_eq!(read_csv(scratch.path()), reference_csv());
+}
+
+#[test]
 fn stale_checkpoint_warns_and_recomputes() {
     // A journal written under one shard layout must be rejected by
     // fingerprint — with the differing field named — and the run must

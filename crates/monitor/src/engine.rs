@@ -8,7 +8,7 @@
 //! fingerprinted configuration; the assessment bank changes latency
 //! only. [`MonitorEngine::submit`] takes requests in arrival order (ids
 //! are echoed back, never sorted): inside one panic containment it
-//! materializes the request and takes its assessment from the bank, or
+//! takes the request's assessment from the bank, or materializes and
 //! classifies it and banks the result; then it folds the request into
 //! the baseline, the event machine and the response. A response exposes only memo-invariant
 //! quantities (verdicts, logical check counts, truncation flags, slacks,
@@ -28,13 +28,14 @@
 //! (`DRIFT_WINDOW`) with the locked rate, and triggers at a rise of at
 //! least 0.25 (`DRIFT_THRESHOLD`).
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use csa_core::{ControlTask, StabilityChecker};
 use csa_experiments::artifact::{hex, Fnv64};
 use csa_experiments::{
     catch_panic, classify_instance_on, generate_benchmark, instance_seed, BenchmarkConfig,
-    SearchConfig, WitnessKind,
+    PeriodModel, SearchConfig, WitnessKind,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,8 +64,11 @@ pub struct MonitorConfig {
     pub persistence: u64,
     /// Requests a fired class stays silenced for.
     pub cooldown: u64,
-    /// Maximum task-set assessments kept banked (FIFO eviction; a hit
-    /// moves to the back).
+    /// Maximum task-set assessments kept banked. Past it the bank evicts
+    /// by GreedyDual (DESIGN.md §14): the entry cheapest to reclassify
+    /// goes, in checks its classification computed, counted above a
+    /// floor that every eviction raises so that an unused expensive entry
+    /// still ages out; ties go least recently used first.
     pub memo_tables: usize,
 }
 
@@ -82,8 +86,8 @@ impl Default for MonitorConfig {
 }
 
 /// [`Fnv64`] over every field of the task list (labels, execution times,
-/// periods, and the raw `(a, b)` float bits): the assessment bank's
-/// task-set fingerprint. It is verified by full equality on every take,
+/// periods, and the raw `(a, b)` float bits): the assessment bank's key
+/// for an inline set. It is verified by full equality on every lookup,
 /// so a collision can only cost a reclassification, never correctness.
 pub(crate) fn task_fingerprint(tasks: &[ControlTask]) -> u64 {
     let mut h = Fnv64::default();
@@ -112,11 +116,102 @@ struct Banked {
     computed: u64,
 }
 
-/// Finished classifications keyed by task-set fingerprint, FIFO-bounded.
+impl Banked {
+    /// What evicting this entry would cost: the checks a reclassification
+    /// recomputes (deterministic, at least 1).
+    fn cost(&self) -> u64 {
+        self.computed.max(1)
+    }
+}
+
+/// What the bank files an assessment under. A generated request's task
+/// set is a pure function of its coordinates (given the process-wide
+/// margin tables), so the coordinates are the key and a hit neither
+/// regenerates nor compares the set. An inline set is keyed by its
+/// [`task_fingerprint`] and verified by full equality on every lookup.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BankKey {
+    Generated {
+        profile: PeriodModel,
+        seed: u64,
+        n: usize,
+        index: usize,
+    },
+    Inline(u64),
+}
+
+impl BankKey {
+    fn of(payload: &Payload) -> BankKey {
+        match *payload {
+            Payload::Generated {
+                profile,
+                seed,
+                n,
+                index,
+            } => BankKey::Generated {
+                profile,
+                seed,
+                n,
+                index,
+            },
+            Payload::Inline { ref tasks } => BankKey::Inline(task_fingerprint(tasks)),
+        }
+    }
+
+    /// The key's fields as integers, in the bank's order.
+    fn fields(&self) -> (u8, u64, usize, usize) {
+        match *self {
+            BankKey::Generated {
+                profile,
+                seed,
+                n,
+                index,
+            } => (profile as u8, seed, n, index),
+            BankKey::Inline(fingerprint) => (u8::MAX, fingerprint, 0, 0),
+        }
+    }
+}
+
+// Written out, not derived: a derived `PartialOrd` calls the fields'
+// `partial_cmp`, which the F001 rule bans (DESIGN.md §13).
+impl Ord for BankKey {
+    fn cmp(&self, o: &Self) -> Ordering {
+        self.fields().cmp(&o.fields())
+    }
+}
+
+impl PartialOrd for BankKey {
+    fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
+        Some(self.cmp(o))
+    }
+}
+
+/// One banked assessment and its place in the eviction order.
+#[derive(Debug)]
+struct Entry {
+    /// The bank's floor when the entry was last touched, plus its cost.
+    priority: u64,
+    /// When the entry was last touched (breaks priority ties).
+    tick: u64,
+    /// An inline set's tasks, compared on every lookup; `None` under a
+    /// generated key.
+    tasks: Option<Vec<ControlTask>>,
+    banked: Banked,
+}
+
+/// Finished classifications under GreedyDual eviction (Young 1994): an
+/// entry's priority is the floor when it was last touched plus its
+/// [`Banked::cost`]. Past the cap the lowest priority goes (ties: least
+/// recently used) and the floor rises to it, so an expensive set outlives
+/// many cheap ones while an entry nobody touches still ages out. At
+/// equal costs the order is exactly LRU.
 #[derive(Debug)]
 pub(crate) struct AssessmentBank {
-    entries: BTreeMap<u64, (Vec<ControlTask>, Banked)>,
-    order: VecDeque<u64>,
+    entries: BTreeMap<BankKey, Entry>,
+    /// `(priority, tick)` of every entry, lowest (the next victim) first.
+    order: BTreeMap<(u64, u64), BankKey>,
+    floor: u64,
+    tick: u64,
     cap: usize,
 }
 
@@ -124,43 +219,56 @@ impl AssessmentBank {
     fn new(cap: usize) -> AssessmentBank {
         AssessmentBank {
             entries: BTreeMap::new(),
-            order: VecDeque::new(),
+            order: BTreeMap::new(),
+            floor: 0,
+            tick: 0,
             cap: cap.max(1),
         }
     }
 
-    /// Removes and returns the entry for `fingerprint` — only if the
-    /// stored task set is *equal* to `tasks` (another set's assessment
-    /// would be a wrong answer, not a slow one).
-    fn take(&mut self, fingerprint: u64, tasks: &[ControlTask]) -> Option<Banked> {
-        match self.entries.remove(&fingerprint) {
-            Some((stored, banked)) if stored == tasks => {
-                self.order.retain(|&fp| fp != fingerprint);
-                Some(banked)
-            }
-            Some(entry) => {
-                // Fingerprint collision: keep the resident entry, treat
-                // as a miss.
-                self.entries.insert(fingerprint, entry);
-                None
-            }
-            None => None,
+    /// The assessment banked under `key`, its entry refreshed to the
+    /// floor plus its cost. An inline key serves only an *equal* stored
+    /// set: on a fingerprint collision another set's assessment would be
+    /// a wrong answer, not a slow one, so it is a miss.
+    fn get(&mut self, key: &BankKey, inline: Option<&[ControlTask]>) -> Option<&Banked> {
+        let entry = self.entries.get_mut(key)?;
+        if entry.tasks.as_deref() != inline {
+            return None;
         }
+        self.order.remove(&(entry.priority, entry.tick));
+        self.tick += 1;
+        entry.priority = self.floor.saturating_add(entry.banked.cost());
+        entry.tick = self.tick;
+        self.order.insert((entry.priority, entry.tick), *key);
+        Some(&entry.banked)
     }
 
-    /// Stores (or refreshes) an entry, evicting FIFO past the cap.
-    fn put(&mut self, fingerprint: u64, tasks: Vec<ControlTask>, banked: Banked) {
-        if self.entries.insert(fingerprint, (tasks, banked)).is_none() {
-            self.order.push_back(fingerprint);
+    /// Banks a fresh classification, replacing a resident entry under the
+    /// same key (an inline fingerprint collision). A full bank first
+    /// evicts its lowest priority and raises the floor to it.
+    fn put(&mut self, key: BankKey, tasks: Option<Vec<ControlTask>>, banked: Banked) {
+        if let Some(old) = self.entries.remove(&key) {
+            self.order.remove(&(old.priority, old.tick));
         }
-        while self.entries.len() > self.cap {
-            match self.order.pop_front() {
-                Some(old) => {
-                    self.entries.remove(&old);
-                }
-                None => break,
-            }
+        while self.entries.len() >= self.cap {
+            let Some(((priority, _), victim)) = self.order.pop_first() else {
+                break;
+            };
+            self.entries.remove(&victim);
+            self.floor = priority;
         }
+        self.tick += 1;
+        let priority = self.floor.saturating_add(banked.cost());
+        self.order.insert((priority, self.tick), key);
+        self.entries.insert(
+            key,
+            Entry {
+                priority,
+                tick: self.tick,
+                tasks,
+                banked,
+            },
+        );
     }
 
     fn len(&self) -> usize {
@@ -291,23 +399,25 @@ impl MonitorEngine {
     pub fn submit(&mut self, request: Request) -> Vec<Response> {
         let search = self.config.search;
         let outcome = catch_panic(|| {
-            let tasks = materialize(&request);
-            let fingerprint = task_fingerprint(&tasks);
-            let banked = match self.bank.take(fingerprint, &tasks) {
-                Some(banked) => banked,
+            let key = BankKey::of(&request.payload);
+            let inline = match &request.payload {
+                Payload::Inline { tasks } => Some(tasks.as_slice()),
+                Payload::Generated { .. } => None,
+            };
+            let (logical, assessment) = match self.bank.get(&key, inline) {
+                Some(banked) => (banked.logical, banked.assessment.clone()),
                 None => {
+                    let tasks = materialize(&request);
                     let banked = assess(&tasks, &search);
                     self.computed_checks += banked.computed;
-                    banked
+                    let answer = (banked.logical, banked.assessment.clone());
+                    self.bank.put(key, inline.map(|_| tasks), banked);
+                    answer
                 }
             };
             // Every request spends the logical checks, hit or miss. One
             // search may make u64::MAX checks, so saturate.
-            self.logical_checks = self.logical_checks.saturating_add(banked.logical);
-            let assessment = banked.assessment.clone();
-            // A hit was taken out, so putting it back moves it to the
-            // FIFO's back.
-            self.bank.put(fingerprint, tasks, banked);
+            self.logical_checks = self.logical_checks.saturating_add(logical);
             assessment
         });
         vec![self.fold_request(&request, outcome)]
@@ -573,7 +683,6 @@ fn assess(tasks: &[ControlTask], search: &SearchConfig) -> Banked {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csa_experiments::PeriodModel;
 
     fn generated(id: u64, index: usize) -> Request {
         Request {
@@ -676,43 +785,148 @@ mod tests {
         assert_eq!(engine.computed_checks(), cold_computed);
     }
 
+    fn inline(id: u64, tasks: &[ControlTask]) -> Request {
+        Request {
+            id,
+            payload: Payload::Inline {
+                tasks: tasks.to_vec(),
+            },
+        }
+    }
+
+    /// A synthetic classification whose reclassification costs `computed`
+    /// checks.
+    fn costing(computed: u64) -> Banked {
+        Banked {
+            assessment: Assessment {
+                verdict: Verdict::Admit,
+                checks: computed,
+                truncated: false,
+                slack: None,
+                norm_slack: None,
+                anomalies: Vec::new(),
+            },
+            logical: computed,
+            computed,
+        }
+    }
+
+    fn key(index: usize) -> BankKey {
+        BankKey::of(&generated(0, index).payload)
+    }
+
+    #[test]
+    fn an_expensive_assessment_outlives_cheaper_distinct_sets() {
+        // LRU would evict set 0 at the second cheap set. GreedyDual keeps
+        // it until the floor, raised by each eviction, has climbed its
+        // whole cost: the 101st cheap set evicts it (its tie with set 100
+        // at priority 100 goes to the less recently used).
+        let mut bank = AssessmentBank::new(2);
+        bank.put(key(0), None, costing(100));
+        for i in 1..=100 {
+            assert!(bank.get(&key(i), None).is_none());
+            bank.put(key(i), None, costing(1));
+            assert!(bank.entries.contains_key(&key(0)), "evicted at {i}");
+            assert_eq!(bank.len(), 2);
+        }
+        bank.put(key(101), None, costing(1));
+        let left: Vec<BankKey> = bank.entries.keys().copied().collect();
+        assert_eq!(left, [key(100), key(101)]);
+        assert_eq!(bank.floor, 100);
+    }
+
+    #[test]
+    fn at_equal_costs_the_least_recently_used_goes_first() {
+        let mut bank = AssessmentBank::new(2);
+        bank.put(key(0), None, costing(5));
+        bank.put(key(1), None, costing(5));
+        // The hit refreshes set 0, so set 1 is now the least recently
+        // used and the next distinct set evicts it.
+        assert_eq!(bank.get(&key(0), None).map(|b| b.computed), Some(5));
+        bank.put(key(2), None, costing(5));
+        let left: Vec<BankKey> = bank.entries.keys().copied().collect();
+        assert_eq!(left, [key(0), key(2)]);
+        bank.put(key(3), None, costing(5));
+        let left: Vec<BankKey> = bank.entries.keys().copied().collect();
+        assert_eq!(left, [key(2), key(3)]);
+    }
+
+    #[test]
+    fn a_generated_repeat_is_a_hit_that_computes_nothing() {
+        let mut engine = MonitorEngine::new(MonitorConfig::default());
+        let first = engine.submit(generated(1, 0));
+        engine.submit(generated(2, 1));
+        let (logical, computed) = (engine.logical_checks(), engine.computed_checks());
+        let repeat = engine.submit(generated(3, 0));
+        assert_eq!(engine.computed_checks(), computed);
+        assert!(engine.logical_checks() > logical);
+        assert_eq!(engine.memo_tables(), 2);
+        assert_eq!(
+            (first[0].verdict, first[0].checks, first[0].slack),
+            (repeat[0].verdict, repeat[0].checks, repeat[0].slack)
+        );
+        // A generated entry keeps no task set: its coordinates are the key.
+        assert!(engine.bank.entries.values().all(|e| e.tasks.is_none()));
+    }
+
+    #[test]
+    fn an_inline_copy_of_a_generated_set_is_its_own_entry() {
+        let request = generated(1, 0);
+        let tasks = materialize(&request);
+        let mut engine = MonitorEngine::new(MonitorConfig::default());
+        let generated_answer = engine.submit(request);
+        let cold = engine.computed_checks();
+        let inline_answer = engine.submit(inline(2, &tasks));
+        assert_eq!(engine.memo_tables(), 2);
+        assert_eq!(engine.computed_checks(), 2 * cold);
+        let (g, i) = (&generated_answer[0], &inline_answer[0]);
+        assert_eq!(
+            (g.verdict, g.n, g.checks, g.truncated),
+            (i.verdict, i.n, i.checks, i.truncated)
+        );
+        assert_eq!((g.slack, g.norm_slack), (i.slack, i.norm_slack));
+        assert_eq!(g.anomalies, i.anomalies);
+        // The inline repeat is a hit on its own entry.
+        engine.submit(inline(3, &tasks));
+        assert_eq!(engine.computed_checks(), 2 * cold);
+        assert_eq!(engine.memo_tables(), 2);
+    }
+
     #[test]
     fn bank_serves_only_the_equal_set_and_a_hit_computes_nothing() {
-        let (req_a, req_b) = (generated(1, 0), generated(2, 1));
-        let (a, b) = (materialize(&req_a), materialize(&req_b));
+        let (a, b) = (materialize(&generated(1, 0)), materialize(&generated(2, 1)));
         let search = MonitorConfig::default().search;
         let (banked_a, banked_b) = (assess(&a, &search), assess(&b, &search));
         assert_ne!(banked_a.assessment, banked_b.assessment);
 
-        // Set A banked under B's fingerprint: a collision the public API
-        // cannot produce. B misses and the resident entry stays.
-        let f = task_fingerprint(&b);
+        // Inline set A banked under B's fingerprint: a collision the
+        // public API cannot produce. B misses and the resident entry
+        // stays; A still hits.
+        let forged = BankKey::Inline(task_fingerprint(&b));
         let mut bank = AssessmentBank::new(4);
-        bank.put(f, a.clone(), banked_a.clone());
-        assert!(bank.take(f, &b).is_none(), "A's assessment served to B");
-        assert_eq!(bank.len(), 1);
-        let hit = bank.take(f, &a).expect("the equal set hits");
+        bank.put(forged, Some(a.clone()), banked_a.clone());
+        assert!(
+            bank.get(&forged, Some(&b)).is_none(),
+            "A's assessment served to B"
+        );
+        let hit = bank.get(&forged, Some(&a)).expect("the equal set hits");
         assert_eq!(hit.assessment, banked_a.assessment);
-        assert_eq!(bank.len(), 0);
+        assert_eq!(bank.len(), 1);
 
         // Through the engine: B is classified afresh and replaces A's
         // entry; a repeat of B then adds the banked logical count and
         // computes nothing.
         let mut engine = MonitorEngine::new(MonitorConfig::default());
-        engine.bank.put(f, a, banked_a);
-        let repeat = Request {
-            id: 3,
-            payload: req_b.payload.clone(),
-        };
-        for (k, request) in [req_b, repeat].into_iter().enumerate() {
-            let out = engine.submit(request);
+        engine.bank.put(forged, Some(a), banked_a);
+        for id in 1..=2 {
+            let out = engine.submit(inline(id, &b));
             let expected = &banked_b.assessment;
             assert_eq!(out[0].verdict, expected.verdict);
             assert_eq!(out[0].checks, expected.checks);
             assert_eq!(out[0].slack, expected.slack);
             assert_eq!(out[0].norm_slack, expected.norm_slack);
             assert_eq!(out[0].anomalies, expected.anomalies);
-            assert_eq!(engine.logical_checks(), (k as u64 + 1) * banked_b.logical);
+            assert_eq!(engine.logical_checks(), id * banked_b.logical);
             assert_eq!(engine.computed_checks(), banked_b.computed);
         }
         assert_eq!(engine.memo_tables(), 1);

@@ -63,7 +63,8 @@ enum JsonValue {
     Num(u64),
 }
 
-/// Minimal single-line JSON object scanner for request lines.
+/// Minimal single-line JSON object scanner for request lines. A repeated
+/// key is refused: which of its values counts would be a guess.
 fn parse_object(line: &str) -> Result<BTreeMap<String, JsonValue>, String> {
     let mut chars = line.trim().chars().peekable();
     let mut out = BTreeMap::new();
@@ -105,6 +106,9 @@ fn parse_object(line: &str) -> Result<BTreeMap<String, JsonValue>, String> {
             }
             _ => return Err(format!("unsupported value for key {key:?}")),
         };
+        if out.contains_key(&key) {
+            return Err(format!("duplicate key {key:?}"));
+        }
         out.insert(key, value);
         skip_ws(&mut chars);
         match chars.next() {
@@ -163,7 +167,8 @@ fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<
 /// Parses one request line. Generated payloads carry `profile`, `seed`,
 /// `n` and `index`; inline payloads carry `tasks` in the witness
 /// task-list syntax. Either way a request names 1 to [`MAX_TASKS`]
-/// tasks.
+/// tasks, and a key its form does not read is refused rather than
+/// ignored.
 pub fn parse_request(line: &str) -> Result<Request, String> {
     let obj = parse_object(line)?;
     let num = |key: &str| -> Result<u64, String> {
@@ -173,8 +178,19 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             None => Err(format!("missing field {key:?}")),
         }
     };
+    let inline = obj.get("tasks");
+    let (form, keys): (&str, &[&str]) = match inline {
+        Some(_) => ("an inline", &["id", "tasks"]),
+        None => ("a generated", &["id", "profile", "seed", "n", "index"]),
+    };
+    if let Some(key) = obj.keys().find(|k| !keys.contains(&k.as_str())) {
+        return Err(format!("key {key:?} is not read by {form} request"));
+    }
     let id = num("id")?;
-    if let Some(JsonValue::Str(list)) = obj.get("tasks") {
+    if let Some(list) = inline {
+        let JsonValue::Str(list) = list else {
+            return Err("field \"tasks\" must be a string".to_string());
+        };
         let tasks =
             parse_task_list(list).map_err(|why| format!("malformed inline task list: {why}"))?;
         if tasks.is_empty() {
@@ -348,6 +364,23 @@ mod tests {
                 "malformed inline task list: 65 tasks exceed the limit of 64",
             ),
             ("{\"id\":1,\"tasks\":\"garbage\"}", "malformed inline"),
+            ("{\"id\":1,\"tasks\":5}", "field \"tasks\" must be a string"),
+            (
+                "{\"id\":1,\"profile\":\"continuous\",\"seed\":1,\"n\":4,\"n\":8,\"index\":0}",
+                "duplicate key \"n\"",
+            ),
+            (
+                "{\"id\":2,\"id\":3,\"profile\":\"continuous\",\"seed\":1,\"n\":4,\"index\":0}",
+                "duplicate key \"id\"",
+            ),
+            (
+                "{\"id\":1,\"profile\":\"continuous\",\"seed\":1,\"n\":4,\"index\":0,\"budget\":5}",
+                "key \"budget\" is not read by a generated request",
+            ),
+            (
+                "{\"id\":1,\"tasks\":\"t:1:1:4:3ff0000000000000:3ff0000000000000\",\"profile\":\"continuous\",\"seed\":1,\"n\":4,\"index\":0}",
+                "key \"index\" is not read by an inline request",
+            ),
             (
                 "{\"id\":1,\"profile\":\"continuous\",\"seed\":1,\"n\":4,\"index\":0}x",
                 "trailing",

@@ -64,29 +64,40 @@ fn command_lines_are_read_strictly() {
         String::from_utf8_lossy(&out.stderr).starts_with("monitor: argument \"\\xFF\" is not");
     assert!(out.status.code() == Some(2) && named);
 
-    // A request above the task ceiling stops the stream with exit 2 and
-    // its line number; the request before it has been answered already.
-    let mut child = Command::new(monitor)
-        .stdin(Stdio::piped())
-        .stderr(Stdio::piped())
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn monitor");
-    let lines = "{\"id\":1,\"profile\":\"continuous\",\"seed\":1,\"n\":4,\"index\":0}\n\
-                 {\"id\":2,\"profile\":\"continuous\",\"seed\":1,\"n\":65,\"index\":0}\n";
-    let mut stdin = child.stdin.take().expect("stdin");
-    stdin.write_all(lines.as_bytes()).expect("write requests");
-    drop(stdin);
-    let out = child.wait_with_output().expect("wait");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    let named = stderr.starts_with("monitor: malformed request on line 2: field \"n\" must be");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let answered: Vec<&str> = stdout.lines().collect();
-    assert!(out.status.code() == Some(2) && named, "{stderr}");
-    assert!(
-        answered.len() == 1 && answered[0].starts_with("{\"id\":1,"),
-        "{stdout}"
-    );
+    // A request above the task ceiling, or one whose key is repeated,
+    // stops the stream with exit 2 and its line number; the request
+    // before it has been answered already.
+    for (line, reason) in [
+        (
+            "{\"id\":2,\"profile\":\"continuous\",\"seed\":1,\"n\":65,\"index\":0}",
+            "field \"n\" must be",
+        ),
+        (
+            "{\"id\":2,\"profile\":\"continuous\",\"seed\":1,\"n\":4,\"n\":8,\"index\":0}",
+            "duplicate key \"n\"",
+        ),
+    ] {
+        let mut child = Command::new(monitor)
+            .stdin(Stdio::piped())
+            .stderr(Stdio::piped())
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn monitor");
+        let first = "{\"id\":1,\"profile\":\"continuous\",\"seed\":1,\"n\":4,\"index\":0}";
+        let mut stdin = child.stdin.take().expect("stdin");
+        write!(stdin, "{first}\n{line}\n").expect("write requests");
+        drop(stdin);
+        let out = child.wait_with_output().expect("wait");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let named = stderr.starts_with(&format!("monitor: malformed request on line 2: {reason}"));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let answered: Vec<&str> = stdout.lines().collect();
+        assert!(out.status.code() == Some(2) && named, "{stderr}");
+        assert!(
+            answered.len() == 1 && answered[0].starts_with("{\"id\":1,"),
+            "{stdout}"
+        );
+    }
 
     // `--flag=VALUE` reads as `--flag VALUE`: 5 requests, not the default 200.
     let stream = |args: &[&str]| {
