@@ -17,8 +17,11 @@
 //!   [`stability_curve`], [`delay_margin`], and the paper's Eq. 5 linear
 //!   bound [`StabilityFit`];
 //! * the batched kernel pipeline (DESIGN.md §10): [`MarginScratch`],
-//!   [`StabilityCurveBatch`] and [`LqgDesigner`], bit-identical to the
-//!   retained [`mod@reference`] implementations they are pinned against;
+//!   [`StabilityCurveBatch`] and [`LqgDesigner`], the one implementation
+//!   the one-shot functions above run on a fresh workspace; their jitter
+//!   margins are pinned bit for bit against the dense per-frequency sweep
+//!   of [`mod@reference`], and their controllers and delay margins by
+//!   value;
 //! * the benchmark plant pool of §V: [`plants`].
 //!
 //! # Example: the paper's Fig. 4 in five lines

@@ -161,13 +161,14 @@ pub fn design_lqg(
 }
 
 /// Re-entrant LQG synthesis engine (the batched pipeline of DESIGN.md
-/// §10).
+/// §10), and the one implementation of the synthesis.
 ///
-/// Routes both Riccati equations through [`DareScratch::solve`], which is
-/// bit-identical to the one-shot [`csa_linalg::solve_dare`], so every
-/// output is bit-identical to [`design_lqg`] (a thin wrapper over a fresh
-/// designer). Reusing one designer across a period grid reuses the DARE
-/// workspaces.
+/// Solves both Riccati equations on its own [`DareScratch`] workspaces,
+/// so reusing one designer across a period grid reuses their buffers;
+/// [`design_lqg`] runs a fresh designer. A reused workspace returns the
+/// bits of a fresh one, so every output equals [`design_lqg`]'s. The
+/// controllers of the plant pool are pinned by value in
+/// `tests/kernel_differential.rs`.
 #[derive(Debug, Default)]
 pub struct LqgDesigner {
     ctrl_dare: DareScratch,
@@ -175,7 +176,7 @@ pub struct LqgDesigner {
 }
 
 impl LqgDesigner {
-    /// A designer whose every output is bit-identical to [`design_lqg`].
+    /// A fresh designer; buffers grow on first use.
     pub fn new() -> Self {
         LqgDesigner::default()
     }
@@ -260,7 +261,7 @@ impl LqgDesigner {
 }
 
 /// Maps DARE failures onto the domain error.
-pub(crate) fn map_dare_err(e: csa_linalg::Error) -> Error {
+fn map_dare_err(e: csa_linalg::Error) -> Error {
     match e {
         csa_linalg::Error::NotStable | csa_linalg::Error::NoConvergence { .. } => {
             Error::NotStabilizable

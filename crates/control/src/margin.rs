@@ -39,12 +39,13 @@
 //! # The margin kernel (DESIGN.md §10)
 //!
 //! The margin computations run on a re-entrant [`MarginScratch`]
-//! workspace that replays the retained one-shot pipeline of
-//! [`crate::reference`] bit for bit (pinned by differential tests). The
-//! persisted margin tables, the Fig. 4 curves and the public
-//! [`jitter_margin`]/[`stability_curve`] entry points all run on it.
-//! [`StabilityCurveBatch`] bundles a scratch with an [`LqgDesigner`] to
-//! walk whole period grids per plant.
+//! workspace; the public [`jitter_margin`], [`delay_margin`] and
+//! [`stability_curve`] run it on a fresh one, and the persisted margin
+//! tables and the Fig. 4 curves run on it too. Its jitter margins are
+//! pinned bit for bit against [`crate::reference`], which sweeps the same
+//! criterion with one dense solve per frequency; its delay margins are
+//! pinned by value. [`StabilityCurveBatch`] bundles a scratch with an
+//! [`LqgDesigner`] to walk whole period grids per plant.
 
 use crate::c2d::{c2d_zoh_delayed, delay_split};
 use crate::error::{Error, Result};
@@ -54,11 +55,11 @@ use crate::ss::{DiscreteSs, StateSpace};
 use csa_linalg::{expm, Cplx, EigScratch, Mat};
 
 /// Number of frequency grid points for the small-gain sweep.
-const FREQ_POINTS: usize = 600;
+pub(crate) const FREQ_POINTS: usize = 600;
 /// Jitter margins are reported at most this many sampling periods — the
 /// criterion is meaningless for jitter far beyond a period (the scheduler
 /// cannot produce it under implicit deadlines anyway).
-const JITTER_CAP_PERIODS: f64 = 20.0;
+pub(crate) const JITTER_CAP_PERIODS: f64 = 20.0;
 
 /// One point of a stability curve: at constant latency `latency`, any
 /// response-time jitter up to `jitter_margin` preserves stability.
@@ -95,8 +96,8 @@ impl StabilityCurve {
         self.period
     }
 
-    /// Assembles a curve from already-computed parts (reference module and
-    /// artifact deserialization).
+    /// Assembles a curve from already-computed parts (the reference
+    /// module).
     pub(crate) fn from_parts(points: Vec<CurvePoint>, delay_margin: f64, period: f64) -> Self {
         StabilityCurve {
             points,
@@ -111,8 +112,8 @@ impl StabilityCurve {
 /// Holds the eigensolver and dense-response buffers plus the cached
 /// frequency-sweep tables, so that sweeping a whole stability curve — or
 /// a whole period grid via [`StabilityCurveBatch`] — performs no
-/// per-frequency allocations. Every result is bit-identical to the
-/// one-shot [`crate::reference`] pipeline.
+/// per-frequency allocations. Every jitter margin is bit-identical to the
+/// dense per-frequency sweep of [`crate::reference::jitter_margin`].
 #[derive(Debug)]
 pub struct MarginScratch {
     eig: EigScratch,

@@ -69,7 +69,7 @@ pub fn run_fig4(config: &Fig4Config) -> Result<Vec<Fig4Curve>, csa_control::Erro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csa_control::reference;
+    use csa_control::{design_lqg, reference};
 
     #[test]
     fn curves_have_paper_shape() {
@@ -116,7 +116,7 @@ mod tests {
         let plant = plants::dc_servo().unwrap();
         let weights = LqgWeights::output_regulation(&plant, 1e-1, 1e-6);
         for (c, &h) in curves.iter().zip(&config.periods) {
-            let lqg = reference::design_lqg(&plant, &weights, h, 0.0).unwrap();
+            let lqg = design_lqg(&plant, &weights, h, 0.0).unwrap();
             let want =
                 reference::stability_curve(&plant, &lqg.controller, h, config.points).unwrap();
             let want_fit = StabilityFit::from_curve(&want);

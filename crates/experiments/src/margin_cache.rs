@@ -39,9 +39,9 @@ pub const MARGIN_ARTIFACT_TAG: &str = "csamt1";
 /// Revision of the exact margin kernel's numeric path. Bump whenever a
 /// change can move any table bit (it invalidates every artifact in the
 /// field); the differential suite in `csa-control` pins the current
-/// revision against the retained references. Checkpoint journals
-/// (`checkpoint.rs`) embed it too: a kernel change invalidates partial
-/// sweep results just as it invalidates margin tables.
+/// revision by value and against the dense reference sweep. Checkpoint
+/// journals (`checkpoint.rs`) embed it too: a kernel change invalidates
+/// partial sweep results just as it invalidates margin tables.
 pub(crate) const KERNEL_REVISION: u32 = 1;
 
 /// File name of the artifact inside the cache directory.

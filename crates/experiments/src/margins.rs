@@ -151,8 +151,9 @@ pub(crate) fn seed_interp_tables(tables: Vec<MarginInterp>) -> &'static [MarginI
 /// One margin-table cell evaluated through a batched evaluator: the
 /// fitted `(a, b)` pair of `plant` at the period `h`, or `None` when no
 /// stabilizing design exists. The batched cells are bit-identical to the
-/// retained one-shot pipeline (pinned by `csa-control`'s differential
-/// suite), so the tables are unchanged by the batching.
+/// one-shot `design_lqg` + `stability_curve` pipeline (pinned by
+/// `csa-control`'s differential suite), so the tables are unchanged by
+/// the batching.
 fn compute_cell_with(
     batch: &mut StabilityCurveBatch,
     bp: &plants::BenchmarkPlant,

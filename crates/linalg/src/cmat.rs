@@ -54,13 +54,19 @@ impl CMat {
 
     /// Lifts a real matrix into the complex field.
     pub fn from_real(a: &Mat) -> Self {
-        let mut m = CMat::zeros(a.rows(), a.cols());
-        for i in 0..a.rows() {
-            for j in 0..a.cols() {
-                m[(i, j)] = Cplx::from_re(a[(i, j)]);
-            }
-        }
+        let mut m = CMat::buffer(a.rows() * a.cols());
+        m.copy_from_real(a);
         m
+    }
+
+    /// As [`Mat`]'s: an output holding a `len`-element result's capacity,
+    /// its shape unset until written.
+    pub(crate) fn buffer(len: usize) -> CMat {
+        CMat {
+            rows: 0,
+            cols: 0,
+            data: Vec::with_capacity(len),
+        }
     }
 
     /// Resizes to `rows x cols` in place, reusing the allocation, and fills
@@ -78,7 +84,8 @@ impl CMat {
     }
 
     /// Copies the real matrix `src` into `self` (imaginary parts zero),
-    /// resizing in place as needed; bit-identical to [`CMat::from_real`].
+    /// resizing in place as needed; [`CMat::from_real`] runs it on a fresh
+    /// output.
     pub fn copy_from_real(&mut self, src: &Mat) {
         self.rows = src.rows();
         self.cols = src.cols();

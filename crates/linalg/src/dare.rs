@@ -13,12 +13,12 @@
 //! Two methods: the structure-preserving doubling algorithm (SDA, default,
 //! quadratically convergent) and a plain fixed-point value iteration used
 //! as an independent cross-check. Cross-weights `N` are handled by the
-//! standard completion-of-squares reduction. [`DareScratch`] runs the SDA
-//! solve on reused buffers, bit-identical to [`solve_dare`].
+//! standard completion-of-squares reduction. The SDA runs on a
+//! [`DareScratch`] workspace; [`solve_dare`] is that solve on a fresh one.
 
 use crate::eig::EigScratch;
 use crate::error::{Error, Result};
-use crate::lu::LuScratch;
+use crate::lu::Lu;
 use crate::mat::Mat;
 
 /// Solution of a DARE: the stabilizing cost matrix and optimal gain.
@@ -91,62 +91,14 @@ const MAX_FIXED_POINT: usize = 200_000;
 /// # }
 /// ```
 pub fn solve_dare(a: &Mat, b: &Mat, cost: &StageCost) -> Result<DareSolution> {
-    let (a_red, q_red) = reduce_cross_terms(a, b, cost)?;
-    let rinv = cost.r.inverse()?;
-    let g0 = &(b * &rinv) * &b.transpose();
-
-    // SDA iteration on (A_k, G_k, H_k).
-    let n = a.rows();
-    let ident = Mat::identity(n);
-    let mut ak = a_red.clone();
-    let mut gk = g0;
-    let mut hk = q_red.clone();
-
-    let mut converged = false;
-    for _ in 0..MAX_SDA {
-        // W = I + G_k H_k; solve W^{-1} once per iteration.
-        let w = &ident + &(&gk * &hk);
-        let lu = crate::lu::Lu::new(&w)?;
-        if lu.is_singular() {
-            return Err(Error::Singular);
-        }
-        let w_inv_a = lu.solve(&ak)?; // W^{-1} A_k
-        let w_inv_g = lu.solve(&gk)?; // W^{-1} G_k
-        let a_next = &ak * &w_inv_a;
-        let g_next = &gk + &(&(&ak * &w_inv_g) * &ak.transpose());
-        let h_delta = &(&ak.transpose() * &hk) * &w_inv_a;
-        let h_next = &hk + &h_delta;
-
-        if !h_next.is_finite() || h_next.max_abs() > 1e130 {
-            return Err(Error::NotStable);
-        }
-        let delta = h_delta.max_abs();
-        ak = a_next;
-        gk = g_next;
-        hk = h_next;
-        if delta <= 1e-13 * hk.max_abs().max(1.0) {
-            converged = true;
-            break;
-        }
-    }
-    if !converged {
-        return Err(Error::NoConvergence {
-            iterations: MAX_SDA,
-        });
-    }
-    let mut s = hk;
-    s.symmetrize();
-    let k = gain_from_s(a, b, cost, &s)?;
-    verify_stabilizing(a, b, &k)?;
-    Ok(DareSolution { s, k })
+    DareScratch::new().solve(a, b, cost)
 }
 
-/// Re-entrant DARE workspace (PR 6 scratch-space family).
+/// Re-entrant DARE workspace: the SDA solve on buffers reused across
+/// calls.
 ///
-/// [`DareScratch::solve`] mirrors [`solve_dare`] operation-for-operation —
-/// identical pivot choices, temporaries, and convergence tests — so its
-/// results are bit-identical to the allocating path while reusing every
-/// buffer across calls.
+/// [`solve_dare`] runs [`DareScratch::solve`] on a fresh workspace, so a
+/// reused workspace and the one-shot function return the same bits.
 ///
 /// # Examples
 ///
@@ -167,7 +119,7 @@ pub fn solve_dare(a: &Mat, b: &Mat, cost: &StageCost) -> Result<DareSolution> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DareScratch {
-    lu: LuScratch,
+    lu: Lu,
     eig: EigScratch,
     // Cross-term reduction.
     nt: Mat,
@@ -204,9 +156,9 @@ pub struct DareScratch {
 impl DareScratch {
     /// Creates an empty scratch; buffers grow on first use and are reused.
     pub fn new() -> Self {
-        let z = || Mat::zeros(1, 1);
+        let z = || Mat::buffer(0);
         DareScratch {
-            lu: LuScratch::new(),
+            lu: Lu::default(),
             eig: EigScratch::new(),
             nt: z(),
             rinv_nt: z(),
@@ -237,10 +189,10 @@ impl DareScratch {
         }
     }
 
-    /// Completion-of-squares reduction; mirror of the free
-    /// `reduce_cross_terms` (fills `a_red`, `q_red`, `rinv_nt` and leaves
-    /// `lu` holding the factorization of `R`).
-    fn reduce_cross_terms_in(&mut self, a: &Mat, b: &Mat, cost: &StageCost) -> Result<()> {
+    /// Completion-of-squares reduction eliminating cross terms:
+    /// `A~ = A - B R^{-1} N^T` into `a_red`, `Q~ = Q - N R^{-1} N^T` into
+    /// `q_red`, leaving `lu` holding the factorization of `R`.
+    fn complete_squares(&mut self, a: &Mat, b: &Mat, cost: &StageCost) -> Result<()> {
         assert!(a.is_square(), "A must be square");
         assert_eq!(a.rows(), b.rows(), "A and B row counts differ");
         assert_eq!(cost.q.rows(), a.rows(), "Q dimension mismatch");
@@ -257,8 +209,7 @@ impl DareScratch {
         Ok(())
     }
 
-    /// Gain `K = (R + B^T S B)^{-1}(B^T S A + N^T)` into `kmat`; mirror of
-    /// the free `gain_from_s`.
+    /// Gain `K = (R + B^T S B)^{-1}(B^T S A + N^T)` into `kmat`.
     fn gain_from_s_in(&mut self, a: &Mat, b: &Mat, cost: &StageCost, s: &Mat) -> Result<()> {
         self.bt.transpose_into(b);
         self.bts.mul_into(&self.bt, s);
@@ -271,7 +222,7 @@ impl DareScratch {
         self.lu.solve_into(&self.rhs, &mut self.kmat)
     }
 
-    /// Mirror of the free `verify_stabilizing`, on the gain in `kmat`.
+    /// The `verify_stabilizing` check on the gain in `kmat`.
     fn verify_stabilizing_in(&mut self, a: &Mat, b: &Mat) -> Result<()> {
         self.t1.mul_into(b, &self.kmat);
         self.acl.sub_into(a, &self.t1);
@@ -282,7 +233,7 @@ impl DareScratch {
         Ok(())
     }
 
-    /// Solves the DARE by SDA; bit-identical mirror of [`solve_dare`].
+    /// Solves the DARE by SDA; see [`solve_dare`].
     ///
     /// # Errors
     ///
@@ -292,9 +243,8 @@ impl DareScratch {
     ///
     /// Panics if matrix dimensions are inconsistent.
     pub fn solve(&mut self, a: &Mat, b: &Mat, cost: &StageCost) -> Result<DareSolution> {
-        self.reduce_cross_terms_in(a, b, cost)?;
-        // rinv = R^{-1}: same factorization of R as `cost.r.inverse()`
-        // recomputes, so the bits agree.
+        self.complete_squares(a, b, cost)?;
+        // rinv = R^{-1}, solved on the factorization of R left in `lu`.
         self.ident_m.set_identity(cost.r.rows());
         self.lu.solve_into(&self.ident_m, &mut self.rinv)?;
         self.t1.mul_into(b, &self.rinv);
@@ -430,21 +380,6 @@ pub fn dare_residual(a: &Mat, b: &Mat, cost: &StageCost, s: &Mat) -> f64 {
         Ok(next) => next.max_abs_diff(s),
         Err(_) => f64::INFINITY,
     }
-}
-
-/// Completion-of-squares reduction eliminating cross terms:
-/// `A~ = A - B R^{-1} N^T`, `Q~ = Q - N R^{-1} N^T`.
-fn reduce_cross_terms(a: &Mat, b: &Mat, cost: &StageCost) -> Result<(Mat, Mat)> {
-    assert!(a.is_square(), "A must be square");
-    assert_eq!(a.rows(), b.rows(), "A and B row counts differ");
-    assert_eq!(cost.q.rows(), a.rows(), "Q dimension mismatch");
-    assert_eq!(cost.r.rows(), b.cols(), "R dimension mismatch");
-    assert_eq!(cost.n.shape(), (a.rows(), b.cols()), "N must be n x m");
-    let rinv_nt = cost.r.solve(&cost.n.transpose())?; // R^{-1} N'
-    let a_red = a - &(b * &rinv_nt);
-    let mut q_red = &cost.q - &(&cost.n * &rinv_nt);
-    q_red.symmetrize();
-    Ok((a_red, q_red))
 }
 
 #[cfg(test)]

@@ -11,24 +11,10 @@ use crate::cplx::Cplx;
 use crate::error::{Error, Result};
 use crate::mat::Mat;
 
-/// Reduces `a` to upper Hessenberg form by orthogonal similarity.
-///
-/// The result has the same eigenvalues as `a`.
-///
-/// # Panics
-///
-/// Panics if `a` is not square.
-pub fn hessenberg(a: &Mat) -> Mat {
-    assert!(a.is_square(), "hessenberg requires a square matrix");
-    let mut h = a.clone();
-    let mut v = Vec::new();
-    hessenberg_in(&mut h, &mut v);
-    h
-}
-
-/// In-place Hessenberg reduction of `h`, reusing the Householder-vector
-/// buffer `v`.
-fn hessenberg_in(h: &mut Mat, v: &mut Vec<f64>) {
+/// Reduces `h` in place to upper Hessenberg form by orthogonal
+/// similarity (same eigenvalues), reusing the Householder-vector buffer
+/// `v`.
+fn hessenberg(h: &mut Mat, v: &mut Vec<f64>) {
     let n = h.rows();
     if n < 3 {
         return;
@@ -99,30 +85,9 @@ fn hessenberg_in(h: &mut Mat, v: &mut Vec<f64>) {
 /// # }
 /// ```
 pub fn eigenvalues(a: &Mat) -> Result<Vec<Cplx>> {
-    if !a.is_square() {
-        return Err(Error::NotSquare {
-            rows: a.rows(),
-            cols: a.cols(),
-        });
-    }
-    let n = a.rows();
-    if n == 1 {
-        return Ok(vec![Cplx::from_re(a[(0, 0)])]);
-    }
-    if n == 2 {
-        let (l1, l2) = eig_2x2(
-            Cplx::from_re(a[(0, 0)]),
-            Cplx::from_re(a[(0, 1)]),
-            Cplx::from_re(a[(1, 0)]),
-            Cplx::from_re(a[(1, 1)]),
-        );
-        return Ok(vec![l1, l2]);
-    }
-    let mut h = CMat::from_real(&hessenberg(a));
-    let mut eigs = vec![Cplx::ZERO; n];
-    let mut rots = Vec::new();
-    qr_iterate(&mut h, &mut eigs, &mut rots)?;
-    Ok(eigs)
+    let mut scratch = EigScratch::new();
+    scratch.eigenvalues_in(a)?;
+    Ok(scratch.eigs)
 }
 
 /// Complex shifted-QR iteration driving the upper Hessenberg matrix `h` to
@@ -196,14 +161,13 @@ fn qr_iterate(h: &mut CMat, eigs: &mut [Cplx], rots: &mut Vec<(f64, Cplx)>) -> R
     Ok(())
 }
 
-/// Re-entrant eigenvalue workspace (PR 6 scratch-space family).
+/// Re-entrant eigenvalue workspace.
 ///
 /// Owns the Hessenberg matrix, the complex QR iterate, the eigenvalue
 /// output buffer, and the Givens-rotation buffer, so repeated eigenvalue or
-/// spectral-radius queries allocate nothing after the first call. Results
-/// are bit-identical to the allocating [`eigenvalues`] /
-/// [`spectral_radius`] functions, which share the same reduction and
-/// iteration code.
+/// spectral-radius queries allocate nothing after the first call.
+/// [`eigenvalues`] and [`spectral_radius`] run it on a fresh workspace, so
+/// a reused workspace returns the same bits.
 ///
 /// # Examples
 ///
@@ -230,16 +194,16 @@ impl EigScratch {
     /// Creates an empty scratch; buffers grow on first use and are reused.
     pub fn new() -> Self {
         EigScratch {
-            h: Mat::zeros(1, 1),
-            hc: CMat::zeros(1, 1),
+            h: Mat::buffer(0),
+            hc: CMat::buffer(0),
             eigs: Vec::new(),
             rots: Vec::new(),
             v: Vec::new(),
         }
     }
 
-    /// Eigenvalues of `a`, bit-identical to [`eigenvalues`], returned as a
-    /// borrow of the internal buffer (valid until the next call).
+    /// Eigenvalues of `a` (see [`eigenvalues`]), returned as a borrow of
+    /// the internal buffer (valid until the next call).
     ///
     /// # Errors
     ///
@@ -269,14 +233,14 @@ impl EigScratch {
             return Ok(&self.eigs);
         }
         self.h.copy_from(a);
-        hessenberg_in(&mut self.h, &mut self.v);
+        hessenberg(&mut self.h, &mut self.v);
         self.hc.copy_from_real(&self.h);
         self.eigs.resize(n, Cplx::ZERO);
         qr_iterate(&mut self.hc, &mut self.eigs, &mut self.rots)?;
         Ok(&self.eigs)
     }
 
-    /// Spectral radius of `a`, bit-identical to [`spectral_radius`].
+    /// Spectral radius of `a`; see [`spectral_radius`].
     ///
     /// # Errors
     ///
@@ -313,9 +277,7 @@ impl Default for EigScratch {
 /// # }
 /// ```
 pub fn spectral_radius(a: &Mat) -> Result<f64> {
-    Ok(eigenvalues(a)?
-        .into_iter()
-        .fold(0.0f64, |m, l| m.max(l.abs())))
+    EigScratch::new().spectral_radius_in(a)
 }
 
 /// Returns `true` if all eigenvalues of `a` lie strictly inside the unit
@@ -475,7 +437,8 @@ mod tests {
             &[-2.0, 0.0, 3.0, -2.0],
             &[2.0, 1.0, -2.0, -1.0],
         ]);
-        let h = hessenberg(&a);
+        let mut h = a.clone();
+        hessenberg(&mut h, &mut Vec::new());
         for i in 2..4 {
             for j in 0..(i - 1) {
                 assert_eq!(h[(i, j)], 0.0, "h[{i}][{j}] should be zero");

@@ -13,9 +13,11 @@
 //!   frequency responses; [`SmithDivisor`] divides many numerators by
 //!   one complex value with [`Cplx`]'s own Smith arithmetic.
 //! * [`Lu`] — LU factorization with partial pivoting
-//!   ([`Mat::solve`], [`Mat::inverse`], [`Mat::det`]).
+//!   ([`Mat::solve`], [`Mat::inverse`], [`Mat::det`]), one-shot or as a
+//!   reusable workspace ([`Lu::factor`], [`Lu::solve_into`]).
 //! * [`eigenvalues`], [`spectral_radius`], [`is_schur_stable`],
-//!   [`is_hurwitz_stable`] — Hessenberg + shifted-QR eigensolver.
+//!   [`is_hurwitz_stable`] — Hessenberg + shifted-QR eigensolver, run on
+//!   an [`EigScratch`] workspace.
 //! * [`expm`], [`zoh`], [`van_loan_gramian`], [`noise_covariance`] — matrix
 //!   exponential and Van Loan discretization integrals.
 //! * [`dlyap`], [`dlyap_kron`] — discrete Lyapunov (Stein) equations.
@@ -23,10 +25,14 @@
 //!   [`reachability_rank`] — the reachability loss behind the paper's
 //!   pathological sampling periods (Fig. 2).
 //! * [`solve_dare`], [`solve_dare_fixed_point`] — discrete algebraic
-//!   Riccati equations with cross weights.
-//! * [`LuScratch`], [`EigScratch`], [`DareScratch`] — re-entrant
-//!   zero-allocation workspaces mirroring the corresponding one-shot
-//!   solvers bit-for-bit.
+//!   Riccati equations with cross weights: doubling on a [`DareScratch`]
+//!   workspace, and value iteration as its independent check
+//!   ([`dare_residual`]).
+//!
+//! Each kernel has one implementation. Where a workspace exists ([`Lu`],
+//! [`EigScratch`], [`DareScratch`], and the [`Mat::mul_into`] family), it
+//! *is* that implementation, and the one-shot function or operator runs it
+//! on a fresh workspace, so a reused workspace returns a fresh one's bits.
 //!
 //! # Example: discretize and stabilize a double integrator
 //!
@@ -64,12 +70,10 @@ pub use cplx::{Cplx, SmithDivisor};
 pub use dare::{
     dare_residual, solve_dare, solve_dare_fixed_point, DareScratch, DareSolution, StageCost,
 };
-pub use eig::{
-    eigenvalues, hessenberg, is_hurwitz_stable, is_schur_stable, spectral_radius, EigScratch,
-};
+pub use eig::{eigenvalues, is_hurwitz_stable, is_schur_stable, spectral_radius, EigScratch};
 pub use error::{Error, Result};
 pub use expm::{expm, nested_gramian, noise_covariance, van_loan_gramian, zoh, ZohPair};
 pub use gram::{reachability_gramian, reachability_measure, reachability_rank};
-pub use lu::{Lu, LuScratch};
+pub use lu::Lu;
 pub use lyap::{dlyap, dlyap_kron, dlyap_residual};
 pub use mat::Mat;

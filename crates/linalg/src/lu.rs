@@ -6,6 +6,10 @@ use crate::mat::Mat;
 /// LU decomposition with partial pivoting of a square matrix.
 ///
 /// Factors `P*A = L*U`; used for linear solves, inverses, and determinants.
+/// [`Lu::new`] and [`Lu::solve`] allocate their results; a workspace made
+/// with [`Lu::default`] refactors with [`Lu::factor`] and solves with
+/// [`Lu::solve_into`] on its own buffers, through the same code, so
+/// repeated solves allocate nothing once the buffers have grown.
 ///
 /// # Examples
 ///
@@ -30,6 +34,19 @@ pub struct Lu {
     singular: bool,
 }
 
+impl Default for Lu {
+    /// An empty workspace: it reports singular until [`Lu::factor`] runs,
+    /// and its buffers grow on first use.
+    fn default() -> Self {
+        Lu {
+            lu: Mat::buffer(0),
+            piv: Vec::new(),
+            sign: 1.0,
+            singular: true,
+        }
+    }
+}
+
 impl Lu {
     /// Computes the factorization of `a`.
     ///
@@ -39,6 +56,18 @@ impl Lu {
     /// does *not* error here — it is reported by [`Lu::is_singular`] and by
     /// the solve methods, so determinants of singular matrices still work.
     pub fn new(a: &Mat) -> Result<Lu> {
+        let mut lu = Lu::default();
+        lu.factor(a)?;
+        Ok(lu)
+    }
+
+    /// Factors `a` in place, replacing any previous factorization and
+    /// reusing the buffers.
+    ///
+    /// # Errors
+    ///
+    /// As [`Lu::new`].
+    pub fn factor(&mut self, a: &Mat) -> Result<()> {
         if !a.is_square() {
             return Err(Error::NotSquare {
                 rows: a.rows(),
@@ -46,10 +75,12 @@ impl Lu {
             });
         }
         let n = a.rows();
-        let mut lu = a.clone();
-        let mut piv = Vec::with_capacity(n);
-        let mut sign = 1.0;
-        let mut singular = false;
+        let lu = &mut self.lu;
+        lu.copy_from(a);
+        self.piv.clear();
+        self.piv.reserve(n);
+        self.sign = 1.0;
+        self.singular = false;
         let scale = a.max_abs().max(1.0);
         let tol = scale * f64::EPSILON * (n as f64);
 
@@ -64,18 +95,18 @@ impl Lu {
                     p = i;
                 }
             }
-            piv.push(p);
+            self.piv.push(p);
             if p != k {
                 for j in 0..n {
                     let t = lu[(k, j)];
                     lu[(k, j)] = lu[(p, j)];
                     lu[(p, j)] = t;
                 }
-                sign = -sign;
+                self.sign = -self.sign;
             }
             let pivot = lu[(k, k)];
             if pivot.abs() <= tol {
-                singular = true;
+                self.singular = true;
                 continue;
             }
             for i in (k + 1)..n {
@@ -89,12 +120,7 @@ impl Lu {
                 }
             }
         }
-        Ok(Lu {
-            lu,
-            piv,
-            sign,
-            singular,
-        })
+        Ok(())
     }
 
     /// Whether the factorization detected a (numerically) singular matrix.
@@ -119,178 +145,33 @@ impl Lu {
     /// [`Error::Singular`] if the matrix was singular;
     /// [`Error::DimensionMismatch`] if `b` has the wrong row count.
     pub fn solve(&self, b: &Mat) -> Result<Mat> {
-        if self.singular {
-            return Err(Error::Singular);
-        }
-        let n = self.lu.rows();
-        if b.rows() != n {
-            return Err(Error::DimensionMismatch {
-                left: (n, n),
-                right: b.shape(),
-            });
-        }
-        let m = b.cols();
-        let mut x = b.clone();
-        // Apply permutation.
-        for (k, &p) in self.piv.iter().enumerate() {
-            if p != k {
-                for j in 0..m {
-                    let t = x[(k, j)];
-                    x[(k, j)] = x[(p, j)];
-                    x[(p, j)] = t;
-                }
-            }
-        }
-        // Forward substitution (L has unit diagonal).
-        for k in 0..n {
-            for i in (k + 1)..n {
-                let l = self.lu[(i, k)];
-                if l != 0.0 {
-                    for j in 0..m {
-                        let v = l * x[(k, j)];
-                        x[(i, j)] -= v;
-                    }
-                }
-            }
-        }
-        // Back substitution.
-        for k in (0..n).rev() {
-            let d = self.lu[(k, k)];
-            for j in 0..m {
-                x[(k, j)] /= d;
-            }
-            for i in 0..k {
-                let u = self.lu[(i, k)];
-                if u != 0.0 {
-                    for j in 0..m {
-                        let v = u * x[(k, j)];
-                        x[(i, j)] -= v;
-                    }
-                }
-            }
-        }
+        let mut x = Mat::buffer(b.as_slice().len());
+        self.solve_into(b, &mut x)?;
         Ok(x)
     }
-}
 
-/// Re-entrant workspace for LU factorization with partial pivoting.
-///
-/// Part of the PR 6 scratch-space family (`RtaScratch` pattern): factor and
-/// solve repeatedly without allocating. [`LuScratch::factor`] and
-/// [`LuScratch::solve_into`] perform the identical sequence of
-/// floating-point operations (pivot selection, tolerance, elimination order)
-/// as [`Lu::new`] and [`Lu::solve`], so results are bit-identical to the
-/// allocating path.
-///
-/// # Examples
-///
-/// ```
-/// use csa_linalg::{LuScratch, Mat};
-///
-/// # fn main() -> Result<(), csa_linalg::Error> {
-/// let a = Mat::from_rows(&[&[4.0, 3.0], &[6.0, 3.0]]);
-/// let b = Mat::col_vec(&[10.0, 12.0]);
-/// let mut scratch = LuScratch::new();
-/// let mut x = Mat::zeros(1, 1);
-/// scratch.factor(&a)?;
-/// scratch.solve_into(&b, &mut x)?;
-/// assert!((&a * &x).max_abs_diff(&b) < 1e-12);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct LuScratch {
-    lu: Mat,
-    piv: Vec<usize>,
-    singular: bool,
-}
-
-impl LuScratch {
-    /// Creates an empty scratch; buffers grow on first use and are reused.
-    pub fn new() -> Self {
-        LuScratch {
-            lu: Mat::zeros(1, 1),
-            piv: Vec::new(),
-            singular: true,
-        }
-    }
-
-    /// Factors `a` into the scratch, replacing any previous factorization.
-    ///
-    /// Operation-for-operation mirror of [`Lu::new`].
+    /// Solves `A * X = B` into `x`, resizing it in place.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::NotSquare`] if `a` is rectangular. As with
-    /// [`Lu::new`], a singular matrix does not error here — it is reported
-    /// by [`LuScratch::is_singular`] and by [`LuScratch::solve_into`].
-    pub fn factor(&mut self, a: &Mat) -> Result<()> {
-        if !a.is_square() {
-            return Err(Error::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        let n = a.rows();
-        let lu = &mut self.lu;
-        lu.copy_from(a);
-        self.piv.clear();
-        self.singular = false;
-        let scale = a.max_abs().max(1.0);
-        let tol = scale * f64::EPSILON * (n as f64);
-
-        for k in 0..n {
-            // Find pivot.
-            let mut p = k;
-            let mut best = lu[(k, k)].abs();
-            for i in (k + 1)..n {
-                let v = lu[(i, k)].abs();
-                if v > best {
-                    best = v;
-                    p = i;
-                }
-            }
-            self.piv.push(p);
-            if p != k {
-                for j in 0..n {
-                    let t = lu[(k, j)];
-                    lu[(k, j)] = lu[(p, j)];
-                    lu[(p, j)] = t;
-                }
-            }
-            let pivot = lu[(k, k)];
-            if pivot.abs() <= tol {
-                self.singular = true;
-                continue;
-            }
-            for i in (k + 1)..n {
-                let m = lu[(i, k)] / pivot;
-                lu[(i, k)] = m;
-                if m != 0.0 {
-                    for j in (k + 1)..n {
-                        let v = m * lu[(k, j)];
-                        lu[(i, j)] -= v;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Whether the last factorization detected a (numerically) singular
-    /// matrix.
-    pub fn is_singular(&self) -> bool {
-        self.singular
-    }
-
-    /// Solves `A * X = B` into `x` using the current factorization.
+    /// As [`Lu::solve`].
     ///
-    /// Operation-for-operation mirror of [`Lu::solve`].
+    /// # Examples
     ///
-    /// # Errors
+    /// ```
+    /// use csa_linalg::{Lu, Mat};
     ///
-    /// [`Error::Singular`] if the factored matrix was singular;
-    /// [`Error::DimensionMismatch`] if `b` has the wrong row count.
+    /// # fn main() -> Result<(), csa_linalg::Error> {
+    /// let a = Mat::from_rows(&[&[4.0, 3.0], &[6.0, 3.0]]);
+    /// let b = Mat::col_vec(&[10.0, 12.0]);
+    /// let mut lu = Lu::default();
+    /// let mut x = Mat::zeros(1, 1);
+    /// lu.factor(&a)?;
+    /// lu.solve_into(&b, &mut x)?;
+    /// assert_eq!(x, Lu::new(&a)?.solve(&b)?);
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn solve_into(&self, b: &Mat, x: &mut Mat) -> Result<()> {
         if self.singular {
             return Err(Error::Singular);
@@ -343,12 +224,6 @@ impl LuScratch {
             }
         }
         Ok(())
-    }
-}
-
-impl Default for LuScratch {
-    fn default() -> Self {
-        LuScratch::new()
     }
 }
 

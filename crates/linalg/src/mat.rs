@@ -45,10 +45,8 @@ impl Mat {
 
     /// Creates the `n x n` identity matrix.
     pub fn identity(n: usize) -> Self {
-        let mut m = Mat::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
+        let mut m = Mat::buffer(n * n);
+        m.set_identity(n);
         m
     }
 
@@ -161,12 +159,8 @@ impl Mat {
 
     /// Transpose.
     pub fn transpose(&self) -> Mat {
-        let mut t = Mat::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
+        let mut t = Mat::buffer(self.data.len());
+        t.transpose_into(self);
         t
     }
 
@@ -324,6 +318,18 @@ impl Mat {
         self.data.iter().all(|x| x.is_finite())
     }
 
+    /// An output for the `*_into` kernels holding the capacity of a
+    /// `len`-element result, so the allocating operators allocate once;
+    /// `buffer(0)` is a workspace buffer that allocates at its first use.
+    /// Its shape is unset until a kernel writes it.
+    pub(crate) fn buffer(len: usize) -> Mat {
+        Mat {
+            rows: 0,
+            cols: 0,
+            data: Vec::with_capacity(len),
+        }
+    }
+
     /// Resizes to `rows x cols` in place, reusing the allocation, and fills
     /// the matrix with zeros.
     ///
@@ -354,11 +360,8 @@ impl Mat {
         self.data.extend_from_slice(&src.data);
     }
 
-    /// In-place matrix product `self = a * b`.
-    ///
-    /// Performs the identical sequence of floating-point operations as
-    /// `&a * &b` (including the skip of exact-zero left factors), so results
-    /// are bit-identical to the allocating operator.
+    /// In-place matrix product `self = a * b`, skipping exact-zero left
+    /// factors; `&a * &b` runs it on a fresh output.
     ///
     /// # Panics
     ///
@@ -383,7 +386,7 @@ impl Mat {
         }
     }
 
-    /// In-place sum `self = a + b`; bit-identical to `&a + &b`.
+    /// In-place sum `self = a + b`; `&a + &b` runs it on a fresh output.
     ///
     /// # Panics
     ///
@@ -397,7 +400,8 @@ impl Mat {
             .extend(a.data.iter().zip(&b.data).map(|(x, y)| x + y));
     }
 
-    /// In-place difference `self = a - b`; bit-identical to `&a - &b`.
+    /// In-place difference `self = a - b`; `&a - &b` runs it on a fresh
+    /// output.
     ///
     /// # Panics
     ///
@@ -411,7 +415,8 @@ impl Mat {
             .extend(a.data.iter().zip(&b.data).map(|(x, y)| x - y));
     }
 
-    /// In-place transpose `self = a^T`; bit-identical to [`Mat::transpose`].
+    /// In-place transpose `self = a^T`; [`Mat::transpose`] runs it on a
+    /// fresh output.
     pub fn transpose_into(&mut self, a: &Mat) {
         self.reset(a.cols, a.rows);
         for i in 0..a.rows {
@@ -485,17 +490,9 @@ impl Add for &Mat {
     ///
     /// Panics if shapes differ.
     fn add(self, rhs: &Mat) -> Mat {
-        assert_eq!(self.shape(), rhs.shape(), "matrix addition shape mismatch");
-        Mat {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&rhs.data)
-                .map(|(a, b)| a + b)
-                .collect(),
-        }
+        let mut out = Mat::buffer(self.data.len());
+        out.add_into(self, rhs);
+        out
     }
 }
 
@@ -505,21 +502,9 @@ impl Sub for &Mat {
     ///
     /// Panics if shapes differ.
     fn sub(self, rhs: &Mat) -> Mat {
-        assert_eq!(
-            self.shape(),
-            rhs.shape(),
-            "matrix subtraction shape mismatch"
-        );
-        Mat {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&rhs.data)
-                .map(|(a, b)| a - b)
-                .collect(),
-        }
+        let mut out = Mat::buffer(self.data.len());
+        out.sub_into(self, rhs);
+        out
     }
 }
 
@@ -538,23 +523,8 @@ impl Mul for &Mat {
     ///
     /// Panics if the inner dimensions disagree.
     fn mul(self, rhs: &Mat) -> Mat {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matrix product inner dimension mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = Mat::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self.data[i * self.cols + k];
-                if aik == 0.0 {
-                    continue;
-                }
-                for j in 0..rhs.cols {
-                    out.data[i * rhs.cols + j] += aik * rhs.data[k * rhs.cols + j];
-                }
-            }
-        }
+        let mut out = Mat::buffer(self.rows * rhs.cols);
+        out.mul_into(self, rhs);
         out
     }
 }

@@ -1,12 +1,18 @@
-//! Differential pinning of the PR 6 scratch-space kernels against the
-//! retained one-shot reference implementations.
+//! Value pins and workspace reuse for the dense kernels.
 //!
-//! Contract (DESIGN.md §10): `LuScratch`, `EigScratch`, and
-//! `DareScratch::solve` are *bit-identical* to `Lu`, `eigenvalues`, and
-//! `solve_dare` — they perform the same floating-point operation sequence
-//! and merely reuse buffers.
+//! Each kernel has one implementation (DESIGN.md §10): `Lu`, `EigScratch`
+//! and `DareScratch` are the kernels, and `Mat::solve`, `eigenvalues`,
+//! `spectral_radius` and `solve_dare` run them on a fresh workspace. So
+//! these tests do not compare a function with a copy of itself. They pin
+//! the kernels' outputs by value, as FNV-1a digests of the result bits
+//! written out below (the way `margin_artifact.rs` pins the margin
+//! artifact), and check that a workspace already used at other sizes
+//! returns the bits of a fresh one.
 
-use csa_linalg::{eigenvalues, solve_dare, DareScratch, EigScratch, LuScratch, Mat, StageCost};
+use csa_linalg::{
+    eigenvalues, solve_dare, spectral_radius, Cplx, DareScratch, EigScratch, Error, Lu, Mat,
+    StageCost,
+};
 
 /// Deterministic pseudo-random matrix generator (splitmix-style LCG).
 struct Rng(u64);
@@ -33,67 +39,116 @@ impl Rng {
         }
         p
     }
+
+    /// A DARE instance of order `n` with `m` inputs and a cross weight.
+    fn dare(&mut self, n: usize, m: usize) -> (Mat, Mat, StageCost) {
+        let a = self.mat(n, n);
+        let b = self.mat(n, m);
+        let q = self.psd(n, 0.5);
+        let cross = self.mat(n, m).scale(0.01);
+        let r = &self.psd(m, 1.0) + &Mat::identity(m);
+        (a, b, StageCost::with_cross(q, cross, r))
+    }
 }
 
-fn assert_bits_eq(a: &Mat, b: &Mat, what: &str) {
-    assert_eq!(a.shape(), b.shape(), "{what}: shape mismatch");
-    for i in 0..a.rows() {
-        for j in 0..a.cols() {
-            assert_eq!(
-                a[(i, j)].to_bits(),
-                b[(i, j)].to_bits(),
-                "{what}: bit mismatch at ({i},{j}): {} vs {}",
-                a[(i, j)],
-                b[(i, j)]
-            );
-        }
+/// A matrix as words: its shape, then its entries' bits.
+fn words(m: &Mat) -> Vec<u64> {
+    let shape = [m.rows() as u64, m.cols() as u64];
+    shape
+        .into_iter()
+        .chain(m.as_slice().iter().map(|v| v.to_bits()))
+        .collect()
+}
+
+fn cplx_words(zs: &[Cplx]) -> Vec<u64> {
+    zs.iter()
+        .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+        .collect()
+}
+
+/// FNV-1a over the words' little-endian bytes, as 16 hex digits.
+fn fnv1a(words: &[u64]) -> String {
+    let h = words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        });
+    format!("{h:016x}")
+}
+
+/// 180 seeded results: 36 per kernel, at orders 1 to 9 four times over
+/// (the DARE capped at order 6, with one or two inputs). The digests were
+/// recorded on the separate one-shot kernels the workspaces replaced, so
+/// they hold the bits those kernels produced.
+#[test]
+fn kernel_outputs_pinned_by_value() {
+    let [mut solve, mut det, mut eig, mut rho, mut dare] = [(); 5].map(|_| Vec::new());
+    let [mut lu_rng, mut det_rng, mut eig_rng, mut dare_rng] =
+        [0xA11CE, 0xDE7, 0xBEEF, 0x5EED].map(Rng);
+    for (k, n) in (1..=9).cycle().take(36).enumerate() {
+        let a = lu_rng.mat(n, n);
+        solve.extend(words(&a.solve(&lu_rng.mat(n, 2)).unwrap()));
+        det.push(Lu::new(&det_rng.mat(n, n)).unwrap().det().to_bits());
+        eig.extend(cplx_words(&eigenvalues(&eig_rng.mat(n, n)).unwrap()));
+        rho.push(spectral_radius(&eig_rng.mat(n, n)).unwrap().to_bits());
+        let (a, b, cost) = dare_rng.dare(n.min(6), 1 + k % 2);
+        let sol = solve_dare(&a, &b, &cost).unwrap();
+        dare.extend(words(&sol.s).into_iter().chain(words(&sol.k)));
     }
+    assert_eq!(
+        [solve, det, eig, rho, dare].map(|w| fnv1a(&w)),
+        [
+            "b88edfe412d4b9dd",
+            "3144601a37d8a8e6",
+            "9bcf35cb333eb8e4",
+            "97caae50f883f096",
+            "c88d6036cd9adeb3",
+        ],
+        "digests of Mat::solve, Lu::det, eigenvalues, spectral_radius, solve_dare"
+    );
 }
 
 #[test]
 fn lu_scratch_solve_bit_identical() {
     let mut rng = Rng(0xA11CE);
-    let mut scratch = LuScratch::new();
+    let mut lu = Lu::default();
     let mut x = Mat::zeros(1, 1);
-    for n in [1usize, 2, 3, 5, 8] {
+    for n in [1usize, 2, 3, 5, 8, 3, 1] {
         let a = rng.mat(n, n);
         let b = rng.mat(n, 2);
-        let x_ref = a.solve(&b).unwrap();
-        scratch.factor(&a).unwrap();
-        assert!(!scratch.is_singular());
-        scratch.solve_into(&b, &mut x).unwrap();
-        assert_bits_eq(&x, &x_ref, "LuScratch vs Mat::solve");
+        lu.factor(&a).unwrap();
+        assert!(!lu.is_singular());
+        lu.solve_into(&b, &mut x).unwrap();
+        assert_eq!(words(&x), words(&a.solve(&b).unwrap()), "n = {n}");
     }
 }
 
 #[test]
 fn lu_scratch_reports_singularity_like_lu() {
-    let a = Mat::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-    let mut scratch = LuScratch::new();
-    scratch.factor(&a).unwrap();
-    assert!(scratch.is_singular());
+    let mut lu = Lu::default();
     let mut x = Mat::zeros(1, 1);
-    assert!(scratch
-        .solve_into(&Mat::col_vec(&[1.0, 1.0]), &mut x)
-        .is_err());
+    let b = Mat::col_vec(&[1.0, 1.0]);
+    // Never factored, then refactored after a regular matrix.
+    assert!(lu.is_singular());
+    lu.factor(&Rng(7).mat(3, 3)).unwrap();
+    let a = Mat::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
+    lu.factor(&a).unwrap();
+    assert!(lu.is_singular() && Lu::new(&a).unwrap().is_singular());
+    assert_eq!(lu.solve_into(&b, &mut x), Err(Error::Singular));
+    assert_eq!(a.solve(&b).err(), Some(Error::Singular));
 }
 
 #[test]
 fn eig_scratch_bit_identical_across_sizes() {
     let mut rng = Rng(0xBEEF);
     let mut scratch = EigScratch::new();
-    for n in [1usize, 2, 3, 4, 6, 9] {
+    for n in [1usize, 2, 3, 4, 6, 9, 3, 1, 5] {
         let a = rng.mat(n, n);
-        let reference = eigenvalues(&a).unwrap();
-        let got = scratch.eigenvalues_in(&a).unwrap();
-        assert_eq!(got.len(), reference.len());
-        for (g, r) in got.iter().zip(&reference) {
-            assert_eq!(g.re.to_bits(), r.re.to_bits(), "re mismatch (n={n})");
-            assert_eq!(g.im.to_bits(), r.im.to_bits(), "im mismatch (n={n})");
-        }
-        let rho_ref = csa_linalg::spectral_radius(&a).unwrap();
-        let rho = scratch.spectral_radius_in(&a).unwrap();
-        assert_eq!(rho.to_bits(), rho_ref.to_bits(), "spectral radius (n={n})");
+        let got = cplx_words(scratch.eigenvalues_in(&a).unwrap());
+        assert_eq!(got, cplx_words(&eigenvalues(&a).unwrap()), "n = {n}");
+        let rho = scratch.spectral_radius_in(&a).unwrap().to_bits();
+        assert_eq!(rho, spectral_radius(&a).unwrap().to_bits(), "n = {n}");
     }
 }
 
@@ -101,42 +156,14 @@ fn eig_scratch_bit_identical_across_sizes() {
 fn dare_scratch_cold_bit_identical() {
     let mut rng = Rng(0x5EED);
     let mut scratch = DareScratch::new();
-    for n in [1usize, 2, 3, 5] {
-        let a = rng.mat(n, n);
-        let b = rng.mat(n, 1);
-        let cost = StageCost::with_cross(
-            rng.psd(n, 0.5),
-            rng.mat(n, 1).scale(0.01),
-            Mat::scalar(1.0 + rng.next_f64().abs()),
-        );
-        let reference = solve_dare(&a, &b, &cost);
-        let got = scratch.solve(&a, &b, &cost);
-        match (got, reference) {
+    for (k, n) in [1usize, 2, 3, 5, 2, 4, 1].into_iter().enumerate() {
+        let (a, b, cost) = rng.dare(n, 1 + k % 2);
+        match (scratch.solve(&a, &b, &cost), solve_dare(&a, &b, &cost)) {
             (Ok(g), Ok(r)) => {
-                assert_bits_eq(&g.s, &r.s, "DareScratch S");
-                assert_bits_eq(&g.k, &r.k, "DareScratch K");
+                assert_eq!(words(&g.s), words(&r.s), "S, n = {n}");
+                assert_eq!(words(&g.k), words(&r.k), "K, n = {n}");
             }
-            (Err(_), Err(_)) => {}
-            (g, r) => panic!("cold scratch/reference disagree on success: {g:?} vs {r:?}"),
+            (g, r) => assert_eq!(g.err(), r.err(), "n = {n}"),
         }
     }
-}
-
-#[test]
-fn mat_inplace_helpers_bit_identical() {
-    let mut rng = Rng(0x1234);
-    let a = rng.mat(4, 3);
-    let b = rng.mat(3, 5);
-    let c = rng.mat(4, 3);
-    let mut out = Mat::zeros(1, 1);
-    out.mul_into(&a, &b);
-    assert_bits_eq(&out, &(&a * &b), "mul_into");
-    out.add_into(&a, &c);
-    assert_bits_eq(&out, &(&a + &c), "add_into");
-    out.sub_into(&a, &c);
-    assert_bits_eq(&out, &(&a - &c), "sub_into");
-    out.transpose_into(&a);
-    assert_bits_eq(&out, &a.transpose(), "transpose_into");
-    out.set_identity(4);
-    assert_bits_eq(&out, &Mat::identity(4), "set_identity");
 }

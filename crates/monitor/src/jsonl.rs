@@ -63,8 +63,10 @@ enum JsonValue {
     Num(u64),
 }
 
-/// Minimal single-line JSON object scanner for request lines. A repeated
-/// key is refused: which of its values counts would be a guess.
+/// Minimal single-line JSON object scanner for request lines. Text that
+/// is not JSON is refused with a reason: a trailing comma, a number with a
+/// leading zero, a raw control character in a string. So is a repeated
+/// key, since which of its values counts would be a guess.
 fn parse_object(line: &str) -> Result<BTreeMap<String, JsonValue>, String> {
     let mut chars = line.trim().chars().peekable();
     let mut out = BTreeMap::new();
@@ -74,10 +76,11 @@ fn parse_object(line: &str) -> Result<BTreeMap<String, JsonValue>, String> {
     loop {
         skip_ws(&mut chars);
         match chars.peek() {
-            Some('}') => {
+            Some('}') if out.is_empty() => {
                 chars.next();
                 break;
             }
+            Some('}') => return Err("trailing comma before '}'".to_string()),
             Some('"') => {}
             _ => return Err("expected '\"' starting a key".to_string()),
         }
@@ -98,6 +101,9 @@ fn parse_object(line: &str) -> Result<BTreeMap<String, JsonValue>, String> {
                     } else {
                         break;
                     }
+                }
+                if digits.len() > 1 && digits.starts_with('0') {
+                    return Err(format!("number with a leading zero for key {key:?}"));
                 }
                 let n: u64 = digits
                     .parse()
@@ -158,6 +164,12 @@ fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<
                 }
                 _ => return Err("unsupported escape".to_string()),
             },
+            Some(c) if c < '\u{20}' => {
+                return Err(format!(
+                    "unescaped control character U+{:04X} in a string",
+                    c as u32
+                ))
+            }
             Some(c) => out.push(c),
             None => return Err("unterminated string".to_string()),
         }
@@ -317,6 +329,15 @@ mod tests {
         let spaced =
             "{ \"id\": 9 , \"profile\": \"margin-tight\", \"seed\":7,\"n\":4,\"index\":3 }";
         assert_eq!(parse_request(spaced).unwrap(), req);
+        // A lone zero is a number, and an escaped control character is a
+        // string character.
+        let zero = "{\"id\":0,\"profile\":\"margin-tight\",\"seed\":0,\"n\":4,\"index\":0}";
+        assert_eq!(parse_request(zero).unwrap().id, 0);
+        assert_eq!(
+            parse_object("{\"k\":\"a\\tb\"}").unwrap()["k"],
+            JsonValue::Str("a\tb".into())
+        );
+        assert!(parse_object("{}").unwrap().is_empty());
     }
 
     #[test]
@@ -384,6 +405,26 @@ mod tests {
             (
                 "{\"id\":1,\"profile\":\"continuous\",\"seed\":1,\"n\":4,\"index\":0}x",
                 "trailing",
+            ),
+            (
+                "{\"id\":1,\"profile\":\"continuous\",\"seed\":1,\"n\":4,\"index\":0,}",
+                "trailing comma before '}'",
+            ),
+            (
+                "{\"id\":1,\"profile\":\"continuous\",\"seed\":1,\"n\":04,\"index\":0}",
+                "number with a leading zero for key \"n\"",
+            ),
+            (
+                "{\"id\":00002,\"profile\":\"continuous\",\"seed\":1,\"n\":4,\"index\":0}",
+                "number with a leading zero for key \"id\"",
+            ),
+            (
+                "{\"id\":1,\"profile\":\"conti\tnuous\",\"seed\":1,\"n\":4,\"index\":0}",
+                "unescaped control character U+0009 in a string",
+            ),
+            (
+                "{\"id\":1,\"tasks\":\"t:1:1:4:3ff0000000000000:3ff0000000000000\u{1}\"}",
+                "unescaped control character U+0001 in a string",
             ),
         ] {
             let err = parse_request(line).unwrap_err();

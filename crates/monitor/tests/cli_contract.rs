@@ -64,9 +64,9 @@ fn command_lines_are_read_strictly() {
         String::from_utf8_lossy(&out.stderr).starts_with("monitor: argument \"\\xFF\" is not");
     assert!(out.status.code() == Some(2) && named);
 
-    // A request above the task ceiling, or one whose key is repeated,
-    // stops the stream with exit 2 and its line number; the request
-    // before it has been answered already.
+    // A request above the task ceiling, one whose key is repeated, or one
+    // that is not JSON stops the stream with exit 2 and its line number;
+    // the request before it has been answered already.
     for (line, reason) in [
         (
             "{\"id\":2,\"profile\":\"continuous\",\"seed\":1,\"n\":65,\"index\":0}",
@@ -75,6 +75,10 @@ fn command_lines_are_read_strictly() {
         (
             "{\"id\":2,\"profile\":\"continuous\",\"seed\":1,\"n\":4,\"n\":8,\"index\":0}",
             "duplicate key \"n\"",
+        ),
+        (
+            "{\"id\":2,\"profile\":\"continuous\",\"seed\":1,\"n\":4,\"index\":0,}",
+            "trailing comma before '}'",
         ),
     ] {
         let mut child = Command::new(monitor)

@@ -109,18 +109,7 @@ impl ResponseBounds {
 /// # }
 /// ```
 pub fn wcrt(task: &Task, hp: &[Task]) -> Option<Ticks> {
-    wcrt_with_limit(task, hp, task.period())
-}
-
-/// Exact worst-case response time with an explicit convergence limit
-/// instead of the implicit deadline.
-///
-/// Useful for sensitivity analysis where response times beyond the deadline
-/// are still informative. Returns `None` if the fixed point exceeds
-/// `limit` (which also catches over-utilized divergence as long as
-/// `limit` is finite).
-pub fn wcrt_with_limit(task: &Task, hp: &[Task], limit: Ticks) -> Option<Ticks> {
-    with_windows(hp.len(), |w| wcrt_cached(task, hp, limit, w))
+    with_windows(hp.len(), |w| wcrt_cached(task, hp, task.period(), w))
 }
 
 /// The WCRT fixed point over a caller-provided window cache.
@@ -310,11 +299,9 @@ mod tests {
         let hp = t(0, 3, 8);
         let task = t(1, 6, 10);
         assert_eq!(wcrt(&task, &[hp]), None);
-        // With a raised limit the fixed point exists at 12.
-        assert_eq!(
-            wcrt_with_limit(&task, &[hp], Ticks::new(100)),
-            Some(Ticks::new(12))
-        );
+        // With a longer period the fixed point exists at 12.
+        let longer = task.with_period(Ticks::new(100)).unwrap();
+        assert_eq!(wcrt(&longer, &[hp]), Some(Ticks::new(12)));
     }
 
     #[test]

@@ -41,7 +41,7 @@ mod scratch;
 mod task;
 mod time;
 
-pub use analysis::{bcrt_from, response_bounds, wcrt, wcrt_with_limit, ResponseBounds};
+pub use analysis::{bcrt_from, response_bounds, wcrt, ResponseBounds};
 pub use generate::uunifast;
 pub use scratch::RtaScratch;
 pub use task::{hyperperiod, utilization, InvalidTask, Task, TaskId, MAX_TASKS};
